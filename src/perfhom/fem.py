@@ -1,5 +1,6 @@
 """P1 finite element core: assembly of the sesquilinear form, boundary
-nonlinearities, Krylov linear solves, and mesh norms.
+nonlinearities, linear solves (one cached setup per assembled system), and
+mesh norms.
 
 Conventions.  For the assembled matrix K and discrete vectors u, v,
 
@@ -288,16 +289,6 @@ class BoundaryJacobian:
     def apply(self, du):
         return self.A @ du + self.B @ np.conj(du)
 
-    def real_matrix(self):
-        M = self.A + self.B
-        if sp.issparse(M):
-            err = abs(M.imag).max() if np.iscomplexobj(M.toarray() if M.nnz < 1 else M.data) else 0.0
-        else:
-            err = abs(np.imag(M)).max()
-        if err > 1e-12:
-            raise ValueError("boundary Jacobian is not real")
-        return M.real.tocsr() if sp.issparse(M) else M.real
-
 
 @dataclass
 class AssembledSystem:
@@ -313,7 +304,7 @@ class AssembledSystem:
     caches: dict = field(default_factory=dict, repr=False)
     _free: np.ndarray | None = field(default=None, repr=False)
     _reduced: object = field(default=None, repr=False)
-    _ilu: object = field(default=None, repr=False)
+    _solver: object = field(default=None, repr=False)
     _hermitian: bool | None = field(default=None, repr=False)
 
     @property
@@ -336,21 +327,72 @@ class AssembledSystem:
 
     def is_hermitian(self):
         if self._hermitian is None:
-            K = self.reduced_matrix()
-            d = K - K.getH()
-            scale = max(1.0, abs(K.data).max() if K.nnz else 1.0)
-            self._hermitian = d.nnz == 0 or abs(d.data).max() <= 1e-12 * scale
+            self._hermitian = _is_hermitian(self.reduced_matrix())
         return self._hermitian
 
-    def preconditioner(self):
-        if self._ilu is None:
-            K = self.reduced_matrix().tocsc()
-            ilu = spla.spilu(K, drop_tol=1e-5, fill_factor=12)
-            n = K.shape[0]
-            self._ilu = spla.LinearOperator(
-                (n, n), matvec=ilu.solve, dtype=K.dtype
-            )
-        return self._ilu
+    def linear_solver(self):
+        """The cached backend setup for the reduced matrix."""
+        if self._solver is None:
+            self._solver = LinearSolver.build(
+                self.reduced_matrix(), self.mesh.dim, self.is_hermitian())
+        return self._solver
+
+
+def _is_hermitian(K):
+    d = K - K.getH()
+    scale = max(1.0, abs(K.data).max() if K.nnz else 1.0)
+    return d.nnz == 0 or abs(d.data).max() <= 1e-12 * scale
+
+
+@dataclass
+class LinearSolver:
+    """Backend setup for one reduced matrix, built once and reused.
+
+    2D meshes use a sparse LU ("splu"), whose fill stays small.  In 3D the
+    fill of an LU costs far more than the solves it serves, so 3D iterates:
+    "cg" with a Jacobi preconditioner for Hermitian matrices, "bicgstab"
+    with an incomplete LU otherwise.  setup holds the SuperLU factor or the
+    preconditioner.
+    """
+
+    backend: str
+    matrix: sp.csr_matrix
+    setup: object
+
+    @classmethod
+    def build(cls, K, dim, hermitian):
+        if dim == 2:
+            # minimum degree on A^T + A halves the fill of COLAMD; without
+            # SymmetricMode it is slow (89 s against 0.2 s for a 38k-dof drift
+            # system on one core, SciPy 1.17).  Hermitian matrices are
+            # coercive here and need no pivoting; others pivot off the
+            # diagonal below a tenth of the column max.
+            lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           options=dict(SymmetricMode=True),
+                           diag_pivot_thresh=0.0 if hermitian else 0.1)
+            return cls("splu", K, lu)
+        # CG needs an SPD preconditioner; an incomplete LU of an SPD matrix
+        # is not SPD in general and stalls CG on fine meshes, so use Jacobi
+        if hermitian:
+            d = K.diagonal().copy()
+            d[d == 0] = 1.0
+            inv = 1.0 / d
+            return cls("cg", K, spla.LinearOperator(
+                K.shape, matvec=lambda x: inv * x, dtype=K.dtype))
+        ilu = spla.spilu(K.tocsc(), drop_tol=1e-5, fill_factor=12)
+        return cls("bicgstab", K, spla.LinearOperator(
+            K.shape, matvec=ilu.solve, dtype=K.dtype))
+
+    def solve(self, b, tol, maxiter):
+        if self.backend == "splu":
+            return self.setup.solve(b)
+        method = spla.cg if self.backend == "cg" else spla.bicgstab
+        x, info = method(self.matrix, b, rtol=tol,
+                         atol=0.1 * tol * np.linalg.norm(b), maxiter=maxiter,
+                         M=self.setup)
+        if info != 0:
+            raise NoConvergenceError(f"{self.backend} returned info={info}")
+        return x
 
 
 def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None):
@@ -517,73 +559,36 @@ def boundary_nonlinear(system, selector, nbc, u, weight=None):
 def solve_linear(system, rhs, tol=1e-10, maxiter=None, matrix=None):
     """Solve the reduced system to relative residual tol.
 
-    Conjugate gradients for Hermitian systems, BiCGStab with an incomplete-LU
-    preconditioner otherwise.  Raises NoConvergenceError at the iteration cap
-    (usually a sign that lam is too close to the solvability threshold or the
-    mesh is bad).
+    The backend is the system's cached LinearSolver: a sparse LU in 2D,
+    Jacobi-CG or ILU-BiCGStab in 3D.  matrix replaces the system matrix for
+    one solve; its setup is built the same way and not kept.  Raises
+    NoConvergenceError when a Krylov backend hits maxiter or the residual
+    exceeds tol (usually a sign that lam is too close to the solvability
+    threshold or the mesh is bad).
     """
     f = system.free
-    K = system.reduced_matrix() if matrix is None else matrix[f][:, f].tocsr()
+    if matrix is None:
+        solver = system.linear_solver()
+    else:
+        K = matrix[f][:, f].tocsr()
+        solver = LinearSolver.build(K, system.mesh.dim, _is_hermitian(K))
+    K = solver.matrix
     b = np.asarray(rhs)[f]
-    n = K.shape[0]
     if maxiter is None:
-        maxiter = max(500, 20 * int(math.sqrt(n)))
+        maxiter = max(500, 20 * int(math.sqrt(K.shape[0])))
     bnorm = np.linalg.norm(b)
     out = np.zeros(len(rhs), dtype=np.result_type(K.dtype, b.dtype))
     if bnorm == 0.0:
         return out
-    if matrix is None:
-        hermitian = system.is_hermitian()
-    else:
-        d = K - K.getH()
-        hermitian = d.nnz == 0 or abs(d.data).max() <= 1e-12 * abs(K.data).max()
-    # CG needs an SPD preconditioner; an incomplete LU of an SPD matrix is
-    # not SPD in general and stalls CG on fine meshes, so use Jacobi there.
-    if hermitian:
-        precond = _jacobi(K)
-    elif matrix is None:
-        precond = system.preconditioner()
-    else:
-        Kc = K.tocsc()
-        ilu = spla.spilu(Kc, drop_tol=1e-5, fill_factor=12)
-        precond = spla.LinearOperator((n, n), matvec=ilu.solve, dtype=Kc.dtype)
     if np.iscomplexobj(b) and not np.iscomplexobj(K.data):
-        xr = _krylov(K, b.real, tol, maxiter, precond, hermitian)
-        xi = _krylov(K, b.imag, tol, maxiter, precond, hermitian)
-        x = xr + 1j * xi
+        x = solver.solve(b.real, tol, maxiter) + 1j * solver.solve(b.imag, tol, maxiter)
     else:
-        x = _krylov(K, b, tol, maxiter, precond, hermitian)
+        x = solver.solve(b, tol, maxiter)
     res = np.linalg.norm(K @ x - b)
     if res > 10.0 * tol * bnorm:
         raise NoConvergenceError(f"linear residual {res:.3e} above {tol:.1e}*|rhs|")
     out[f] = x
     return out
-
-
-def _jacobi(K):
-    d = K.diagonal().copy()
-    d[d == 0] = 1.0
-    inv = 1.0 / d
-    return spla.LinearOperator(K.shape, matvec=lambda x: inv * x, dtype=K.dtype)
-
-
-def _krylov(K, b, tol, maxiter, precond, hermitian):
-    bnorm = np.linalg.norm(b)
-    atol = tol * bnorm
-    if hermitian:
-        x, info = spla.cg(K, b, rtol=tol, atol=0.1 * atol, maxiter=maxiter, M=precond)
-    else:
-        x, info = spla.bicgstab(
-            K, b, rtol=tol, atol=0.1 * atol, maxiter=maxiter, M=precond
-        )
-        if info != 0:
-            x, info = spla.gmres(
-                K, b, rtol=tol, atol=0.1 * atol, maxiter=maxiter, M=precond,
-                restart=80,
-            )
-    if info != 0:
-        raise NoConvergenceError(f"Krylov solver returned info={info}")
-    return x
 
 
 def estimate_lambda0(coeffs, nbc=None, geometry_constants=None):

@@ -309,6 +309,7 @@ def _study_row(config, eps, kappa_val=None):
     name0, f0 = fs[0]
     u_h = solve_eps(sys_h, f0)
     u_half = solve_eps(sys_half, f0)
+    del sys_half  # frees its factorization before the u0 ladder
 
     # refine u_0's own mesh until its Richardson increment is subdominant
     h0 = h / 2.0

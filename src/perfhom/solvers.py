@@ -3,12 +3,12 @@ limits.
 
 The boundary nonlinearity is handled by damped Picard iteration, which
 freezes a(., u) at the previous iterate and re-solves the fixed coercive
-linear system (so one preconditioner serves every sweep), switching to
-Newton once the step is small.  For complex states the Newton tangent is
-R-linear (the saturating nonlinearity is not holomorphic), so the Newton
-correction is solved on the split real form of the 2x2 Wirtinger block;
-that system is small relative to the Picard work and is factorized
-directly.
+linear system (so the system's cached LU or preconditioner serves every
+sweep), switching to Newton once the step is small.  A real Newton tangent
+K + J_b goes through fem.solve_linear as a one-off matrix.  For complex
+states the tangent is R-linear (the saturating nonlinearity is not
+holomorphic), so the Newton correction is solved on the split real form of
+the 2x2 Wirtinger block, which is factorized directly.
 """
 
 from __future__ import annotations
@@ -117,10 +117,18 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
     free = system.free
     fscale = max(float(np.linalg.norm(F[free])), 1e-300)
 
+    contraction = []
+
+    def result(u, method, picard_iters, newton_iters, res):
+        # read after the first solve, which builds the system's backend
+        return u, {"method": method,
+                   "backend": system.linear_solver().backend,
+                   "picard_iters": picard_iters, "newton_iters": newton_iters,
+                   "residual": res, "contraction": contraction}
+
     if nbc.is_zero:
         u = fem.solve_linear(system, F, tol=opts.linear_tol)
-        return u, {"method": "linear", "picard_iters": 0, "newton_iters": 0,
-                   "residual": 0.0, "contraction": []}
+        return result(u, "linear", 0, 0, 0.0)
 
     def residual(u):
         r_b, jac = fem.boundary_nonlinear(system, selector, nbc, u, weight)
@@ -136,7 +144,6 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
     prev_step = None
     prev_res = math.inf
     grow_count = 0
-    contraction = []
     picard_iters = 0
     switched = False
 
@@ -146,8 +153,7 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
         G = system.matrix @ u + r_b - F
         res = float(np.linalg.norm(G[free])) / fscale
         if res <= opts.picard_tol:
-            return u, {"method": "picard", "picard_iters": it, "newton_iters": 0,
-                       "residual": res, "contraction": contraction}
+            return result(u, "picard", it, 0, res)
         if res > prev_res * 1.0001:
             grow_count += 1
             if grow_count >= 2:
@@ -178,17 +184,15 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
                 f"Picard stalled at relative residual {res:.3e} "
                 f"after {opts.picard_max_iter} iterations"
             )
-        return u, {"method": "picard", "picard_iters": picard_iters,
-                   "newton_iters": 0, "residual": res, "contraction": contraction}
+        return result(u, "picard", picard_iters, 0, res)
 
     newton_iters = 0
     for it in range(1, opts.newton_max_iter + 1):
         G, jac = residual(u)
         res = float(np.linalg.norm(G[free])) / fscale
         if res <= opts.picard_tol:
-            return u, {"method": "picard+newton", "picard_iters": picard_iters,
-                       "newton_iters": newton_iters, "residual": res,
-                       "contraction": contraction}
+            return result(u, "picard+newton", picard_iters, newton_iters,
+                          res)
         newton_iters = it
         delta = _newton_step(system, jac, -G)
         # line search guards the global phase Newton inherited from Picard
@@ -202,9 +206,7 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
     G, _ = residual(u)
     res = float(np.linalg.norm(G[free])) / fscale
     if res <= opts.picard_tol:
-        return u, {"method": "picard+newton", "picard_iters": picard_iters,
-                   "newton_iters": newton_iters, "residual": res,
-                   "contraction": contraction}
+        return result(u, "picard+newton", picard_iters, newton_iters, res)
     raise NoConvergenceError(
         f"Newton stalled at relative residual {res:.3e}"
     )
@@ -213,24 +215,16 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
 def _newton_step(system, jac, rhs):
     """Solve (K + J_b) delta = rhs on free dofs.
 
-    Real states keep the sparse Hermitian-dominant structure and reuse the
-    Picard preconditioner; complex states go through the split real form of
-    the R-linear tangent.
+    Real states solve the real tangent through fem.solve_linear; complex
+    states go through the split real form of the R-linear tangent.
     """
     free = system.free
     K = system.matrix
     complex_state = np.iscomplexobj(rhs) or np.iscomplexobj(jac.A.data) \
         or np.iscomplexobj(K.data)
     if not complex_state:
-        J = (K + jac.A + jac.B).tocsr()[free][:, free]
-        b = np.asarray(rhs)[free]
-        x, info = spla.bicgstab(J, b, rtol=1e-12, atol=1e-300, maxiter=400,
-                                M=system.preconditioner())
-        if info != 0:
-            x = spla.splu(J.tocsc()).solve(b)
-        out = np.zeros(len(rhs))
-        out[free] = x
-        return out
+        return fem.solve_linear(system, rhs, tol=1e-12,
+                                matrix=K + jac.A + jac.B)
     M = (K + jac.A).tocsr()[free][:, free]
     B = jac.B.tocsr()[free][:, free]
     if np.iscomplexobj(M.data):

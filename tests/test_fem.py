@@ -141,10 +141,14 @@ def test_solve_linear_zero_rhs_is_zero():
 
 
 def test_solve_linear_iteration_cap():
-    m = _box(1 / 16)
-    sysm = fem.assemble(m, fem.CoefficientSet(dim=2), f=lambda x: np.ones(len(x)))
-    with pytest.raises(NoConvergenceError):
-        fem.solve_linear(sysm, sysm.load, tol=1e-14, maxiter=1)
+    # the cap binds the Krylov backends, which serve 3D meshes
+    m = meshing.mesh_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1 / 6)
+    for drift, backend in ((None, "cg"), ([1.0, 0.5, 0.0], "bicgstab")):
+        sysm = fem.assemble(m, fem.CoefficientSet(dim=3, drift=drift),
+                            f=lambda x: np.ones(len(x)))
+        assert sysm.linear_solver().backend == backend
+        with pytest.raises(NoConvergenceError):
+            fem.solve_linear(sysm, sysm.load, tol=1e-14, maxiter=1)
 
 
 def test_ellipticity_validation():

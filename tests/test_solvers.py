@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from perfhom import fem, geometry, meshing, solvers
 
@@ -11,11 +12,15 @@ W = 0.25
 
 
 def _ends(mids):
-    return np.abs(np.abs(mids[:, 1]) - 1.0) < 1e-12
+    return np.abs(np.abs(mids[:, -1]) - 1.0) < 1e-12
 
 
 def _strip(h):
     return meshing.mesh_interface((0.0, -1.0), (W, 1.0), 0.0, h)
+
+
+def _strip3(h):
+    return meshing.mesh_interface((0.0, 0.0, -1.0), (W, W, 1.0), 0.0, h)
 
 
 def _one(x):
@@ -80,20 +85,43 @@ def test_zero_load_gives_zero_solution():
 
 
 def test_linear_bc_agrees_with_one_shot_solve():
-    m = _strip(1 / 32)
     sigma, a0 = 2.0, 1.0
     opts = solvers.SolveOptions(lam=-1.0)
-    u = solvers.solve_homogenized_delta(
-        m, IDENT, a0, fem.NonlinearBC("linear", sigma=sigma), _one,
-        opts=opts, dirichlet=_ends)
-    # for a(u) = sigma u the problem is linear: fold the boundary mass into K
-    system = fem.assemble(m, IDENT, f=_one, dirichlet=_ends, lam=-1.0)
-    _, jac = fem.boundary_nonlinear(
-        system, "interface", fem.NonlinearBC("linear", sigma=sigma),
-        np.zeros(m.n_vertices), weight=a0)
-    direct = fem.solve_linear(system, system.load, tol=1e-12,
-                              matrix=system.matrix + jac.A)
-    assert np.abs(u.values - direct).max() < 1e-8
+    for m, backend in ((_strip(1 / 32), "splu"), (_strip3(1 / 16), "cg")):
+        coeffs = fem.CoefficientSet(dim=m.dim)
+        u = solvers.solve_homogenized_delta(
+            m, coeffs, a0, fem.NonlinearBC("linear", sigma=sigma), _one,
+            opts=opts, dirichlet=_ends)
+        assert u.info["backend"] == backend
+        assert u.info["newton_iters"] > 0
+        # for a(u) = sigma u the problem is linear: fold the boundary mass
+        # into K
+        system = fem.assemble(m, coeffs, f=_one, dirichlet=_ends, lam=-1.0)
+        _, jac = fem.boundary_nonlinear(
+            system, "interface", fem.NonlinearBC("linear", sigma=sigma),
+            np.zeros(m.n_vertices), weight=a0)
+        direct = fem.solve_linear(system, system.load, tol=1e-12,
+                                  matrix=system.matrix + jac.A)
+        assert np.abs(u.values - direct).max() < 1e-8
+
+
+def test_one_factorization_per_system_and_newton_step(monkeypatch):
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    m = meshing.mesh_perforated(lay, 0.06)
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    u = solvers.solve_perforated(
+        m, IDENT, fem.NonlinearBC("saturating", sigma=2.0), _one)
+    assert u.info["backend"] == "splu"
+    assert u.info["picard_iters"] > 1 and u.info["newton_iters"] > 0
+    # K once for every Picard sweep, then one Jacobian per Newton step
+    assert len(calls) == 1 + u.info["newton_iters"]
 
 
 def test_solution_independent_of_initial_guess():
