@@ -11,6 +11,7 @@ theoretical rate bounds.
 
 from .errors import (
     PerfhomError,
+    ConfigError,
     InfeasibleSpacingError,
     MeshingError,
     MissingFacetTagsError,
@@ -50,7 +51,7 @@ from .harness import RateReport, StudyConfig, emit_report, fit_rate, run_study
 __version__ = "0.1.0"
 
 __all__ = [
-    "PerfhomError", "InfeasibleSpacingError", "MeshingError",
+    "PerfhomError", "ConfigError", "InfeasibleSpacingError", "MeshingError",
     "MissingFacetTagsError", "NoConvergenceError",
     "NonEllipticCoefficientsError", "NonzeroMeanError",
     "PicardDivergenceError", "PointOffManifoldError",

@@ -34,7 +34,10 @@ def _load_config(path):
     if not path:
         raise SystemExit("a --config file is required for this subcommand")
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise PerfhomError(f"{path}: a config must be a JSON object")
+    return doc
 
 
 def _eta_rule(doc):
@@ -173,7 +176,7 @@ def cmd_validate(args):
         nonlocal failures
         try:
             extra = fn()
-        except (PerfhomError, ValueError, KeyError) as exc:
+        except (PerfhomError, ValueError, TypeError, KeyError) as exc:
             failures += 1
             print(f"FAIL {name}: {exc}")
         else:

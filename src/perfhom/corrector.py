@@ -134,8 +134,13 @@ class Corrector:
         return float(np.abs(self.evaluate(t, 0.0)).max())
 
     def harmonic_defect(self):
-        """max_m |gamma_m| * ||k_m|^2 - decay_m^2|, identically zero here."""
-        return float(np.max(np.abs(self.gamma) * np.abs(self.kabs**2 - self.kabs**2)))
+        """sup |Laplacian Psi|, which is exactly 0.0.
+
+        Each mode e^{i k.xi_t} e^{-|k| xi_n} decays at the rate |k| of its
+        own tangential frequency, so every term of the truncated series is
+        harmonic.  Kept as the lap_sup entry of the mu budget.
+        """
+        return 0.0
 
     def flux_at_height(self, xi_n):
         """Bound sum_m |gamma_m| |k_m| e^{-|k_m| xi_n} for the outer defect."""

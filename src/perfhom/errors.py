@@ -5,6 +5,10 @@ class PerfhomError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ConfigError(PerfhomError, ValueError):
+    """A study config has an unknown key or an unusable value."""
+
+
 class InfeasibleSpacingError(PerfhomError):
     """Requested layout violates the cavity disjointness condition."""
 

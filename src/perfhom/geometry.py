@@ -30,15 +30,6 @@ DEFAULT_CONSTANTS = {"R0": 0.5, "R1": 0.1, "R2": 0.2, "b": 1.2, "tau0": 1.0}
 _measure_cache: dict = {}
 
 
-def _bump(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-    return out
-
-
 @dataclass
 class Shape:
     """Unit cavity shape, star-shaped with respect to the origin.

@@ -13,12 +13,13 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import alpha as alpha_mod
 from . import fem, geometry, meshing, snorm, solvers
+from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -167,26 +168,30 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.dim = _config_value("dim", self.dim, _dimension)
         if not self.eps_list:
             self.eps_list = DEFAULT_SWEEP if self.dim == 2 else DEFAULT_SWEEP_3D
-        self.eps_list = tuple(float(e) for e in self.eps_list)
+        self.eps_list = _config_value("eps_list", self.eps_list,
+                                      lambda v: tuple(float(e) for e in v))
+        self.eta_rule = _config_value("eta_rule", self.eta_rule, _eta_rule)
+        self.rhs_names = _config_value("rhs_names", self.rhs_names, _rhs_names)
         self.validate()
 
     def validate(self):
         if self.theorem not in _THEOREMS:
-            raise ValueError(f"unknown theorem tag {self.theorem!r}")
+            raise ConfigError(f"unknown theorem tag {self.theorem!r}")
         side = _THEOREMS[self.theorem][2]
         if side == "a_zero" and self.nbc_kind != "zero":
-            raise ValueError(f"{self.theorem} requires a == 0")
+            raise ConfigError(f"{self.theorem} requires a == 0")
         if side == "eta_to_zero":
             decaying = isinstance(self.eta_rule, tuple) and self.eta_rule[0] == "power" \
                 and float(self.eta_rule[1]) > 0
             if not decaying:
-                raise ValueError(f"{self.theorem} requires a decaying eta rule")
+                raise ConfigError(f"{self.theorem} requires a decaying eta rule")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
-            raise ValueError("eps_list must be strictly decreasing")
+            raise ConfigError("eps_list must be strictly decreasing")
         if len(self.rhs_names) < 3:
-            raise ValueError("at least 3 right-hand sides are required")
+            raise ConfigError("at least 3 right-hand sides are required")
 
     def coefficients(self):
         return fem.CoefficientSet(dim=self.dim, matrix=self.matrix,
@@ -217,14 +222,43 @@ class StudyConfig:
     @staticmethod
     def from_dict(doc):
         doc = dict(doc)
-        er = doc.get("eta_rule", 1.0)
-        if isinstance(er, list):
-            doc["eta_rule"] = (er[0], float(er[1]))
-        if isinstance(doc.get("eps_list"), list):
-            doc["eps_list"] = tuple(doc["eps_list"])
-        if isinstance(doc.get("rhs_names"), list):
-            doc["rhs_names"] = tuple(doc["rhs_names"])
+        unknown = sorted(set(doc) - {f.name for f in fields(StudyConfig)})
+        if unknown:
+            raise ConfigError("unknown study config key(s): "
+                              + ", ".join(map(repr, unknown)))
+        if "theorem" not in doc:
+            raise ConfigError("study config needs a 'theorem' key")
         return StudyConfig(**doc)
+
+
+def _config_value(key, value, convert):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from None
+
+
+def _dimension(dim):
+    if dim not in (2, 3):
+        raise ValueError
+    return int(dim)
+
+
+def _eta_rule(rule):
+    if callable(rule):
+        return rule
+    if not isinstance(rule, (list, tuple)):
+        return float(rule)
+    kind, gamma = rule
+    if kind != "power":
+        raise ValueError
+    return kind, float(gamma)
+
+
+def _rhs_names(names):
+    if isinstance(names, str) or not set(names) <= set(_RHS_BY_NAME):
+        raise ValueError
+    return tuple(names)
 
 
 @dataclass

@@ -200,29 +200,26 @@ def _segment_through(lo, hi, s, h):
 
 
 def _tri_grid(xs, ys):
-    """Triangulate a tensor grid with parity-alternating diagonals."""
+    """Triangulate a tensor grid with parity-alternating diagonals.
+
+    Cells run i-major; cell (i, j) owns triangles 2*(i*ny + j) and the next.
+    """
     nx, ny = len(xs) - 1, len(ys) - 1
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    cell_tri = np.empty((nx, ny, 2), dtype=np.int64)
-    t = 0
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                tris[t] = (v00, v10, v11)
-                tris[t + 1] = (v00, v11, v01)
-            else:
-                tris[t] = (v10, v11, v01)
-                tris[t + 1] = (v10, v01, v00)
-            cell_tri[i, j] = (t, t + 1)
-            t += 2
+    I, J = np.meshgrid(np.arange(nx, dtype=np.int64),
+                       np.arange(ny, dtype=np.int64), indexing="ij")
+    v00 = (I * (ny + 1) + J).ravel()
+    v01, v10 = v00 + 1, v00 + ny + 1
+    v11 = v10 + 1
+    even = ((I + J) % 2 == 0).ravel()[:, None]
+    first = np.where(even, np.column_stack([v00, v10, v11]),
+                     np.column_stack([v10, v11, v01]))
+    second = np.where(even, np.column_stack([v00, v11, v01]),
+                      np.column_stack([v10, v01, v00]))
+    tris = np.stack([first, second], axis=1).reshape(-1, 3)
+    cell_tri = np.arange(2 * nx * ny, dtype=np.int64).reshape(nx, ny, 2)
     return verts, tris, cell_tri
 
 
@@ -230,31 +227,23 @@ _KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
 def _tet_grid(xs, ys, zs):
-    """Kuhn 6-tet subdivision of a tensor grid (consistent face diagonals)."""
+    """Kuhn 6-tet subdivision of a tensor grid (consistent face diagonals).
+
+    Tet p of cell (i, j, k) walks from its lowest corner along the axes in
+    the order _KUHN_PERMS[p]; cells run i-major and own 6 consecutive tets.
+    """
     nx, ny, nz = len(xs) - 1, len(ys) - 1, len(zs) - 1
     X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    tets = np.empty((6 * nx * ny * nz, 4), dtype=np.int64)
-    cell_tet = np.empty((nx, ny, nz, 6), dtype=np.int64)
-    t = 0
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                base = np.array([i, j, k])
-                for p, perm in enumerate(_KUHN_PERMS):
-                    corner = base.copy()
-                    ids = [vid(*corner)]
-                    for ax in perm:
-                        corner = corner.copy()
-                        corner[ax] += 1
-                        ids.append(vid(*corner))
-                    tets[t] = ids
-                    cell_tet[i, j, k, p] = t
-                    t += 1
+    stride = np.array([(ny + 1) * (nz + 1), nz + 1, 1], dtype=np.int64)
+    steps = np.cumsum(stride[np.array(_KUHN_PERMS)], axis=1)
+    offsets = np.column_stack([np.zeros(len(_KUHN_PERMS), dtype=np.int64), steps])
+    I, J, K = np.meshgrid(*(np.arange(n, dtype=np.int64) for n in (nx, ny, nz)),
+                          indexing="ij")
+    base = ((I * (ny + 1) + J) * (nz + 1) + K).ravel()
+    tets = (base[:, None, None] + offsets[None]).reshape(-1, 4)
+    cell_tet = np.arange(6 * nx * ny * nz, dtype=np.int64).reshape(nx, ny, nz, 6)
     return verts, tets, cell_tet
 
 

@@ -12,9 +12,13 @@ seminorm of the weighted trace functional is
 
 where (B_w Phi)_i = int_S w Phi phi_i and S_c is the Schur complement of K
 on the bottom nodes, so Phi^H S_c Phi is the minimal extension energy.  The
-top of the pencil is found by power iteration; S_c^{-1} r comes from one
-full-slab solve, since the bottom block of K^{-1} [r; 0] is exactly
-S_c^{-1} r.
+top of this symmetric-definite pencil is computed by ARPACK's Lanczos
+method in mode 2 (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM
+1998), which needs three operators on bottom data:
+
+    A Phi      = Re(B_w^H K^{-1} B_w Phi)   one full-slab solve,
+    S_c Phi    = (K E Phi)_bottom           one interior solve (E = extension),
+    S_c^{-1} r = (K^{-1} [r; 0])_bottom     one full-slab solve.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem, meshing
-from .errors import NoConvergenceError
 
 log = logging.getLogger(__name__)
 
@@ -70,12 +73,15 @@ class SlabSpace:
 
     def extension(self, phi):
         """Minimal-energy extension of bottom data phi into the slab."""
-        K = self.matrix
-        rhs = -(K[self.interior][:, self.bottom] @ phi)
         v = np.zeros(self.mesh.n_vertices, dtype=np.asarray(phi).dtype)
         v[self.bottom] = phi
-        v[self.interior] = self.lu_interior().solve(rhs)
+        # v is zero inside, so the interior rows of K v are K_ib phi
+        v[self.interior] = self.lu_interior().solve(-(self.matrix @ v)[self.interior])
         return v
+
+    def schur_apply(self, phi):
+        """S_c phi = K_bb phi - K_bi K_ii^{-1} K_ib phi, the bottom rows of K E phi."""
+        return (self.matrix @ self.extension(phi))[self.bottom]
 
     def extension_energy(self, phi):
         v = self.extension(phi)
@@ -131,51 +137,55 @@ def slab_for_layout(layout, points_per_bump=8, tau0=None):
     return build_slab(lo, hi, h, tau0=tau0)
 
 
-def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, restarts=3,
-           return_info=False):
-    """Power iteration for the pencil (B^H K^{-1} B, S_c); returns the sqrt.
+class _StepCap(Exception):
+    """Raised inside the A operator when s_norm's maxiter is used up."""
 
-    Runs a few independently seeded restarts and keeps the largest converged
-    Rayleigh quotient; info records per-restart iteration counts and whether
-    any restart stalled short of tol.
+
+def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
+    """sqrt of the top eigenvalue of the pencil (B^H K^{-1} B, S_c).
+
+    One ARPACK Lanczos solve in mode 2 from a start vector seeded by seed;
+    tol is ARPACK's relative residual tolerance on the Ritz pair.  maxiter
+    caps the applications of A (full-slab solves through B); info records
+    their count in info["iterations"] (one entry).  A weight whose B_w has no
+    nonzero entry gives exactly 0.  When the cap is hit or ARPACK does not
+    converge, info["stalled"] is set, a warning is logged and the value is a
+    lower bound: the largest partial Ritz value, else the Rayleigh quotient
+    of the start vector.
     """
     B = slab.trace_matrix(weight)
+    info = {"iterations": [0], "stalled": False}
+    if B.count_nonzero() == 0:
+        return (0.0, info) if return_info else 0.0
+    BH = B.getH().tocsr()
     nb = slab.n_trace
 
-    def apply_a(w):
-        return (B.getH() @ slab.solve(B @ w)).real
+    def a(w):
+        return (BH @ slab.solve(B @ w)).real
 
-    best = 0.0
-    info = {"iterations": [], "stalled": False, "restarts": restarts}
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        w = rng.standard_normal(nb)
-        w /= np.linalg.norm(w)
-        lam_prev, lam, converged = math.inf, 0.0, False
-        for it in range(1, maxiter + 1):
-            z = apply_a(w)
-            zn = np.linalg.norm(z)
-            if zn == 0.0:
-                lam, converged = 0.0, True
-                break
-            w_new = slab.schur_solve(z)
-            # with S_c w_new = z exactly, the Rayleigh quotient at w_new
-            # needs only one more application of A
-            den = float(np.real(np.vdot(w_new, z)))
-            num = float(np.real(np.vdot(w_new, apply_a(w_new))))
-            lam = num / den
-            w = w_new / np.linalg.norm(w_new)
-            if abs(lam - lam_prev) <= tol * max(lam, 1e-300):
-                converged = True
-                break
-            lam_prev = lam
-        info["iterations"].append(it if zn > 0 else 0)
-        if not converged:
-            info["stalled"] = True
-        best = max(best, lam)
-    if info["stalled"]:
-        log.warning("s-norm power iteration stalled; value may be a lower bound")
-    val = math.sqrt(max(best, 0.0))
+    def apply_a(w):
+        if info["iterations"][0] == maxiter:
+            raise _StepCap
+        info["iterations"][0] += 1
+        return a(w)
+
+    def operator(matvec):
+        return spla.LinearOperator((nb, nb), matvec=matvec, dtype=float)
+
+    v0 = np.random.default_rng(seed).standard_normal(nb)
+    try:
+        lam = spla.eigsh(operator(apply_a), k=1, M=operator(slab.schur_apply),
+                         Minv=operator(slab.schur_solve), which="LA", v0=v0,
+                         tol=tol, return_eigenvectors=False)[0]
+    except (_StepCap, spla.ArpackNoConvergence) as exc:
+        info["stalled"] = True
+        log.warning("s-norm Lanczos solve stalled; value is a lower bound")
+        partial = getattr(exc, "eigenvalues", ())
+        if len(partial):
+            lam = max(partial)
+        else:
+            lam = (v0 @ a(v0)) / (v0 @ slab.schur_apply(v0))
+    val = math.sqrt(max(float(lam), 0.0))
     return (val, info) if return_info else val
 
 
@@ -213,6 +223,7 @@ def kappa_table(eps_values, layout_fn, density_fn=None, alpha0=None,
             "stalled": info["stalled"],
         })
         log.info("kappa(eps=%g) = %g", eps, val)
+        del slab  # frees both factorizations before the next eps builds its slab
     if out_csv:
         with open(out_csv, "w") as fh:
             fh.write("eps,kappa\n")

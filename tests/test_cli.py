@@ -114,3 +114,15 @@ def test_study_subcommand_end_to_end(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["theorem"] == "T1a"
     assert len(summary["rows"]) == 3
+
+
+@pytest.mark.parametrize("command", ["validate", "study"])
+@pytest.mark.parametrize("doc, named", [
+    ({"theorem": "T1a", "eps_lst": [0.125]}, "eps_lst"),
+    ([1, 2], "JSON object"),
+])
+def test_config_mistake_is_a_clean_error(tmp_path, capsys, command, doc, named):
+    cfg = _write(tmp_path, doc)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err

@@ -80,6 +80,17 @@ def test_config_dict_roundtrip():
             theorem="T2", nbc_sigma=lambda x: x[:, 0]).to_dict()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("eps_lst", [0.125]), ("eps_list", 0.125), ("eps_list", ["a"]),
+    ("eta_rule", ["power"]), ("eta_rule", ["linear", 0.5]), ("eta_rule", "x"),
+    ("dim", "two"),
+    ("rhs_names", ["trig", "gauss", "nope"]),
+])
+def test_config_errors_name_the_key(key, value):
+    with pytest.raises(harness.ConfigError, match=key):
+        harness.StudyConfig.from_dict({"theorem": "T1a", key: value})
+
+
 def test_standard_rhs_cutoff_vanishes_near_interface():
     fs = dict(harness.standard_rhs(("trig", "poly"), vanish_near_s=True))
     inner = np.array([[0.3, 0.05], [0.7, -0.1]])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -181,3 +182,53 @@ def test_perforated_3d_smoke():
     assert set(range(lay.n_cavities)) <= set(int(t) for t in m.facet_tags)
     hole = lay.n_cavities * 4 / 3 * math.pi * (0.15 * lay.cavity_scale) ** 3
     assert m.simplex_volumes().sum() == pytest.approx(0.25 - hole, rel=5e-3)
+
+
+def _tri_grid_loop(xs, ys):
+    """Cell-by-cell reference for meshing._tri_grid."""
+    nx, ny = len(xs) - 1, len(ys) - 1
+    vid = lambda i, j: i * (ny + 1) + j
+    tris, cell_tri = [], np.empty((nx, ny, 2), dtype=np.int64)
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10, v01, v11 = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
+            if (i + j) % 2 == 0:
+                tris += [(v00, v10, v11), (v00, v11, v01)]
+            else:
+                tris += [(v10, v11, v01), (v10, v01, v00)]
+            cell_tri[i, j] = (len(tris) - 2, len(tris) - 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return np.column_stack([X.ravel(), Y.ravel()]), np.array(tris, dtype=np.int64), cell_tri
+
+
+def _tet_grid_loop(xs, ys, zs):
+    """Cell-by-cell reference for meshing._tet_grid (Kuhn paths)."""
+    nx, ny, nz = len(xs) - 1, len(ys) - 1, len(zs) - 1
+    vid = lambda c: (c[0] * (ny + 1) + c[1]) * (nz + 1) + c[2]
+    tets, cell_tet = [], np.empty((nx, ny, nz, 6), dtype=np.int64)
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                for p, perm in enumerate(itertools.permutations(range(3))):
+                    corner = [i, j, k]
+                    ids = [vid(corner)]
+                    for ax in perm:
+                        corner[ax] += 1
+                        ids.append(vid(corner))
+                    cell_tet[i, j, k, p] = len(tets)
+                    tets.append(ids)
+    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+    return verts, np.array(tets, dtype=np.int64), cell_tet
+
+
+@pytest.mark.parametrize("build, reference, shape", [
+    (meshing._tri_grid, _tri_grid_loop, (3, 4)),
+    (meshing._tet_grid, _tet_grid_loop, (2, 3, 2)),
+])
+def test_structured_grid_matches_cell_loop(build, reference, shape):
+    rng = np.random.default_rng(3)
+    axes = [np.sort(rng.random(n + 1)) for n in shape]
+    for got, want in zip(build(*axes), reference(*axes)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)

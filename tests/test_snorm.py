@@ -137,3 +137,32 @@ def test_kappa_table_csv(tmp_path):
     got = [tuple(float(t) for t in ln.split(",")) for ln in lines[1:]]
     assert got[0][0] == 0.125 and got[1][0] == 0.0625
     assert got[0][1] == pytest.approx(rows[0]["kappa"])
+
+
+@pytest.fixture(scope="module")
+def periodic_eighth():
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    dens = alpha.surface_density(lay)
+    weight = lambda x: dens.tangential(x[:, :-1]) - dens.mean()
+    return snorm.slab_for_layout(lay), dens, weight
+
+
+def test_kappa_matches_dense_pencil(periodic_eighth):
+    slab_l, dens, weight = periodic_eighth
+    assert snorm.kappa(slab_l, dens) == pytest.approx(
+        snorm_dense(slab_l, weight), rel=1e-9)
+
+
+def test_stalled_value_is_a_lower_bound(periodic_eighth):
+    slab_l, dens, weight = periodic_eighth
+    val, info = snorm.kappa(slab_l, dens, maxiter=1, return_info=True)
+    assert info["stalled"] and info["iterations"] == [1]
+    assert 0 < val <= snorm_dense(slab_l, weight)
+
+
+def test_lanczos_step_count(periodic_eighth):
+    # power iteration with restarts took 155 applications of A here
+    slab_l, dens, _ = periodic_eighth
+    _, info = snorm.kappa(slab_l, dens, return_info=True)
+    assert not info["stalled"]
+    assert sum(info["iterations"]) <= 40
