@@ -40,17 +40,11 @@ def _load_config(path):
     return doc
 
 
-def _eta_rule(doc):
-    rule = doc.get("eta_rule", 1.0)
-    if isinstance(rule, list):
-        rule = (rule[0], float(rule[1]))
-    return rule
-
-
 def _layout_fn(doc):
     kind = doc.get("layout_kind", "periodic")
     params = doc.get("layout_params", {})
-    rule = _eta_rule(doc)
+    rule = harness._config_value("eta_rule", doc.get("eta_rule", 1.0),
+                                 harness._eta_rule)
     return lambda eps: geometry.make_layout(kind, params, eps, rule)
 
 
@@ -105,8 +99,9 @@ def cmd_snorm(args):
 def cmd_corrector(args):
     doc = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    rule = _eta_rule(doc)
-    if not isinstance(rule, (int, float)):
+    rule = harness._config_value("eta_rule", doc.get("eta_rule", 1.0),
+                                 harness._eta_rule)
+    if not isinstance(rule, float):
         raise SystemExit("corrector tables assume a fixed cell: eta_rule "
                          "must be a constant")
     eps_list = _eps_list(doc)
@@ -185,11 +180,15 @@ def cmd_validate(args):
     if "theorem" in doc:
         config = harness.StudyConfig.from_dict(doc)
         check("study config", config.validate)
-        lo, hi = geometry._default_domain(config.dim)
-        pts = np.stack([np.linspace(a, b, 7) for a, b in zip(lo, hi)], axis=1)
-        check("coefficients",
-              lambda: "c0 ok (min eig %.4g)" %
-              config.coefficients().validate_ellipticity(pts))
+
+        def coefficients():
+            layout = config.layout(config.eps_list[0])
+            pts = np.stack([np.linspace(a, b, 7) for a, b
+                            in zip(layout.domain_lo, layout.domain_hi)], axis=1)
+            return "c0 ok (min eig %.4g)" % \
+                config.coefficients().validate_ellipticity(pts)
+
+        check("coefficients", coefficients)
         check("solvability threshold", lambda: "lam0_hat = %.4g" %
               fem.estimate_lambda0(config.coefficients(),
                                    config.nonlinearity()))

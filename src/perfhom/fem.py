@@ -227,11 +227,12 @@ class NonlinearBC:
 
 @dataclass
 class DiscreteField:
-    """Nodal P1 field on a mesh."""
+    """Nodal P1 field on a mesh, with the AssembledSystem it was solved on."""
 
     mesh: object
     values: np.ndarray
     info: dict = field(default_factory=dict)
+    system: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values)

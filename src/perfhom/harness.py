@@ -93,28 +93,12 @@ def smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
-def _rhs_trig(x, cut=None):
-    v = np.sin(np.pi * x[:, 0]) * np.cos(0.5 * np.pi * x[:, -1])
-    return v if cut is None else v * cut(x)
-
-
-def _rhs_gauss(x, cut=None):
-    r2 = ((x - 0.35) ** 2).sum(axis=1)
-    v = np.exp(-4.0 * r2)
-    return v if cut is None else v * cut(x)
-
-
-def _rhs_poly(x, cut=None):
-    v = 1.0 + x[:, 0] * (1.0 - x[:, 0]) - 0.5 * x[:, -1]
-    return v if cut is None else v * cut(x)
-
-
-def _rhs_zero(x, cut=None):
-    return np.zeros(len(x))
-
-
-_RHS_BY_NAME = {"trig": _rhs_trig, "gauss": _rhs_gauss, "poly": _rhs_poly,
-                "zero": _rhs_zero}
+_RHS_BY_NAME = {
+    "trig": lambda x: np.sin(np.pi * x[:, 0]) * np.cos(0.5 * np.pi * x[:, -1]),
+    "gauss": lambda x: np.exp(-4.0 * ((x - 0.35) ** 2).sum(axis=1)),
+    "poly": lambda x: 1.0 + x[:, 0] * (1.0 - x[:, 0]) - 0.5 * x[:, -1],
+    "zero": lambda x: np.zeros(len(x)),
+}
 
 
 def standard_rhs(names=("trig", "gauss", "poly"), vanish_near_s=False,
@@ -124,12 +108,12 @@ def standard_rhs(names=("trig", "gauss", "poly"), vanish_near_s=False,
     The cutoff is exactly 0 for |x_n - s0| < inner and 1 beyond outer, so the
     cavity-band f-norm vanishes identically once cavities fit in the band.
     """
-    cut = None
-    if vanish_near_s:
-        def cut(x):
-            d = np.abs(x[:, -1] - s0)
-            return smoothstep((d - inner) / (outer - inner))
-    return [(name, lambda x, _f=_RHS_BY_NAME[name], _c=cut: _f(x, _c))
+    if not vanish_near_s:
+        return [(name, _RHS_BY_NAME[name]) for name in names]
+
+    def cut(x):
+        return smoothstep((np.abs(x[:, -1] - s0) - inner) / (outer - inner))
+    return [(name, lambda x, _f=_RHS_BY_NAME[name]: _f(x) * cut(x))
             for name in names]
 
 
@@ -175,6 +159,26 @@ class StudyConfig:
                                       lambda v: tuple(float(e) for e in v))
         self.eta_rule = _config_value("eta_rule", self.eta_rule, _eta_rule)
         self.rhs_names = _config_value("rhs_names", self.rhs_names, _rhs_names)
+        self.u0_refine_cap = _config_value("u0_refine_cap", self.u0_refine_cap, _count)
+        n = self.dim
+        # shapes a constant may take (None: may be None); dtype kinds allowed
+        for key, shapes, kinds in (("matrix", [None, (n, n)], "iuf"),
+                                   ("drift", [None, (), (n,)], "iufc"),
+                                   ("reaction", [()], "iufc"),
+                                   ("nbc_sigma", [()], "iufc")):
+            setattr(self, key, _config_value(
+                key, getattr(self, key), lambda v: _coefficient(v, shapes, kinds)))
+        self.nbc_kind = _config_value("nbc_kind", self.nbc_kind,
+                                      lambda k: fem.NonlinearBC(k).kind)
+        # the solvers' own threshold rule, so validate rejects what study would
+        if self.lam is not None:
+            self.lam = _config_value("lam", self.lam, lambda v: solvers._resolve_lambda(
+                self.coefficients(), self.nonlinearity(), solvers.SolveOptions(lam=v)))
+        self.layout_params = _config_value("layout_params", self.layout_params,
+                                           dict)
+        if self.layout_params.get("dim", n) != n:
+            raise ConfigError(f"layout_params dim {self.layout_params['dim']!r} "
+                              f"conflicts with dim {n}")
         self.validate()
 
     def validate(self):
@@ -183,11 +187,9 @@ class StudyConfig:
         side = _THEOREMS[self.theorem][2]
         if side == "a_zero" and self.nbc_kind != "zero":
             raise ConfigError(f"{self.theorem} requires a == 0")
-        if side == "eta_to_zero":
-            decaying = isinstance(self.eta_rule, tuple) and self.eta_rule[0] == "power" \
-                and float(self.eta_rule[1]) > 0
-            if not decaying:
-                raise ConfigError(f"{self.theorem} requires a decaying eta rule")
+        decaying = isinstance(self.eta_rule, tuple) and self.eta_rule[1] > 0
+        if side == "eta_to_zero" and not decaying:
+            raise ConfigError(f"{self.theorem} requires a decaying eta rule")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
         if len(self.rhs_names) < 3:
@@ -202,14 +204,15 @@ class StudyConfig:
         return fem.NonlinearBC(self.nbc_kind, sigma=self.nbc_sigma)
 
     def layout(self, eps):
-        return geometry.make_layout(self.layout_kind, dict(self.layout_params),
+        return geometry.make_layout(self.layout_kind,
+                                    dict(self.layout_params, dim=self.dim),
                                     eps, eta_rule=self.eta_rule)
 
     def to_dict(self):
         doc = asdict(self)
         for key in ("drift", "reaction", "matrix", "nbc_sigma"):
             v = doc[key]
-            if callable(v) or isinstance(v, complex):
+            if callable(v) or np.iscomplexobj(v):
                 raise ValueError(f"{key} must be plain real data in configs")
             if isinstance(v, np.ndarray):
                 doc[key] = v.tolist()
@@ -234,14 +237,21 @@ class StudyConfig:
 def _config_value(key, value, convert):
     try:
         return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for {key!r}: {value!r}") from None
+    except (TypeError, ValueError) as exc:
+        reason = f" ({exc})" if str(exc) else ""
+        raise ConfigError(f"bad value for {key!r}: {value!r}{reason}") from None
 
 
 def _dimension(dim):
     if dim not in (2, 3):
         raise ValueError
     return int(dim)
+
+
+def _count(n):
+    if isinstance(n, bool) or int(n) != n or n < 0:
+        raise ValueError
+    return int(n)
 
 
 def _eta_rule(rule):
@@ -253,6 +263,17 @@ def _eta_rule(rule):
     if kind != "power":
         raise ValueError
     return kind, float(gamma)
+
+
+def _coefficient(value, shapes, kinds):
+    """A callable, or numbers of one of the given dtype kinds and shapes;
+    None passes where shapes lists it."""
+    if callable(value) or (value is None and None in shapes):
+        return value
+    arr = np.asarray(value)
+    if arr.dtype.kind not in kinds or arr.shape not in shapes:
+        raise ValueError
+    return arr.item() if arr.ndim == 0 else arr
 
 
 def _rhs_names(names):
@@ -273,12 +294,7 @@ class RateReport:
     kappa_rows: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "config": self.config, "rows": self.rows, "slopes": self.slopes,
-            "c_fit": self.c_fit, "dominance_ok": self.dominance_ok,
-            "uniformity": self.uniformity, "degenerate": self.degenerate,
-            "kappa_rows": self.kappa_rows,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(doc):
@@ -293,20 +309,12 @@ class RateReport:
         return _THEOREMS[self.config["theorem"]][0]
 
 
-def _interface_s0(config):
-    lo, hi = geometry._default_domain(config.dim)
-    return lo, hi, 0.0
-
-
-def _solve_homogenized(config, kind, lam, h0, f, alpha0):
-    lo, hi, s0 = _interface_s0(config)
-    opts = solvers.SolveOptions(lam=lam)
+def _solve_homogenized(layout, kind, coeffs, nbc, alpha0, h0, f, opts):
     if kind == "plain":
-        m0 = meshing.mesh_box(lo, hi, h0)
-        return solvers.solve_homogenized_plain(m0, config.coefficients(), f, opts)
-    m0 = meshing.mesh_interface(lo, hi, s0, h0)
-    return solvers.solve_homogenized_delta(
-        m0, config.coefficients(), alpha0, config.nonlinearity(), f, opts)
+        m0 = meshing.mesh_box(layout.domain_lo, layout.domain_hi, h0)
+        return solvers.solve_homogenized_plain(m0, coeffs, f, opts)
+    m0 = meshing.mesh_interface(layout.domain_lo, layout.domain_hi, layout.s0, h0)
+    return solvers.solve_homogenized_delta(m0, coeffs, alpha0, nbc, f, opts)
 
 
 def _study_row(config, eps, kappa_val=None):
@@ -316,13 +324,10 @@ def _study_row(config, eps, kappa_val=None):
     eta = layout.eta
     coeffs = config.coefficients()
     nbc = config.nonlinearity()
-    lam = config.lam
-    if lam is None:
-        lam = fem.estimate_lambda0(coeffs, nbc) - 1.0
+    lam = solvers._resolve_lambda(coeffs, nbc, solvers.SolveOptions(lam=config.lam))
     opts = solvers.SolveOptions(lam=lam)
 
-    lo, hi, s0 = _interface_s0(config)
-    fs = standard_rhs(config.rhs_names, config.vanish_near_s, s0)
+    fs = standard_rhs(config.rhs_names, config.vanish_near_s, layout.s0)
 
     h = config.h_factor * eps
     refine = max(config.refine_floor, 2.5 * h / (eps * eta))
@@ -335,63 +340,57 @@ def _study_row(config, eps, kappa_val=None):
     sys_half = fem.assemble(mesh_half, coeffs, dirichlet="outer", lam=lam)
 
     def solve_eps(system, f):
-        load = fem.load_vector(system.mesh, f)
-        u, _ = solvers.solve_assembled(system, "cavity", nbc, None, opts,
-                                       load=load)
-        return u
+        return solvers.solve_assembled(system, "cavity", nbc, None, opts,
+                                       load=fem.load_vector(system.mesh, f))[0]
 
     name0, f0 = fs[0]
     u_h = solve_eps(sys_h, f0)
     u_half = solve_eps(sys_half, f0)
     del sys_half  # frees its factorization before the u0 ladder
 
-    # refine u_0's own mesh until its Richardson increment is subdominant
-    h0 = h / 2.0
-    u0_field = _solve_homogenized(config, homog_kind, lam, h0, f0, alpha0)
-    e_prev = None
-    for _ in range(config.u0_refine_cap + 1):
+    # refine u_0's own mesh from h/2 until its Richardson increment is
+    # subdominant; the level that uses up the cap goes unchecked
+    h0, e_prev, idx = h, None, 0 if norm_key == "l2" else 2
+    for u0_solves in range(1, config.u0_refine_cap + 3):
+        h0 /= 2.0
+        u0_field = None  # frees the previous level's factorization first
+        u0_field = _solve_homogenized(layout, homog_kind, coeffs, nbc, alpha0,
+                                      h0, f0, opts)
+        if u0_solves >= config.u0_refine_cap + 2:
+            log.warning("u0 refinement at eps=%g used up u0_refine_cap=%d; "
+                        "its last level is unchecked", eps, config.u0_refine_cap)
+            break
         vals = meshing.interpolate(u0_field.mesh, u0_field.values, mesh_h.vertices)
         e_cur = fem.norms(mesh_h, u_h - vals)
-        if e_prev is not None:
-            idx = 0 if norm_key == "l2" else 2
-            if e_cur[idx] > 0 and abs(e_prev[idx] - e_cur[idx]) < 0.1 * e_cur[idx]:
-                break
+        if e_prev is not None and e_cur[idx] > 0 \
+                and abs(e_prev[idx] - e_cur[idx]) < 0.1 * e_cur[idx]:
+            break
         e_prev = e_cur
-        h0 /= 2.0
-        u0_field = _solve_homogenized(config, homog_kind, lam, h0, f0, alpha0)
     u0_mesh, u0_vals = u0_field.mesh, u0_field.values
 
     e_h = fem.norms(mesh_h, u_h - meshing.interpolate(u0_mesh, u0_vals, mesh_h.vertices))
     e_half = fem.norms(mesh_half,
                        u_half - meshing.interpolate(u0_mesh, u0_vals, mesh_half.vertices))
 
-    def guard(i):
-        if e_half[i] == 0.0:
-            return 0.0
-        return abs(e_h[i] - e_half[i]) / e_half[i]
-
-    guard_l2, guard_h1 = guard(0), guard(2)
+    guard_l2, guard_h1 = (abs(e_h[i] - e_half[i]) / e_half[i] if e_half[i] else 0.0
+                          for i in (0, 2))
 
     f_omega = fem.l2_of_function(mesh_h, f0)
     f_theta = f_norm_cavities(layout, f0)
     bound = predicted_bound(config.theorem, eps, eta, config.dim,
                             kappa=kappa_val, f_norms=(f_omega, f_theta))
 
-    # uniformity across right-hand sides, measured on the h mesh
-    ratios = {name0: (e_h[0], e_h[2], f_omega)}
-    u0_sys = fem.assemble(u0_mesh, coeffs, dirichlet="outer", lam=lam)
-    u0_weight = alpha0 if homog_kind == "delta" else None
-    u0_selector = "interface" if homog_kind == "delta" else None
+    # uniformity across right-hand sides, measured on the h mesh and solved
+    # on the final ladder level's system, which already holds its setup
+    per_f = {name0: {"l2": e_h[0], "h1": e_h[2], "f_norm": f_omega}}
+    selector, nbc0 = ("interface", nbc) if homog_kind == "delta" else (None, None)
     for name, f in fs[1:]:
         uh = solve_eps(sys_h, f)
-        load0 = fem.load_vector(u0_mesh, f)
-        if homog_kind == "delta":
-            u0v, _ = solvers.solve_assembled(u0_sys, u0_selector, nbc,
-                                             u0_weight, opts, load=load0)
-        else:
-            u0v = fem.solve_linear(u0_sys, load0, tol=opts.linear_tol)
+        u0v, _ = solvers.solve_assembled(u0_field.system, selector, nbc0, alpha0,
+                                         opts, load=fem.load_vector(u0_mesh, f))
         err = fem.norms(mesh_h, uh - meshing.interpolate(u0_mesh, u0v, mesh_h.vertices))
-        ratios[name] = (err[0], err[2], fem.l2_of_function(mesh_h, f))
+        per_f[name] = {"l2": err[0], "h1": err[2],
+                       "f_norm": fem.l2_of_function(mesh_h, f)}
 
     return {
         "eps": eps,
@@ -406,9 +405,10 @@ def _study_row(config, eps, kappa_val=None):
         "kappa": kappa_val,
         "f_norm_omega": f_omega,
         "f_norm_theta": f_theta,
-        "per_f": {k: {"l2": v[0], "h1": v[1], "f_norm": v[2]}
-                  for k, v in ratios.items()},
+        "per_f": per_f,
         "n_vertices": mesh_half.n_vertices,
+        "u0_solves": u0_solves,
+        "u0_converged": u0_solves < config.u0_refine_cap + 2,
     }
 
 

@@ -36,7 +36,6 @@ class SolveOptions:
     linear_tol: float = 1e-11
     newton_switch: float = 1e-3     # relative step size triggering Newton
     newton_max_iter: int = 30
-    enforce_threshold: bool = True
     initial: object = None          # optional nodal initial guess
 
     def __post_init__(self):
@@ -50,7 +49,7 @@ class SolveOptions:
 def _resolve_lambda(coeffs, nbc, opts):
     lam0 = fem.estimate_lambda0(coeffs, nbc)
     lam = lam0 - 1.0 if opts.lam is None else float(opts.lam)
-    if opts.enforce_threshold and lam >= lam0:
+    if lam >= lam0:
         raise ValueError(
             f"lam={lam} is not below the coercivity threshold {lam0:.6g}"
         )
@@ -65,7 +64,7 @@ def solve_perforated(mesh, coeffs, nbc, f, opts=None):
     system = fem.assemble(mesh, coeffs, f=f, dirichlet="outer", lam=lam)
     u, info = _nonlinear_solve(system, "cavity", nbc, None, opts)
     info["lam"] = lam
-    return fem.DiscreteField(mesh, u, info)
+    return fem.DiscreteField(mesh, u, info, system)
 
 
 def solve_homogenized_plain(mesh, coeffs, f, opts=None, dirichlet="outer"):
@@ -74,7 +73,7 @@ def solve_homogenized_plain(mesh, coeffs, f, opts=None, dirichlet="outer"):
     lam = _resolve_lambda(coeffs, None, opts)
     system = fem.assemble(mesh, coeffs, f=f, dirichlet=dirichlet, lam=lam)
     u = fem.solve_linear(system, system.load, tol=opts.linear_tol)
-    return fem.DiscreteField(mesh, u, {"method": "linear", "lam": lam})
+    return fem.DiscreteField(mesh, u, {"method": "linear", "lam": lam}, system)
 
 
 def solve_homogenized_delta(mesh, coeffs, alpha0, nbc, f, opts=None,
@@ -95,7 +94,7 @@ def solve_homogenized_delta(mesh, coeffs, alpha0, nbc, f, opts=None,
         weight = alpha0
     u, info = _nonlinear_solve(system, "interface", nbc, weight, opts)
     info["lam"] = lam
-    return fem.DiscreteField(mesh, u, info)
+    return fem.DiscreteField(mesh, u, info, system)
 
 
 def solve_assembled(system, selector=None, nbc=None, weight=None, opts=None,
@@ -132,8 +131,7 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
 
     def residual(u):
         r_b, jac = fem.boundary_nonlinear(system, selector, nbc, u, weight)
-        G = system.matrix @ u + r_b - F
-        return G, jac
+        return system.matrix @ u + r_b - F, r_b, jac
 
     if opts.initial is None:
         u = fem.solve_linear(system, F, tol=opts.linear_tol)
@@ -149,8 +147,7 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
 
     for it in range(1, opts.picard_max_iter + 1):
         picard_iters = it
-        r_b, _ = fem.boundary_nonlinear(system, selector, nbc, u, weight)
-        G = system.matrix @ u + r_b - F
+        G, r_b, _ = residual(u)
         res = float(np.linalg.norm(G[free])) / fscale
         if res <= opts.picard_tol:
             return result(u, "picard", it, 0, res)
@@ -177,7 +174,7 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
             break
 
     if not switched:
-        G, _ = residual(u)
+        G = residual(u)[0]
         res = float(np.linalg.norm(G[free])) / fscale
         if res > opts.picard_tol:
             raise NoConvergenceError(
@@ -188,7 +185,7 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
 
     newton_iters = 0
     for it in range(1, opts.newton_max_iter + 1):
-        G, jac = residual(u)
+        G, _, jac = residual(u)
         res = float(np.linalg.norm(G[free])) / fscale
         if res <= opts.picard_tol:
             return result(u, "picard+newton", picard_iters, newton_iters,
@@ -198,12 +195,12 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
         # line search guards the global phase Newton inherited from Picard
         scale = 1.0
         for _ in range(6):
-            G_try, _ = residual(u + scale * delta)
+            G_try = residual(u + scale * delta)[0]
             if np.linalg.norm(G_try[free]) / fscale < res:
                 break
             scale *= 0.5
         u = u + scale * delta
-    G, _ = residual(u)
+    G = residual(u)[0]
     res = float(np.linalg.norm(G[free])) / fscale
     if res <= opts.picard_tol:
         return result(u, "picard+newton", picard_iters, newton_iters, res)

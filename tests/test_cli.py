@@ -120,9 +120,39 @@ def test_study_subcommand_end_to_end(tmp_path, capsys):
 @pytest.mark.parametrize("doc, named", [
     ({"theorem": "T1a", "eps_lst": [0.125]}, "eps_lst"),
     ([1, 2], "JSON object"),
+    ({"theorem": "T1a", "matrix": "bogus",
+      "eps_list": [0.25, 0.125, 0.0625]}, "matrix"),
 ])
 def test_config_mistake_is_a_clean_error(tmp_path, capsys, command, doc, named):
     cfg = _write(tmp_path, doc)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["snorm", "corrector"])
+def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
+    cfg = _write(tmp_path, {"eps_list": [1 / 8, 1 / 16], "eta_rule": "x"})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eta_rule" in err
+
+
+def test_validate_samples_coefficients_on_the_layout_box(tmp_path, monkeypatch):
+    from perfhom import fem
+
+    seen = []
+    original = fem.CoefficientSet.validate_ellipticity
+
+    def spy(self, pts):
+        seen.append(pts)
+        return original(self, pts)
+
+    monkeypatch.setattr(fem.CoefficientSet, "validate_ellipticity", spy)
+    cfg = _write(tmp_path, {
+        "theorem": "T1a", "eps_list": [1 / 4, 1 / 8, 1 / 16],
+        "layout_params": {"domain": [[0, -1], [2, 1]]}})
+    assert cli.main(["validate", "--config", cfg]) == 0
+    (pts,) = seen
+    assert pts.min(axis=0).tolist() == [0.0, -1.0]
+    assert pts.max(axis=0).tolist() == [2.0, 1.0]

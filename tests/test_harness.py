@@ -85,10 +85,93 @@ def test_config_dict_roundtrip():
     ("eta_rule", ["power"]), ("eta_rule", ["linear", 0.5]), ("eta_rule", "x"),
     ("dim", "two"),
     ("rhs_names", ["trig", "gauss", "nope"]),
+    ("matrix", "bogus"), ("matrix", [1.0, 0.0]), ("matrix", 1.0),
+    ("drift", "x"), ("drift", [0.1, 0.0, 0.0]),
+    ("reaction", "r"), ("reaction", [1.0, 2.0]), ("reaction", None),
+    ("nbc_sigma", "s"), ("nbc_sigma", [1.0]), ("nbc_kind", "cubic"),
+    ("lam", "x"), ("lam", 0.0),
+    ("layout_params", {"dim": 3}), ("layout_params", "s0"),
+    ("u0_refine_cap", -1), ("u0_refine_cap", "2"),
 ])
 def test_config_errors_name_the_key(key, value):
     with pytest.raises(harness.ConfigError, match=key):
         harness.StudyConfig.from_dict({"theorem": "T1a", key: value})
+
+
+def test_coefficient_configs_keep_plain_data_and_callables():
+    cfg = harness.StudyConfig(theorem="T1a", matrix=[[2.0, 0.0], [0.0, 1.0]],
+                              drift=[0.1, 0.0], reaction=1, lam=-3.0)
+    assert cfg.matrix.shape == (2, 2) and cfg.drift.shape == (2,)
+    assert cfg.reaction == 1 and cfg.lam == -3.0
+    back = harness.StudyConfig.from_dict(cfg.to_dict())
+    assert back.to_dict() == cfg.to_dict()
+    sigma = lambda x: np.ones(len(x))  # noqa: E731
+    assert harness.StudyConfig(theorem="T2", nbc_sigma=sigma).nbc_sigma is sigma
+
+
+def test_study_config_owns_dim():
+    assert harness.StudyConfig(theorem="T1a", dim=3).layout(0.25).dim == 3
+    params = {"dim": 3}
+    cfg = harness.StudyConfig(theorem="T1a", dim=3, layout_params=params)
+    assert cfg.layout(0.25).dim == 3
+    assert cfg.layout_params == {"dim": 3} and params == {"dim": 3}
+    assert harness.StudyConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+    with pytest.raises(harness.ConfigError, match="layout_params"):
+        harness.StudyConfig(theorem="T1a", layout_params={"dim": 3})
+
+
+def test_t2_row_meshes_its_interface_at_the_layout_s0(monkeypatch):
+    from perfhom import meshing
+
+    cfg = harness.StudyConfig(theorem="T2", nbc_kind="saturating",
+                              nbc_sigma=2.0, layout_params={"s0": 0.2})
+    seen = []
+    original = meshing.mesh_interface
+
+    def spy(lo, hi, s0, h, dim=None):
+        seen.append(s0)
+        return original(lo, hi, s0, h, dim=dim)
+
+    monkeypatch.setattr(meshing, "mesh_interface", spy)
+    row = harness._study_row(cfg, 1 / 8, kappa_val=0.3)
+    assert seen and all(s0 == 0.2 for s0 in seen)
+    assert math.isfinite(row["err_h1"]) and row["err_h1"] > 0
+
+
+def test_row_on_a_wider_box_has_finite_errors():
+    cfg = harness.StudyConfig(theorem="T1a",
+                              layout_params={"domain": [[0, -1], [2, 1]]})
+    row = harness._study_row(cfg, 1 / 4)
+    for key in ("err_l2", "err_h1", "guard_l2", "guard_h1"):
+        assert math.isfinite(row[key])
+    assert row["err_h1"] > 0
+
+
+def test_t2_row_assembles_each_mesh_once(monkeypatch):
+    from perfhom import fem
+
+    cfg = harness.StudyConfig(theorem="T2", nbc_kind="saturating",
+                              nbc_sigma=2.0)
+    sizes = []
+    original = fem.assemble
+
+    def spy(mesh, *args, **kwargs):
+        sizes.append(mesh.n_vertices)
+        return original(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "assemble", spy)
+    row = harness._study_row(cfg, 1 / 8, kappa_val=0.3)
+    assert len(set(sizes)) == len(sizes)
+    # two perforated meshes plus one per u0 ladder level
+    assert len(sizes) == 2 + row["u0_solves"]
+
+
+def test_u0_ladder_records_its_cap(caplog):
+    cfg = harness.StudyConfig(theorem="T1a", u0_refine_cap=0)
+    with caplog.at_level("WARNING", logger="perfhom.harness"):
+        row = harness._study_row(cfg, 1 / 8)
+    assert row["u0_solves"] == 2 and row["u0_converged"] is False
+    assert "u0_refine_cap" in caplog.text
 
 
 def test_standard_rhs_cutoff_vanishes_near_interface():
@@ -131,6 +214,7 @@ def test_run_study_tiny_sweep(tiny_report):
     for r in rep.rows:
         assert r["guard_h1"] < 0.1
         assert r["err_l2"] <= r["err_h1"]
+        assert 1 <= r["u0_solves"] <= 4 and isinstance(r["u0_converged"], bool)
 
 
 def test_parallel_rows_match_serial(tiny_report):
