@@ -13,12 +13,15 @@ mesh      : build one mesh (perforated, box, interface or slab) and write
             it in the plain-text mesh format.
 validate  : check a study or layout config without solving anything.
 
-All subcommands accept --config FILE (JSON), --out DIR, --jobs K, --seed N.
-The JSON schemas are documented in the README.
+All subcommands accept --config FILE (JSON), --out DIR, --jobs K, --seed N
+and --log-level LEVEL, which sets the level of the perfhom loggers and
+prints their records to stderr.  The JSON schemas are documented in the
+README.
 """
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -204,6 +207,15 @@ def cmd_validate(args):
     return 1 if failures else 0
 
 
+def _configure_logging(level):
+    logger = logging.getLogger("perfhom")
+    logger.setLevel(level)
+    if not logger.handlers:
+        handler = logging.StreamHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="perfhom",
@@ -216,6 +228,10 @@ def main(argv=None):
                         help="parallel jobs for the eps sweep")
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed override")
+    common.add_argument("--log-level",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="level of the perfhom loggers (default: "
+                             "warnings only)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("study", parents=[common],
                    help="run a convergence study").set_defaults(fn=cmd_study)
@@ -229,6 +245,8 @@ def main(argv=None):
                    help="check a config without solving").set_defaults(
                        fn=cmd_validate)
     args = parser.parse_args(argv)
+    if args.log_level:
+        _configure_logging(args.log_level)
     try:
         return args.fn(args)
     except PerfhomError as exc:

@@ -347,18 +347,19 @@ def _is_hermitian(K):
 
 @dataclass
 class LinearSolver:
-    """Backend setup for one reduced matrix, built once and reused.
+    """Backend setup for one reduced matrix K, built once per assembled
+    system and reused by every solve on it, Newton tangents included.
 
     2D meshes use a sparse LU ("splu"), whose fill stays small.  In 3D the
     fill of an LU costs far more than the solves it serves, so 3D iterates:
     "cg" with a Jacobi preconditioner for Hermitian matrices, "bicgstab"
-    with an incomplete LU otherwise.  setup holds the SuperLU factor or the
-    preconditioner.
+    with an incomplete LU otherwise.  apply maps z to K^{-1} z (the LU) or
+    to the preconditioner's approximation of it.
     """
 
     backend: str
     matrix: sp.csr_matrix
-    setup: object
+    apply: object
 
     @classmethod
     def build(cls, K, dim, hermitian):
@@ -371,29 +372,22 @@ class LinearSolver:
             lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
                            options=dict(SymmetricMode=True),
                            diag_pivot_thresh=0.0 if hermitian else 0.1)
-            return cls("splu", K, lu)
+            return cls("splu", K, lu.solve)
         # CG needs an SPD preconditioner; an incomplete LU of an SPD matrix
         # is not SPD in general and stalls CG on fine meshes, so use Jacobi
         if hermitian:
             d = K.diagonal().copy()
             d[d == 0] = 1.0
             inv = 1.0 / d
-            return cls("cg", K, spla.LinearOperator(
-                K.shape, matvec=lambda x: inv * x, dtype=K.dtype))
+            return cls("cg", K, lambda x: inv * x)
         ilu = spla.spilu(K.tocsc(), drop_tol=1e-5, fill_factor=12)
-        return cls("bicgstab", K, spla.LinearOperator(
-            K.shape, matvec=ilu.solve, dtype=K.dtype))
+        return cls("bicgstab", K, ilu.solve)
 
-    def solve(self, b, tol, maxiter):
-        if self.backend == "splu":
-            return self.setup.solve(b)
-        method = spla.cg if self.backend == "cg" else spla.bicgstab
-        x, info = method(self.matrix, b, rtol=tol,
-                         atol=0.1 * tol * np.linalg.norm(b), maxiter=maxiter,
-                         M=self.setup)
-        if info != 0:
-            raise NoConvergenceError(f"{self.backend} returned info={info}")
-        return x
+    def precondition(self, z):
+        """apply(z), split into real and imaginary parts when K is real."""
+        if np.iscomplexobj(z) and not np.iscomplexobj(self.matrix.data):
+            return self.apply(z.real) + 1j * self.apply(z.imag)
+        return self.apply(z)
 
 
 def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None):
@@ -557,39 +551,91 @@ def boundary_nonlinear(system, selector, nbc, u, weight=None):
     return r, jac
 
 
-def solve_linear(system, rhs, tol=1e-10, maxiter=None, matrix=None):
-    """Solve the reduced system to relative residual tol.
+def solve_linear(system, rhs, tol=1e-10, maxiter=None, perturbation=None,
+                 conjugate=None, stats=None):
+    """Solve K x + J x + C conj(x) = rhs on the free dofs to relative
+    residual tol, where K is the system's reduced matrix.
 
-    The backend is the system's cached LinearSolver: a sparse LU in 2D,
-    Jacobi-CG or ILU-BiCGStab in 3D.  matrix replaces the system matrix for
-    one solve; its setup is built the same way and not kept.  Raises
-    NoConvergenceError when a Krylov backend hits maxiter or the residual
+    perturbation J and conjugate C are optional full-size sparse matrices,
+    typically the boundary Jacobian of a Newton step; they live on a few
+    facets only.  There is one factorization per system: without J and C a
+    2D system is solved by its cached LU; every other case runs a Krylov
+    method preconditioned by the cached setup (the exact LU in 2D, so the
+    tangent K + J converges in a few steps).  That is CG when K and J are
+    Hermitian and C is absent, BiCGStab otherwise, on the split real form
+    [Re x; Im x] when C is given (x -> C conj(x) is only R-linear).  stats,
+    a dict, accumulates the Krylov iterations under "iterations".  Raises
+    NoConvergenceError when the Krylov method hits maxiter or the residual
     exceeds tol (usually a sign that lam is too close to the solvability
     threshold or the mesh is bad).
     """
     f = system.free
-    if matrix is None:
-        solver = system.linear_solver()
-    else:
-        K = matrix[f][:, f].tocsr()
-        solver = LinearSolver.build(K, system.mesh.dim, _is_hermitian(K))
+    solver = system.linear_solver()
     K = solver.matrix
+    J, C = (None if m is None else m[f][:, f] for m in (perturbation, conjugate))
     b = np.asarray(rhs)[f]
     if maxiter is None:
         maxiter = max(500, 20 * int(math.sqrt(K.shape[0])))
+    dtype = np.result_type(b, *(m.dtype for m in (K, J, C) if m is not None))
+    if C is not None:
+        dtype = np.result_type(dtype, complex)
+    out = np.zeros(len(rhs), dtype=dtype)
     bnorm = np.linalg.norm(b)
-    out = np.zeros(len(rhs), dtype=np.result_type(K.dtype, b.dtype))
     if bnorm == 0.0:
         return out
-    if np.iscomplexobj(b) and not np.iscomplexobj(K.data):
-        x = solver.solve(b.real, tol, maxiter) + 1j * solver.solve(b.imag, tol, maxiter)
+
+    def operator(x):
+        y = K @ x
+        if J is not None:
+            y = y + J @ x
+        if C is not None:
+            y = y + C @ np.conj(x)
+        return y
+
+    if J is None and C is None and solver.backend == "splu":
+        x = solver.precondition(b)
+    elif C is None:
+        hermitian = system.is_hermitian() and (J is None or _is_hermitian(J))
+        x = _krylov(operator, solver.precondition, b, dtype, hermitian, tol,
+                    maxiter, stats)
     else:
-        x = solver.solve(b, tol, maxiter)
-    res = np.linalg.norm(K @ x - b)
+        n = len(b)
+
+        def split(z):
+            return np.concatenate([z.real, z.imag])
+
+        def join(y):
+            return y[:n] + 1j * y[n:]
+
+        x = join(_krylov(lambda y: split(operator(join(y))),
+                         lambda y: split(solver.precondition(join(y))),
+                         split(b), float, False, tol, maxiter, stats))
+    res = np.linalg.norm(operator(x) - b)
     if res > 10.0 * tol * bnorm:
         raise NoConvergenceError(f"linear residual {res:.3e} above {tol:.1e}*|rhs|")
     out[f] = x
     return out
+
+
+def _krylov(matvec, precondition, b, dtype, hermitian, tol, maxiter, stats):
+    """CG (hermitian) or BiCGStab on matvec, preconditioned; raises at the cap."""
+    name, method = ("cg", spla.cg) if hermitian else ("bicgstab", spla.bicgstab)
+    shape = (len(b), len(b))
+    steps = 0
+
+    def count(_):
+        nonlocal steps
+        steps += 1
+
+    x, info = method(spla.LinearOperator(shape, matvec=matvec, dtype=dtype), b,
+                     rtol=tol, atol=0.1 * tol * np.linalg.norm(b), maxiter=maxiter,
+                     M=spla.LinearOperator(shape, matvec=precondition, dtype=dtype),
+                     callback=count)
+    if stats is not None:
+        stats["iterations"] = stats.get("iterations", 0) + steps
+    if info != 0:
+        raise NoConvergenceError(f"{name} returned info={info} after {steps} iterations")
+    return x
 
 
 def estimate_lambda0(coeffs, nbc=None, geometry_constants=None):

@@ -339,9 +339,13 @@ def _study_row(config, eps, kappa_val=None):
     sys_h = fem.assemble(mesh_h, coeffs, dirichlet="outer", lam=lam)
     sys_half = fem.assemble(mesh_half, coeffs, dirichlet="outer", lam=lam)
 
+    infos = []  # every perforated and homogenized solve of the row
+
     def solve_eps(system, f):
-        return solvers.solve_assembled(system, "cavity", nbc, None, opts,
-                                       load=fem.load_vector(system.mesh, f))[0]
+        u, info = solvers.solve_assembled(system, "cavity", nbc, None, opts,
+                                          load=fem.load_vector(system.mesh, f))
+        infos.append(info)
+        return u
 
     name0, f0 = fs[0]
     u_h = solve_eps(sys_h, f0)
@@ -349,26 +353,27 @@ def _study_row(config, eps, kappa_val=None):
     del sys_half  # frees its factorization before the u0 ladder
 
     # refine u_0's own mesh from h/2 until its Richardson increment is
-    # subdominant; the level that uses up the cap goes unchecked
+    # subdominant; each level's error on the h mesh is its check, and the
+    # last level's is e_h.  The level that uses up the cap goes unchecked
     h0, e_prev, idx = h, None, 0 if norm_key == "l2" else 2
     for u0_solves in range(1, config.u0_refine_cap + 3):
         h0 /= 2.0
         u0_field = None  # frees the previous level's factorization first
         u0_field = _solve_homogenized(layout, homog_kind, coeffs, nbc, alpha0,
                                       h0, f0, opts)
+        infos.append(u0_field.info)
+        e_h = fem.norms(mesh_h, u_h - meshing.interpolate(
+            u0_field.mesh, u0_field.values, mesh_h.vertices))
         if u0_solves >= config.u0_refine_cap + 2:
             log.warning("u0 refinement at eps=%g used up u0_refine_cap=%d; "
                         "its last level is unchecked", eps, config.u0_refine_cap)
             break
-        vals = meshing.interpolate(u0_field.mesh, u0_field.values, mesh_h.vertices)
-        e_cur = fem.norms(mesh_h, u_h - vals)
-        if e_prev is not None and e_cur[idx] > 0 \
-                and abs(e_prev[idx] - e_cur[idx]) < 0.1 * e_cur[idx]:
+        if e_prev is not None and e_h[idx] > 0 \
+                and abs(e_prev[idx] - e_h[idx]) < 0.1 * e_h[idx]:
             break
-        e_prev = e_cur
+        e_prev = e_h
     u0_mesh, u0_vals = u0_field.mesh, u0_field.values
 
-    e_h = fem.norms(mesh_h, u_h - meshing.interpolate(u0_mesh, u0_vals, mesh_h.vertices))
     e_half = fem.norms(mesh_half,
                        u_half - meshing.interpolate(u0_mesh, u0_vals, mesh_half.vertices))
 
@@ -386,8 +391,10 @@ def _study_row(config, eps, kappa_val=None):
     selector, nbc0 = ("interface", nbc) if homog_kind == "delta" else (None, None)
     for name, f in fs[1:]:
         uh = solve_eps(sys_h, f)
-        u0v, _ = solvers.solve_assembled(u0_field.system, selector, nbc0, alpha0,
-                                         opts, load=fem.load_vector(u0_mesh, f))
+        u0v, info = solvers.solve_assembled(u0_field.system, selector, nbc0,
+                                            alpha0, opts,
+                                            load=fem.load_vector(u0_mesh, f))
+        infos.append(info)
         err = fem.norms(mesh_h, uh - meshing.interpolate(u0_mesh, u0v, mesh_h.vertices))
         per_f[name] = {"l2": err[0], "h1": err[2],
                        "f_norm": fem.l2_of_function(mesh_h, f)}
@@ -409,7 +416,18 @@ def _study_row(config, eps, kappa_val=None):
         "n_vertices": mesh_half.n_vertices,
         "u0_solves": u0_solves,
         "u0_converged": u0_solves < config.u0_refine_cap + 2,
+        "solver": _solver_record(infos),
     }
+
+
+def _solver_record(infos):
+    """JSON-safe totals over a row's solve infos: backend(s), summed
+    iteration counts and the largest final relative residual."""
+    record = {"backend": ",".join(sorted({i["backend"] for i in infos}))}
+    for key in ("picard_iters", "newton_iters", "linear_iters"):
+        record[key] = int(sum(i[key] for i in infos))
+    record["residual"] = float(max(i["residual"] for i in infos))
+    return record
 
 
 def _row_worker(args):

@@ -3,12 +3,15 @@ limits.
 
 The boundary nonlinearity is handled by damped Picard iteration, which
 freezes a(., u) at the previous iterate and re-solves the fixed coercive
-linear system (so the system's cached LU or preconditioner serves every
-sweep), switching to Newton once the step is small.  A real Newton tangent
-K + J_b goes through fem.solve_linear as a one-off matrix.  For complex
-states the tangent is R-linear (the saturating nonlinearity is not
-holomorphic), so the Newton correction is solved on the split real form of
-the 2x2 Wirtinger block, which is factorized directly.
+linear system, switching to Newton once the step is small.  There is one
+factorization per system and Newton iterates on it: every Picard sweep is
+solved by the system's cached LU or preconditioner, and every Newton
+tangent K + J_b by a Krylov method that the same setup preconditions
+(fem.solve_linear with the boundary Jacobian as a perturbation).  J_b lives
+on cavity or interface facets only, so with the exact LU of K a 2D step
+takes a handful of iterations.  For complex states the tangent is R-linear
+(the saturating nonlinearity is not holomorphic): J_b du = A du + B conj(du)
+is solved on its split real form.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem
 from .errors import NoConvergenceError, PicardDivergenceError
@@ -72,8 +73,9 @@ def solve_homogenized_plain(mesh, coeffs, f, opts=None, dirichlet="outer"):
     opts = opts or SolveOptions()
     lam = _resolve_lambda(coeffs, None, opts)
     system = fem.assemble(mesh, coeffs, f=f, dirichlet=dirichlet, lam=lam)
-    u = fem.solve_linear(system, system.load, tol=opts.linear_tol)
-    return fem.DiscreteField(mesh, u, {"method": "linear", "lam": lam}, system)
+    u, info = _nonlinear_solve(system, None, fem.NonlinearBC("zero"), None, opts)
+    info["lam"] = lam
+    return fem.DiscreteField(mesh, u, info, system)
 
 
 def solve_homogenized_delta(mesh, coeffs, alpha0, nbc, f, opts=None,
@@ -117,17 +119,20 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
     fscale = max(float(np.linalg.norm(F[free])), 1e-300)
 
     contraction = []
+    krylov = {"iterations": 0}  # summed over the Newton steps
 
     def result(u, method, picard_iters, newton_iters, res):
         # read after the first solve, which builds the system's backend
         return u, {"method": method,
                    "backend": system.linear_solver().backend,
                    "picard_iters": picard_iters, "newton_iters": newton_iters,
+                   "linear_iters": krylov["iterations"],
                    "residual": res, "contraction": contraction}
 
     if nbc.is_zero:
         u = fem.solve_linear(system, F, tol=opts.linear_tol)
-        return result(u, "linear", 0, 0, 0.0)
+        res = float(np.linalg.norm((system.matrix @ u - F)[free])) / fscale
+        return result(u, "linear", 0, 0, res)
 
     def residual(u):
         r_b, jac = fem.boundary_nonlinear(system, selector, nbc, u, weight)
@@ -191,7 +196,7 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
             return result(u, "picard+newton", picard_iters, newton_iters,
                           res)
         newton_iters = it
-        delta = _newton_step(system, jac, -G)
+        delta = _newton_step(system, jac, -G, krylov)
         # line search guards the global phase Newton inherited from Picard
         scale = 1.0
         for _ in range(6):
@@ -209,34 +214,15 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
     )
 
 
-def _newton_step(system, jac, rhs):
-    """Solve (K + J_b) delta = rhs on free dofs.
+def _newton_step(system, jac, rhs, stats):
+    """Solve (K + J_b) delta = rhs on free dofs, on the system's own setup.
 
-    Real states solve the real tangent through fem.solve_linear; complex
-    states go through the split real form of the R-linear tangent.
+    A real state has conj(delta) = delta, so its tangent is K + A + B; a
+    complex one keeps B on conj(delta).
     """
-    free = system.free
-    K = system.matrix
-    complex_state = np.iscomplexobj(rhs) or np.iscomplexobj(jac.A.data) \
-        or np.iscomplexobj(K.data)
-    if not complex_state:
-        return fem.solve_linear(system, rhs, tol=1e-12,
-                                matrix=K + jac.A + jac.B)
-    M = (K + jac.A).tocsr()[free][:, free]
-    B = jac.B.tocsr()[free][:, free]
-    if np.iscomplexobj(M.data):
-        Mr, Mi = M.real, M.imag
-    else:
-        Mr, Mi = M, sp.csr_matrix(M.shape)
-    if np.iscomplexobj(B.data):
-        Br, Bi = B.real, B.imag
-    else:
-        Br, Bi = B, sp.csr_matrix(B.shape)
-    big = sp.bmat([[Mr + Br, -Mi + Bi], [Mi + Bi, Mr - Br]]).tocsc()
-    b = np.asarray(rhs)[free]
-    stacked = np.concatenate([b.real, b.imag])
-    sol = spla.splu(big).solve(stacked)
-    n = len(free)
-    out = np.zeros(len(rhs), dtype=complex)
-    out[free] = sol[:n] + 1j * sol[n:]
-    return out
+    if np.iscomplexobj(rhs) or np.iscomplexobj(jac.A.data) \
+            or np.iscomplexobj(system.matrix.data):
+        return fem.solve_linear(system, rhs, tol=1e-12, perturbation=jac.A,
+                                conjugate=jac.B, stats=stats)
+    return fem.solve_linear(system, rhs, tol=1e-12,
+                            perturbation=jac.A + jac.B, stats=stats)

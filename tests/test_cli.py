@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -156,3 +157,27 @@ def test_validate_samples_coefficients_on_the_layout_box(tmp_path, monkeypatch):
     (pts,) = seen
     assert pts.min(axis=0).tolist() == [0.0, -1.0]
     assert pts.max(axis=0).tolist() == [2.0, 1.0]
+
+
+@pytest.fixture
+def perfhom_logger():
+    logger = logging.getLogger("perfhom")
+    level, handlers = logger.level, list(logger.handlers)
+    yield logger
+    logger.setLevel(level)
+    logger.handlers[:] = handlers
+
+
+def test_log_level_switch(tmp_path, capsys, perfhom_logger):
+    cfg = _write(tmp_path, {"eps_list": [1 / 8]})
+    out = str(tmp_path / "s")
+    assert cli.main(["snorm", "--config", cfg, "--out", out,
+                     "--log-level", "INFO"]) == 0
+    assert logging.getLogger("perfhom.snorm").getEffectiveLevel() == logging.INFO
+    assert "INFO perfhom.snorm: kappa(eps=0.125)" in capsys.readouterr().err
+    assert cli.main(["validate", "--config", cfg, "--log-level", "ERROR"]) == 0
+    assert logging.getLogger("perfhom.harness").getEffectiveLevel() == logging.ERROR
+    assert len(perfhom_logger.handlers) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--config", cfg, "--log-level", "LOUD"])
+    assert exc.value.code != 0

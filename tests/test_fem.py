@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from perfhom import fem, geometry, meshing
 from perfhom.errors import NoConvergenceError, NonEllipticCoefficientsError
@@ -149,6 +151,44 @@ def test_solve_linear_iteration_cap():
         assert sysm.linear_solver().backend == backend
         with pytest.raises(NoConvergenceError):
             fem.solve_linear(sysm, sysm.load, tol=1e-14, maxiter=1)
+
+
+def _facet_jacobian(sigma, u):
+    """A 2D box system, Dirichlet on x = 0 only, and the boundary Jacobian
+    of a saturating nonlinearity on its outer facets at the state u(x)."""
+    m = _box(1 / 16)
+    sysm = fem.assemble(m, fem.CoefficientSet(dim=2), f=_exact,
+                        dirichlet=lambda mids: mids[:, 0] < 1e-12)
+    _, jac = fem.boundary_nonlinear(sysm, "outer",
+                                    fem.NonlinearBC("saturating", sigma=sigma),
+                                    u(m.vertices))
+    return sysm, jac
+
+
+def test_perturbed_solve_iteration_cap():
+    # the tangent is iterated even in 2D, where K itself is factorized
+    sysm, jac = _facet_jacobian(2.0, _exact)
+    with pytest.raises(NoConvergenceError):
+        fem.solve_linear(sysm, sysm.load, tol=1e-14, maxiter=1,
+                         perturbation=jac.A + jac.B)
+
+
+def test_conjugate_term_matches_split_real_direct_solve():
+    sysm, jac = _facet_jacobian(2.0, lambda x: _exact(x) * (1.0 + 0.7j))
+    assert abs(jac.B.data).max() > 0
+    rhs = sysm.load * (1.0 - 0.3j)
+    stats = {}
+    x = fem.solve_linear(sysm, rhs, tol=1e-12, perturbation=jac.A,
+                         conjugate=jac.B, stats=stats)
+    assert 0 < stats["iterations"] <= 10
+    # (K + A) x + B conj(x) = b on the free dofs, as a real 2n system
+    f = sysm.free
+    M = (sysm.matrix + jac.A).tocsr()[f][:, f]
+    B = jac.B.tocsr()[f][:, f]
+    big = sp.bmat([[M.real + B.real, -M.imag + B.imag],
+                   [M.imag + B.imag, M.real - B.real]]).tocsc()
+    y = spla.spsolve(big, np.concatenate([rhs[f].real, rhs[f].imag]))
+    assert np.abs(x[f] - (y[:len(f)] + 1j * y[len(f):])).max() < 1e-10
 
 
 def test_ellipticity_validation():

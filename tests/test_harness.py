@@ -164,6 +164,30 @@ def test_t2_row_assembles_each_mesh_once(monkeypatch):
     assert len(set(sizes)) == len(sizes)
     # two perforated meshes plus one per u0 ladder level
     assert len(sizes) == 2 + row["u0_solves"]
+    solver = row["solver"]
+    assert solver["backend"] == "splu"
+    assert solver["picard_iters"] > 0 and solver["newton_iters"] > 0
+    assert solver["linear_iters"] >= solver["newton_iters"]
+    assert 0.0 < solver["residual"] <= 1e-9
+
+
+def test_converged_u0_ladder_interpolates_its_last_level_once(monkeypatch):
+    from perfhom import meshing
+
+    calls = []
+    original = meshing.interpolate
+
+    def spy(mesh, values, points):
+        calls.append((values, points))
+        return original(mesh, values, points)
+
+    monkeypatch.setattr(meshing, "interpolate", spy)
+    row = harness._study_row(harness.StudyConfig(theorem="T1a"), 1 / 8)
+    assert row["u0_converged"]
+    h_points = calls[0][1]
+    # the h/2 error is the one call on other points; it reads the final u0
+    (final,) = [v for v, p in calls if p is not h_points]
+    assert sum(v is final and p is h_points for v, p in calls) == 1
 
 
 def test_u0_ladder_records_its_cap(caplog):
@@ -215,6 +239,12 @@ def test_run_study_tiny_sweep(tiny_report):
         assert r["guard_h1"] < 0.1
         assert r["err_l2"] <= r["err_h1"]
         assert 1 <= r["u0_solves"] <= 4 and isinstance(r["u0_converged"], bool)
+        # linear data: every solve is one LU solve, with no iterations
+        solver = dict(r["solver"])
+        assert 0.0 <= solver.pop("residual") <= 1e-10
+        assert solver == {"backend": "splu", "picard_iters": 0,
+                          "newton_iters": 0, "linear_iters": 0}
+        json.dumps(r["solver"])
 
 
 def test_parallel_rows_match_serial(tiny_report):

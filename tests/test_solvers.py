@@ -100,28 +100,72 @@ def test_linear_bc_agrees_with_one_shot_solve():
         _, jac = fem.boundary_nonlinear(
             system, "interface", fem.NonlinearBC("linear", sigma=sigma),
             np.zeros(m.n_vertices), weight=a0)
-        direct = fem.solve_linear(system, system.load, tol=1e-12,
-                                  matrix=system.matrix + jac.A)
+        direct = _reduced_spsolve(system, system.matrix + jac.A)
         assert np.abs(u.values - direct).max() < 1e-8
 
 
-def test_one_factorization_per_system_and_newton_step(monkeypatch):
+def _reduced_spsolve(system, matrix):
+    """Direct sparse solve of matrix x = load on the free dofs (an oracle
+    independent of fem.solve_linear)."""
+    f = system.free
+    out = np.zeros(system.mesh.n_vertices, dtype=np.result_type(matrix, system.load))
+    out[f] = spla.spsolve(matrix.tocsr()[f][:, f].tocsc(), system.load[f])
+    return out
+
+
+def _spy(monkeypatch, name):
+    """Record each call of spla.<name> as its number of Krylov iterations
+    (callback calls; 0 for splu)."""
+    calls = []
+    real = getattr(spla, name)
+
+    def spy(*args, **kwargs):
+        steps = []
+        if name != "splu":
+            outer = kwargs.get("callback") or (lambda xk: None)
+            kwargs["callback"] = lambda xk: (steps.append(1), outer(xk))
+        out = real(*args, **kwargs)
+        calls.append(len(steps))
+        return out
+
+    monkeypatch.setattr(spla, name, spy)
+    return calls
+
+
+def test_one_factorization_per_system(monkeypatch):
     lay = geometry.make_layout("periodic", {}, 1 / 8)
     m = meshing.mesh_perforated(lay, 0.06)
-    calls = []
-    splu = spla.splu
-
-    def counting_splu(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
+    splu = _spy(monkeypatch, "splu")
+    cg = _spy(monkeypatch, "cg")
     u = solvers.solve_perforated(
         m, IDENT, fem.NonlinearBC("saturating", sigma=2.0), _one)
     assert u.info["backend"] == "splu"
     assert u.info["picard_iters"] > 1 and u.info["newton_iters"] > 0
-    # K once for every Picard sweep, then one Jacobian per Newton step
-    assert len(calls) == 1 + u.info["newton_iters"]
+    # K once, for every Picard sweep and as every Newton step's preconditioner
+    assert len(splu) == 1
+    # one CG solve per Newton step, each a few iterations on the exact LU
+    assert len(cg) == u.info["newton_iters"]
+    assert 0 < max(cg) <= 10
+    assert sum(cg) == u.info["linear_iters"]
+
+
+def test_nonhermitian_newton_step_runs_bicgstab(monkeypatch):
+    m = _strip(1 / 32)
+    coeffs = fem.CoefficientSet(dim=2, drift=[1.0, 0.5])
+    nbc = fem.NonlinearBC("linear", sigma=2.0)
+    splu = _spy(monkeypatch, "splu")
+    cg = _spy(monkeypatch, "cg")
+    bicgstab = _spy(monkeypatch, "bicgstab")
+    u = solvers.solve_homogenized_delta(m, coeffs, 1.0, nbc, _one, dirichlet=_ends)
+    assert u.info["backend"] == "splu" and u.info["newton_iters"] > 0
+    assert len(splu) == 1 and not cg
+    assert len(bicgstab) == u.info["newton_iters"]
+    system = fem.assemble(m, coeffs, f=_one, dirichlet=_ends, lam=u.info["lam"])
+    assert not system.is_hermitian()
+    _, jac = fem.boundary_nonlinear(system, "interface", nbc,
+                                    np.zeros(m.n_vertices), weight=1.0)
+    direct = _reduced_spsolve(system, system.matrix + jac.A)
+    assert np.abs(u.values - direct).max() < 1e-8
 
 
 def test_solution_independent_of_initial_guess():
@@ -179,12 +223,14 @@ def test_linearity_without_boundary_term():
     assert np.abs(uc.values - ua.values - 2.0 * ub.values).max() < 1e-8
 
 
-def test_complex_sigma_transmission():
+def test_complex_sigma_transmission(monkeypatch):
     m = _strip(1 / 32)
     sigma = 1.0 + 0.5j
+    splu = _spy(monkeypatch, "splu")
     u = solvers.solve_homogenized_delta(
         m, IDENT, 1.0, fem.NonlinearBC("linear", sigma=sigma), _one,
         dirichlet=_ends)
+    assert len(splu) == 1
     assert np.iscomplexobj(u.values)
     assert np.abs(u.values.imag).max() > 1e-4
     assert u.info["residual"] <= 1e-9
@@ -192,8 +238,7 @@ def test_complex_sigma_transmission():
     _, jac = fem.boundary_nonlinear(
         system, "interface", fem.NonlinearBC("linear", sigma=sigma),
         np.zeros(m.n_vertices, dtype=complex), weight=1.0)
-    K = (system.matrix.astype(complex) + jac.A).tocsr()
-    direct = fem.solve_linear(system, system.load, tol=1e-12, matrix=K)
+    direct = _reduced_spsolve(system, system.matrix.astype(complex) + jac.A)
     assert np.abs(u.values - direct).max() < 1e-7
 
 
