@@ -364,15 +364,7 @@ class LinearSolver:
     @classmethod
     def build(cls, K, dim, hermitian):
         if dim == 2:
-            # minimum degree on A^T + A halves the fill of COLAMD; without
-            # SymmetricMode it is slow (89 s against 0.2 s for a 38k-dof drift
-            # system on one core, SciPy 1.17).  Hermitian matrices are
-            # coercive here and need no pivoting; others pivot off the
-            # diagonal below a tenth of the column max.
-            lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           options=dict(SymmetricMode=True),
-                           diag_pivot_thresh=0.0 if hermitian else 0.1)
-            return cls("splu", K, lu.solve)
+            return cls("splu", K, sparse_lu(K, hermitian).solve)
         # CG needs an SPD preconditioner; an incomplete LU of an SPD matrix
         # is not SPD in general and stalls CG on fine meshes, so use Jacobi
         if hermitian:
@@ -390,6 +382,34 @@ class LinearSolver:
         return self.apply(z)
 
 
+def sparse_lu(K, hermitian):
+    """SuperLU factorization of the square sparse K; the one LU recipe.
+
+    Minimum degree on A^T + A halves the fill of COLAMD; without
+    SymmetricMode it is slow (89 s against 0.2 s for a 38k-dof drift system
+    on one core, SciPy 1.17).  Hermitian matrices are coercive here and need
+    no pivoting; others pivot off the diagonal below a tenth of the column
+    max.
+    """
+    return spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     options=dict(SymmetricMode=True),
+                     diag_pivot_thresh=0.0 if hermitian else 0.1)
+
+
+def _scatter(index, values, n):
+    """Sums of values per index into n slots, in the order np.add.at adds."""
+    if np.iscomplexobj(values):
+        return _scatter(index, values.real, n) + 1j * _scatter(index, values.imag, n)
+    return np.bincount(index, weights=values, minlength=n)
+
+
+def _cell_points(mesh, simplices):
+    """Degree-2 quadrature points (ns * q, n) of the given simplices.  They
+    move with the mesh, so unlike its P1 geometry they are not cached."""
+    bary, _ = cell_quadrature(mesh.dim)
+    return (bary @ mesh.vertices[simplices]).reshape(-1, mesh.dim)
+
+
 def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None):
     """Assemble the discrete form; see the module docstring for the identity.
 
@@ -400,61 +420,32 @@ def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None):
     dim = mesh.dim
     lam = float(coeffs.lam if lam is None else lam)
     simp = mesh.simplices
-    v = mesh.vertices[simp]                              # (ns, d+1, n)
-    edges = v[:, 1:, :] - v[:, :1, :]                    # (ns, d, n)
-    det = np.linalg.det(edges)
-    vols = np.abs(det) / math.factorial(dim)
-    inv = np.linalg.inv(edges)                           # (ns, n, d) inverse of rows
-    grads = np.concatenate(
-        [-inv.sum(axis=2)[:, None, :].transpose(0, 1, 2), np.swapaxes(inv, 1, 2)],
-        axis=1,
-    )                                                    # (ns, d+1, n)
-
+    vols, grads = mesh.p1_geometry()                     # (ns,), (ns, d+1, n)
     bary, wq = cell_quadrature(dim)
-    qp = np.einsum("qk,fkn->fqn", bary, v)               # (ns, q, n)
-    flat = qp.reshape(-1, dim)
-    m = len(flat)
+    ns, nq, nloc = len(simp), len(wq), dim + 1
 
-    A = _eval_field(coeffs.matrix, flat, dim, (dim, dim))
-    drift = _eval_field(coeffs.drift, flat, dim, (dim,))
-    reac = _eval_field(coeffs.reaction, flat, dim, ())
+    def at_points(spec, shape):
+        """Coefficient values (ns, nq, *shape) at the quadrature points."""
+        if callable(spec):
+            x = _cell_points(mesh, simp)
+            return _eval_field(spec, x, dim, shape).reshape((ns, nq) + shape)
+        return np.broadcast_to(np.asarray(spec), (ns, nq) + shape)
 
-    dtype = float
-    for arr in (drift, reac):
-        if arr is not None and np.iscomplexobj(arr):
-            dtype = complex
-
-    nloc = dim + 1
-    ns = len(simp)
-    K_loc = np.zeros((ns, nloc, nloc), dtype=dtype)
-    M_loc = np.zeros((ns, nloc, nloc))
-    nq = len(wq)
-
-    if A is None:
-        stiff = np.einsum("fin,fjn->fij", grads, grads)
-        K_loc += vols[:, None, None] * stiff
+    # gradients are constant on a simplex, so A enters through its mean
+    A = coeffs.matrix
+    if callable(A):
+        A = np.einsum("q,fqnm->fnm", wq, at_points(A, (dim, dim)))
+    Ag = grads if A is None else grads @ np.swapaxes(np.asarray(A), -1, -2)
+    K_loc = vols[:, None, None] * np.einsum("fin,fjn->fij", grads, Ag)
+    if coeffs.drift is not None:
+        Gd = np.einsum("fjn,fqn->fqj", grads, at_points(coeffs.drift, (dim,)))
+        K_loc = K_loc + vols[:, None, None] * np.einsum("q,qi,fqj->fij", wq, bary, Gd)
+    M_loc = vols[:, None, None] * np.einsum("q,qi,qj->ij", wq, bary, bary)
+    if callable(coeffs.reaction):
+        rq = wq * at_points(coeffs.reaction, ())
+        K_loc = K_loc + vols[:, None, None] * np.einsum("fq,qi,qj->fij", rq, bary, bary)
     else:
-        Aq = A.reshape(ns, nq, dim, dim)
-        for q in range(nq):
-            Ag = np.einsum("fnm,fjm->fjn", Aq[:, q], grads)
-            K_loc += (wq[q] * vols)[:, None, None] * np.einsum(
-                "fin,fjn->fij", grads, Ag
-            )
-    if drift is not None:
-        dq = drift.reshape(ns, nq, dim)
-        for q in range(nq):
-            Gd = np.einsum("fjn,fn->fj", grads, dq[:, q])
-            K_loc += (wq[q] * vols)[:, None, None] * np.einsum(
-                "i,fj->fij", bary[q], Gd
-            )
-    bb = np.einsum("q,qi,qj->ij", wq, bary, bary)
-    M_loc += vols[:, None, None] * bb
-    if reac is not None:
-        rq = reac.reshape(ns, nq)
-        for q in range(nq):
-            K_loc = K_loc + (wq[q] * vols * rq[:, q])[:, None, None] * np.einsum(
-                "i,j->ij", bary[q], bary[q]
-            )
+        K_loc = K_loc + coeffs.reaction * M_loc
 
     rows = np.repeat(simp, nloc, axis=1).ravel()
     cols = np.tile(simp, (1, nloc)).ravel()
@@ -490,54 +481,50 @@ def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None):
 
 def load_vector(mesh, f):
     """Nodal load with entries (f, phi_i), degree-2 cell quadrature."""
-    dim = mesh.dim
-    simp = mesh.simplices
-    v = mesh.vertices[simp]
-    vols = np.abs(np.linalg.det(v[:, 1:, :] - v[:, :1, :])) / math.factorial(dim)
-    bary, wq = cell_quadrature(dim)
-    qp = np.einsum("qk,fkn->fqn", bary, v)
-    flat = qp.reshape(-1, dim)
-    fq = f(flat) if callable(f) else np.broadcast_to(f, (len(flat),))
-    fq = np.asarray(fq).reshape(len(simp), len(wq))
-    F = np.zeros(mesh.n_vertices, dtype=complex if np.iscomplexobj(fq) else float)
-    contrib = np.einsum("q,fq,qi->fi", wq, fq, bary) * vols[:, None]
-    np.add.at(F, simp.ravel(), contrib.ravel())
-    return F
+    bary, wq = cell_quadrature(mesh.dim)
+    x = _cell_points(mesh, mesh.simplices)
+    fq = np.asarray(f(x) if callable(f) else np.broadcast_to(f, (len(x),)))
+    contrib = (fq.reshape(-1, len(wq)) @ (wq[:, None] * bary)) \
+        * mesh.simplex_volumes()[:, None]
+    return _scatter(mesh.simplices.ravel(), contrib.ravel(), mesh.n_vertices)
 
 
 def l2_of_function(mesh, f, region=None):
     """L2 norm of a coefficient function over the mesh, degree-2 quadrature."""
-    dim = mesh.dim
-    simp = mesh.simplices if region is None else mesh.simplices[region]
-    v = mesh.vertices[simp]
-    vols = np.abs(np.linalg.det(v[:, 1:, :] - v[:, :1, :])) / math.factorial(dim)
-    bary, wq = cell_quadrature(dim)
-    qp = np.einsum("qk,fkn->fqn", bary, v)
-    fq = np.asarray(f(qp.reshape(-1, dim))).reshape(len(simp), len(wq))
-    val = np.einsum("f,q,fq->", vols, wq, np.abs(fq) ** 2)
-    return math.sqrt(float(val))
+    vols = mesh.simplex_volumes()
+    simp = mesh.simplices
+    if region is not None:
+        simp, vols = simp[region], vols[region]
+    _, wq = cell_quadrature(mesh.dim)
+    fq = np.asarray(f(_cell_points(mesh, simp))).reshape(len(simp), len(wq))
+    return math.sqrt(float(vols @ (np.abs(fq) ** 2 @ wq)))
 
 
-def boundary_nonlinear(system, selector, nbc, u, weight=None):
-    """Residual vector and Jacobian of the boundary term at state u.
+def _facet_state(system, selector, u, weight):
+    """Facet cache, flat quadrature points and u at those points (F, q)."""
+    cache = system.facet_cache(selector, weight)
+    uq = np.einsum("qk,fk->fq", cache.basis, u[cache.nodes])
+    return cache, cache.qp.reshape(-1, system.mesh.dim), uq
+
+
+def boundary_residual(system, selector, nbc, u, weight=None):
+    """Residual vector r of the boundary term at state u.
 
     Satisfies v^H r = (w * a(., u_h), v)_{L2(facets)} for discrete v, with w
     an optional weight field on the facets.
     """
-    cache = system.facet_cache(selector, weight)
-    uq = np.einsum("qk,fk->fq", cache.basis, u[cache.nodes])
-    flatx = cache.qp.reshape(-1, system.mesh.dim)
-    flatu = uq.ravel()
-    a = nbc.value(flatx, flatu).reshape(uq.shape)
-    nv = system.mesh.n_vertices
-    dtype = complex if (np.iscomplexobj(a) or np.iscomplexobj(u)) else float
-    r = np.zeros(nv, dtype=dtype)
+    cache, x, uq = _facet_state(system, selector, u, weight)
+    a = nbc.value(x, uq.ravel()).reshape(uq.shape)
     contrib = np.einsum("fq,qk->fk", cache.w * a, cache.basis)
-    np.add.at(r, cache.nodes.ravel(), contrib.ravel())
+    return _scatter(cache.nodes.ravel(), contrib.ravel(), system.mesh.n_vertices)
 
-    Aq, Bq = nbc.wirtinger(flatx, flatu)
-    Aq = np.asarray(Aq).reshape(uq.shape)
-    Bq = np.asarray(Bq).reshape(uq.shape)
+
+def boundary_nonlinear(system, selector, nbc, u, weight=None):
+    """Residual vector (boundary_residual) and Jacobian of the boundary term
+    at state u; only a Newton step needs the Jacobian."""
+    cache, x, uq = _facet_state(system, selector, u, weight)
+    Aq, Bq = (np.asarray(z).reshape(uq.shape) for z in nbc.wirtinger(x, uq.ravel()))
+    nv = system.mesh.n_vertices
     d = cache.nodes.shape[1]
     pairs = np.einsum("qi,qj->qij", cache.basis, cache.basis)
     rows = np.repeat(cache.nodes, d, axis=1).ravel()
@@ -548,7 +535,7 @@ def boundary_nonlinear(system, selector, nbc, u, weight=None):
         sp.coo_matrix((JA, (rows, cols)), shape=(nv, nv)).tocsr(),
         sp.coo_matrix((JB, (rows, cols)), shape=(nv, nv)).tocsr(),
     )
-    return r, jac
+    return boundary_residual(system, selector, nbc, u, weight), jac
 
 
 def solve_linear(system, rhs, tol=1e-10, maxiter=None, perturbation=None,
@@ -667,18 +654,15 @@ def norms(mesh, u, region=None):
     interface); default is the whole mesh.
     """
     u = np.asarray(u)
-    simp = mesh.simplices if region is None else mesh.simplices[region]
-    v = mesh.vertices[simp]
-    edges = v[:, 1:, :] - v[:, :1, :]
-    det = np.linalg.det(edges)
+    vols, grads = mesh.p1_geometry()
+    simp = mesh.simplices
+    if region is not None:
+        simp, vols, grads = simp[region], vols[region], grads[region]
     d = mesh.dim
-    vols = np.abs(det) / math.factorial(d)
     ul = u[simp]
     ssum = np.abs(ul.sum(axis=1)) ** 2
     ssq = (np.abs(ul) ** 2).sum(axis=1)
     l2sq = float((vols * (ssum + ssq)).sum() / ((d + 1) * (d + 2)))
-    inv = np.linalg.inv(edges)
-    grads = np.concatenate([-inv.sum(axis=2)[:, None, :], np.swapaxes(inv, 1, 2)], axis=1)
     gu = np.einsum("fkn,fk->fn", grads, ul)
     h1sq = float((vols * (np.abs(gu) ** 2).sum(axis=1)).sum())
     return math.sqrt(l2sq), math.sqrt(h1sq), math.sqrt(l2sq + h1sq)

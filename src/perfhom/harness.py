@@ -368,8 +368,8 @@ def _study_row(config, eps, kappa_val=None):
             log.warning("u0 refinement at eps=%g used up u0_refine_cap=%d; "
                         "its last level is unchecked", eps, config.u0_refine_cap)
             break
-        if e_prev is not None and e_h[idx] > 0 \
-                and abs(e_prev[idx] - e_h[idx]) < 0.1 * e_h[idx]:
+        # a zero increment on a zero error (zero data) is converged too
+        if e_prev is not None and abs(e_prev[idx] - e_h[idx]) <= 0.1 * e_h[idx]:
             break
         e_prev = e_h
     u0_mesh, u0_vals = u0_field.mesh, u0_field.values

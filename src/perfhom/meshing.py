@@ -44,6 +44,8 @@ class Mesh:
     facet_tags: np.ndarray
     h: float
     grid: dict | None = field(default=None, repr=False)
+    _geometry: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -88,11 +90,20 @@ class Mesh:
             raise MissingFacetTagsError(f"no facets match {selector!r}")
         return np.unique(self.facets[mask])
 
+    def p1_geometry(self):
+        """(volumes, gradients) of the P1 basis, computed once per mesh.
+
+        gradients[s, k] (ns, dim + 1, dim) is the gradient of the barycentric
+        coordinate of vertex k on simplex s.  Both are invariant under
+        translation, the one change a finished mesh may see (build_slab
+        shifts its slab); quadrature points are not and are never cached.
+        """
+        if self._geometry is None:
+            self._geometry = _p1_geometry(self.vertices, self.simplices)
+        return self._geometry
+
     def simplex_volumes(self):
-        v = self.vertices[self.simplices]
-        edges = v[:, 1:, :] - v[:, :1, :]
-        det = np.linalg.det(edges)
-        return np.abs(det) / math.factorial(self.dim)
+        return self.p1_geometry()[0]
 
     def facet_measures(self, mask=None):
         f = self.facets if mask is None else self.facets[mask]
@@ -147,10 +158,35 @@ class Mesh:
         return mesh
 
 
-def _orient(vertices, simplices):
+def _edge_cofactors(vertices, simplices):
+    """Closed-form det E and cofactors of the edge matrices E (rows
+    e_k = v_k - v_0), for dim 2 and 3.
+
+    Returns det (ns,) and C (ns, dim, dim) whose row k - 1 is det E times the
+    gradient of barycentric coordinate k, i.e. column k - 1 of adj E.
+    """
     v = vertices[simplices]
-    det = np.linalg.det(v[:, 1:, :] - v[:, :1, :])
-    flip = det < 0
+    e = v[:, 1:, :] - v[:, :1, :]
+    if e.shape[1] == 2:
+        cof = np.stack([e[:, 1, ::-1] * [1.0, -1.0], e[:, 0, ::-1] * [-1.0, 1.0]],
+                       axis=1)
+    else:
+        cof = np.stack([np.cross(e[:, 1], e[:, 2]), np.cross(e[:, 2], e[:, 0]),
+                        np.cross(e[:, 0], e[:, 1])], axis=1)
+    return np.einsum("fn,fn->f", e[:, 0], cof[:, 0]), cof
+
+
+def _p1_geometry(vertices, simplices):
+    det, cof = _edge_cofactors(vertices, simplices)
+    # a degenerate simplex gets non-finite gradients; Mesh.check rejects it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = cof / det[:, None, None]
+    grads = np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1)
+    return np.abs(det) / math.factorial(vertices.shape[1]), grads
+
+
+def _orient(vertices, simplices):
+    flip = _edge_cofactors(vertices, simplices)[0] < 0
     if flip.any():
         simplices = simplices.copy()
         simplices[flip, -1], simplices[flip, -2] = (
@@ -161,16 +197,19 @@ def _orient(vertices, simplices):
 
 
 def _boundary_faces(simplices, dim):
-    """Faces belonging to exactly one simplex, via sorted-face counting."""
-    ns = len(simplices)
-    faces = []
-    for i in range(dim + 1):
-        idx = [j for j in range(dim + 1) if j != i]
-        faces.append(simplices[:, idx])
-    faces = np.concatenate(faces, axis=0)
-    key = np.sort(faces, axis=1)
-    _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
-    return faces[first[counts == 1]]
+    """Faces belonging to exactly one simplex, in lexicographic order of
+    their sorted vertex indices.
+
+    One stable lexsort over the sorted face columns puts equal faces next to
+    each other; a face with no equal neighbour is single.
+    """
+    faces = np.concatenate([np.delete(simplices, i, axis=1) for i in range(dim + 1)])
+    key = np.sort(faces, axis=1).T.copy()                 # (dim, nf) columns
+    order = np.lexsort(key[::-1])
+    key = key[:, order]
+    differs = np.any(key[:, 1:] != key[:, :-1], axis=0)
+    single = np.r_[True, differs] & np.r_[differs, True]
+    return faces[order[single]]
 
 
 def _on_box_side(pts, lo, hi, tol):
@@ -284,35 +323,21 @@ def mesh_interface(domain_lo, domain_hi, s0, h, dim=None):
     tag_list = [tags]
 
     if s0 is not None:
-        normal = verts[:, dim - 1]
         k = int(np.argmin(np.abs(axes[-1] - s0)))
+        n = [len(a) for a in axes]
         if dim == 2:
-            xs, ys = axes
-            nx = len(xs) - 1
-
-            def vid(i, j):
-                return i * (len(ys)) + j
-
-            ifacets = np.array([[vid(i, k), vid(i + 1, k)] for i in range(nx)],
-                               dtype=np.int64)
+            v0 = np.arange(n[0] - 1, dtype=np.int64) * n[1] + k
+            ifacets = np.column_stack([v0, v0 + n[1]])
         else:
-            xs, ys, zs = axes
-            nxy = (len(ys)) * (len(zs))
-
-            def vid3(i, j, kk):
-                return (i * (len(ys)) + j) * (len(zs)) + kk
-
-            ifacets = []
-            for i in range(len(xs) - 1):
-                for j in range(len(ys) - 1):
-                    v00 = vid3(i, j, k)
-                    v10 = vid3(i + 1, j, k)
-                    v01 = vid3(i, j + 1, k)
-                    v11 = vid3(i + 1, j + 1, k)
-                    # same diagonal the Kuhn tets use on constant-z planes
-                    ifacets.append((v00, v10, v11))
-                    ifacets.append((v00, v11, v01))
-            ifacets = np.asarray(ifacets, dtype=np.int64)
+            I, J = np.meshgrid(np.arange(n[0] - 1, dtype=np.int64),
+                               np.arange(n[1] - 1, dtype=np.int64), indexing="ij")
+            v00 = ((I * n[1] + J) * n[2] + k).ravel()
+            v10, v01 = v00 + n[1] * n[2], v00 + n[2]
+            v11 = v10 + n[2]
+            # same diagonal the Kuhn tets use on constant-z planes
+            ifacets = np.stack([np.column_stack([v00, v10, v11]),
+                                np.column_stack([v00, v11, v01])],
+                               axis=1).reshape(-1, 3)
         if not np.all(np.abs(verts[np.unique(ifacets), dim - 1] - s0) < tol):
             raise InconsistentMeshError("interface layer misaligned")
         facets.append(ifacets)
@@ -549,9 +574,7 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
 
     # qhull can emit flat simplices whose vertices are all cocircular points
     # of one box face; they carry no volume and are safe to drop
-    vols = np.abs(
-        np.linalg.det(pts[simplices][:, 1:, :] - pts[simplices][:, :1, :])
-    ) / math.factorial(dim)
+    vols = np.abs(_edge_cofactors(pts, simplices)[0])
     flat = vols <= 1e-10 * np.median(vols)
     if flat.any():
         vv = pts[simplices[flat]]
@@ -570,11 +593,7 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
     verts = pts[used]
     simplices = remap[simplices]
     simplices = _orient(verts, simplices)
-
-    vols = np.abs(
-        np.linalg.det(verts[simplices][:, 1:, :] - verts[simplices][:, :1, :])
-    ) / math.factorial(dim)
-    if vols.min() <= 0:
+    if not np.all(_edge_cofactors(verts, simplices)[0] > 0):
         raise MeshingError("degenerate simplex after carving")
 
     bfaces = _boundary_faces(simplices, dim)

@@ -53,13 +53,13 @@ class SlabSpace:
 
     def lu(self):
         if self._lu is None:
-            self._lu = spla.splu(self.matrix.tocsc())
+            self._lu = fem.sparse_lu(self.matrix, hermitian=True)
         return self._lu
 
     def lu_interior(self):
         if self._lu_ii is None:
-            Kii = self.matrix[self.interior][:, self.interior].tocsc()
-            self._lu_ii = spla.splu(Kii)
+            Kii = self.matrix[self.interior][:, self.interior]
+            self._lu_ii = fem.sparse_lu(Kii, hermitian=True)
         return self._lu_ii
 
     def solve(self, rhs):

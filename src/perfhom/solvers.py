@@ -135,8 +135,8 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
         return result(u, "linear", 0, 0, res)
 
     def residual(u):
-        r_b, jac = fem.boundary_nonlinear(system, selector, nbc, u, weight)
-        return system.matrix @ u + r_b - F, r_b, jac
+        r_b = fem.boundary_residual(system, selector, nbc, u, weight)
+        return system.matrix @ u + r_b - F, r_b
 
     if opts.initial is None:
         u = fem.solve_linear(system, F, tol=opts.linear_tol)
@@ -152,7 +152,7 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
 
     for it in range(1, opts.picard_max_iter + 1):
         picard_iters = it
-        G, r_b, _ = residual(u)
+        G, r_b = residual(u)
         res = float(np.linalg.norm(G[free])) / fscale
         if res <= opts.picard_tol:
             return result(u, "picard", it, 0, res)
@@ -190,12 +190,13 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
 
     newton_iters = 0
     for it in range(1, opts.newton_max_iter + 1):
-        G, _, jac = residual(u)
+        G = residual(u)[0]
         res = float(np.linalg.norm(G[free])) / fscale
         if res <= opts.picard_tol:
             return result(u, "picard+newton", picard_iters, newton_iters,
                           res)
         newton_iters = it
+        jac = fem.boundary_nonlinear(system, selector, nbc, u, weight)[1]
         delta = _newton_step(system, jac, -G, krylov)
         # line search guards the global phase Newton inherited from Picard
         scale = 1.0

@@ -267,6 +267,8 @@ def test_boundary_residual_zero_and_linear():
     assert r.sum() == pytest.approx(s * total, rel=1e-12)
     # for linear a the Jacobian applied to u reproduces the residual
     assert np.abs(jac.apply(u) - r).max() < 1e-12
+    np.testing.assert_array_equal(
+        fem.boundary_residual(sysm, "cavity", fem.NonlinearBC("linear", sigma=s), u), r)
 
 
 def test_boundary_jacobian_matches_finite_differences():
@@ -278,6 +280,7 @@ def test_boundary_jacobian_matches_finite_differences():
     u = rng.standard_normal(m.n_vertices) + 1j * rng.standard_normal(m.n_vertices)
     du = rng.standard_normal(m.n_vertices) + 1j * rng.standard_normal(m.n_vertices)
     r0, jac = fem.boundary_nonlinear(sysm, "cavity", nbc, u)
+    np.testing.assert_array_equal(fem.boundary_residual(sysm, "cavity", nbc, u), r0)
     t = 1e-6
     r1, _ = fem.boundary_nonlinear(sysm, "cavity", nbc, u + t * du)
     fd = (r1 - r0) / t

@@ -148,22 +148,30 @@ def test_row_on_a_wider_box_has_finite_errors():
 
 
 def test_t2_row_assembles_each_mesh_once(monkeypatch):
-    from perfhom import fem
+    from perfhom import fem, meshing
 
     cfg = harness.StudyConfig(theorem="T2", nbc_kind="saturating",
                               nbc_sigma=2.0)
-    sizes = []
+    sizes, geometries = [], []
     original = fem.assemble
+    original_geometry = meshing._p1_geometry
 
     def spy(mesh, *args, **kwargs):
         sizes.append(mesh.n_vertices)
         return original(mesh, *args, **kwargs)
 
+    def spy_geometry(vertices, simplices):
+        geometries.append(len(vertices))
+        return original_geometry(vertices, simplices)
+
     monkeypatch.setattr(fem, "assemble", spy)
+    monkeypatch.setattr(meshing, "_p1_geometry", spy_geometry)
     row = harness._study_row(cfg, 1 / 8, kappa_val=0.3)
     assert len(set(sizes)) == len(sizes)
     # two perforated meshes plus one per u0 ladder level
     assert len(sizes) == 2 + row["u0_solves"]
+    # one P1 geometry pass per mesh, shared by check, assembly, loads, norms
+    assert sorted(geometries) == sorted(sizes)
     solver = row["solver"]
     assert solver["backend"] == "splu"
     assert solver["picard_iters"] > 0 and solver["newton_iters"] > 0
@@ -264,6 +272,8 @@ def test_zero_data_study_is_degenerate():
     assert rep.slopes == {}
     assert rep.uniformity["max_spread"] is None
     assert all(r["err_l2"] == 0.0 and r["err_h1"] == 0.0 for r in rep.rows)
+    # a zero increment on a zero error stops the u0 ladder at its second level
+    assert all(r["u0_converged"] is True and r["u0_solves"] == 2 for r in rep.rows)
 
 
 def test_emit_report_csv_rows_match_accepted(tiny_report, tmp_path):

@@ -232,3 +232,79 @@ def test_structured_grid_matches_cell_loop(build, reference, shape):
     for got, want in zip(build(*axes), reference(*axes)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+
+def _boundary_faces_unique(simplices, dim):
+    """np.unique reference for meshing._boundary_faces."""
+    faces = np.concatenate([simplices[:, [j for j in range(dim + 1) if j != i]]
+                            for i in range(dim + 1)], axis=0)
+    _, first, counts = np.unique(np.sort(faces, axis=1), axis=0,
+                                 return_index=True, return_counts=True)
+    return faces[first[counts == 1]]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: meshing.mesh_box((0.0, 0.0), (1.0, 1.0), 0.1),
+    lambda: meshing.mesh_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.25),
+    lambda: meshing.mesh_interface((0.0, -1.0), (1.0, 1.0), 0.2, 0.1),
+    lambda: meshing.mesh_slab((1.0, 1.0), 0.5, 0.1),
+    lambda: meshing.mesh_perforated(geometry.make_layout("periodic", {}, 1 / 8), 0.06),
+], ids=["box2", "box3", "interface2", "slab3", "perforated2"])
+def test_boundary_faces_match_unique_reference(build):
+    m = build()
+    got = meshing._boundary_faces(m.simplices, m.dim)
+    want = _boundary_faces_unique(m.simplices, m.dim)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def _interface_facets_loop(axes, k):
+    """Cell-by-cell reference for the interface facets of mesh_interface."""
+    n = [len(a) for a in axes]
+    if len(axes) == 2:
+        return np.array([[i * n[1] + k, (i + 1) * n[1] + k] for i in range(n[0] - 1)],
+                        dtype=np.int64)
+    vid = lambda i, j: (i * n[1] + j) * n[2] + k
+    out = []
+    for i in range(n[0] - 1):
+        for j in range(n[1] - 1):
+            out += [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)),
+                    (vid(i, j), vid(i + 1, j + 1), vid(i, j + 1))]
+    return np.asarray(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("lo, hi", [((0.0, -1.0), (1.0, 1.0)),
+                                    ((0.0, 0.0, -1.0), (1.0, 0.75, 1.0))])
+def test_interface_facets_match_cell_loop(lo, hi):
+    m = meshing.mesh_interface(lo, hi, 0.2, 0.25)
+    axes = m.grid["axes"]
+    k = int(np.argmin(np.abs(axes[-1] - 0.2)))
+    got = m.facets[m.facet_mask("interface")]
+    want = _interface_facets_loop(axes, k)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_p1_geometry_matches_lapack(dim):
+    rng = np.random.default_rng(11)
+    ns = 400
+    ref = np.vstack([np.zeros(dim), np.eye(dim)])
+    v = (ref + 0.2 * rng.standard_normal((ns, dim + 1, dim))) \
+        * rng.uniform(0.01, 3.0, (ns, 1, 1)) + rng.uniform(-5.0, 5.0, (ns, 1, dim))
+    verts = v.reshape(-1, dim)
+    simp = np.arange(ns * (dim + 1), dtype=np.int64).reshape(ns, dim + 1)
+    simp[::2, [-2, -1]] = simp[::2, [-1, -2]]   # half arrive negatively oriented
+    edges = verts[simp][:, 1:] - verts[simp][:, :1]
+    det = np.linalg.det(edges)
+    assert (det < 0).sum() >= ns // 4
+    inv = np.linalg.inv(edges)
+    want = np.concatenate([-inv.sum(axis=2)[:, None, :], np.swapaxes(inv, 1, 2)], axis=1)
+
+    vols, grads = meshing._p1_geometry(verts, simp)
+    np.testing.assert_allclose(vols, np.abs(det) / math.factorial(dim), rtol=1e-13, atol=0)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert (np.abs(grads - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
+    flipped = meshing._orient(verts, simp)
+    assert (np.linalg.det(verts[flipped][:, 1:] - verts[flipped][:, :1]) > 0).all()
+    np.testing.assert_array_equal(flipped[det > 0], simp[det > 0])

@@ -137,10 +137,16 @@ def test_one_factorization_per_system(monkeypatch):
     m = meshing.mesh_perforated(lay, 0.06)
     splu = _spy(monkeypatch, "splu")
     cg = _spy(monkeypatch, "cg")
+    jacobians = []
+    original = fem.boundary_nonlinear
+    monkeypatch.setattr(fem, "boundary_nonlinear",
+                        lambda *a, **kw: jacobians.append(1) or original(*a, **kw))
     u = solvers.solve_perforated(
         m, IDENT, fem.NonlinearBC("saturating", sigma=2.0), _one)
     assert u.info["backend"] == "splu"
     assert u.info["picard_iters"] > 1 and u.info["newton_iters"] > 0
+    # Picard sweeps and residual checks need no Jacobian
+    assert len(jacobians) == u.info["newton_iters"]
     # K once, for every Picard sweep and as every Newton step's preconditioner
     assert len(splu) == 1
     # one CG solve per Newton step, each a few iterations on the exact LU
