@@ -450,9 +450,9 @@ def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None):
     rows = np.repeat(simp, nloc, axis=1).ravel()
     cols = np.tile(simp, (1, nloc)).ravel()
     nv = mesh.n_vertices
-    K = sp.coo_matrix((K_loc.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
     M = sp.coo_matrix((M_loc.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    K = (K - lam * M).tocsr()
+    K_loc -= lam * M_loc
+    K = sp.coo_matrix((K_loc.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
     F = None
     if f is not None:

@@ -170,10 +170,17 @@ class StudyConfig:
                 key, getattr(self, key), lambda v: _coefficient(v, shapes, kinds)))
         self.nbc_kind = _config_value("nbc_kind", self.nbc_kind,
                                       lambda k: fem.NonlinearBC(k).kind)
+        # the sup bounds of every row's fem.estimate_lambda0; a config cannot
+        # declare them, so a callable that needs one is rejected here
+        coeffs, nbc = self.coefficients(), self.nonlinearity()
+        for key, bound in (("drift", coeffs.drift_bound),
+                           ("reaction", coeffs.reaction_bound),
+                           ("nbc_sigma", nbc.lip_bound)):
+            _config_value(key, getattr(self, key), lambda _: bound())
         # the solvers' own threshold rule, so validate rejects what study would
         if self.lam is not None:
             self.lam = _config_value("lam", self.lam, lambda v: solvers._resolve_lambda(
-                self.coefficients(), self.nonlinearity(), solvers.SolveOptions(lam=v)))
+                coeffs, nbc, solvers.SolveOptions(lam=v)))
         self.layout_params = _config_value("layout_params", self.layout_params,
                                            dict)
         if self.layout_params.get("dim", n) != n:

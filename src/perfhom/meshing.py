@@ -186,14 +186,17 @@ def _p1_geometry(vertices, simplices):
 
 
 def _orient(vertices, simplices):
-    flip = _edge_cofactors(vertices, simplices)[0] < 0
+    """Simplices reordered to positive orientation, and their determinants
+    (the swap of two vertices negates det exactly, so that is |det|)."""
+    det = _edge_cofactors(vertices, simplices)[0]
+    flip = det < 0
     if flip.any():
         simplices = simplices.copy()
         simplices[flip, -1], simplices[flip, -2] = (
             simplices[flip, -2].copy(),
             simplices[flip, -1].copy(),
         )
-    return simplices
+    return simplices, np.abs(det)
 
 
 def _boundary_faces(simplices, dim):
@@ -314,7 +317,7 @@ def mesh_interface(domain_lo, domain_hi, s0, h, dim=None):
         verts, simp, cell_map = _tet_grid(*axes)
     else:
         raise ValueError("dim must be 2 or 3")
-    simp = _orient(verts, simp)
+    simp, _ = _orient(verts, simp)
 
     tol = 1e-9 * max(hi - lo)
     bfaces = _boundary_faces(simp, dim)
@@ -379,7 +382,7 @@ def mesh_slab(lengths, height, h_bottom, grow=1.35, h_cap=None, dim=None):
         verts, simp, cell_map = _tri_grid(axes[0], axes[1])
     else:
         verts, simp, cell_map = _tet_grid(*axes)
-    simp = _orient(verts, simp)
+    simp, _ = _orient(verts, simp)
     bfaces = _boundary_faces(simp, dim)
     vpos = verts[bfaces]
     on_bottom = np.all(np.abs(vpos[:, :, dim - 1]) < 1e-12 * height, axis=1)
@@ -592,8 +595,8 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
     remap[used] = np.arange(len(used))
     verts = pts[used]
     simplices = remap[simplices]
-    simplices = _orient(verts, simplices)
-    if not np.all(_edge_cofactors(verts, simplices)[0] > 0):
+    simplices, det = _orient(verts, simplices)
+    if not np.all(det > 0):
         raise MeshingError("degenerate simplex after carving")
 
     bfaces = _boundary_faces(simplices, dim)

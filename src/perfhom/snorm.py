@@ -5,26 +5,25 @@ the bottom and geometrically coarsened upward, with the energy form
 
     ||V||_K^2 = ||grad V||^2 + ||V||^2        (no essential conditions).
 
-For a weight field w on S (typically alpha_eps - alpha0) the induced
+For a real weight field w on S (typically alpha_eps - alpha0) the induced
 seminorm of the weighted trace functional is
 
-    snorm(w)^2 = sup_Phi  (Phi^H B_w^H K^{-1} B_w Phi) / (Phi^H S_c Phi),
+    snorm(w) = sup_{U, V}  |int_S w U V| / (||U||_K ||V||_K)
+             = max |mu|  over  M_w v = mu K v,
 
-where (B_w Phi)_i = int_S w Phi phi_i and S_c is the Schur complement of K
-on the bottom nodes, so Phi^H S_c Phi is the minimal extension energy.  The
-top of this symmetric-definite pencil is computed by ARPACK's Lanczos
-method in mode 2 (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM
-1998), which needs three operators on bottom data:
-
-    A Phi      = Re(B_w^H K^{-1} B_w Phi)   one full-slab solve,
-    S_c Phi    = (K E Phi)_bottom           one interior solve (E = extension),
-    S_c^{-1} r = (K^{-1} [r; 0])_bottom     one full-slab solve.
+where M_w is the weighted facet mass of S on the whole slab, (M_w U)_i =
+int_S w U phi_i.  Restricting U to minimal-energy extensions of its bottom
+data gives the bottom-data form sup_Phi Phi^T B_w^T K^{-1} B_w Phi /
+Phi^T S_c Phi (S_c the Schur complement of K on the bottom nodes), whose
+top eigenvalue is max mu^2.  The symmetric-definite pencil (M_w, K) is
+solved by ARPACK's Lanczos method in mode 2 (Lehoucq, Sorensen & Yang,
+ARPACK Users' Guide, SIAM 1998): each step applies K^{-1} once, through the
+slab's cached LU, and M_w and K by sparse products.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,12 +64,6 @@ class SlabSpace:
     def solve(self, rhs):
         return self.lu().solve(rhs)
 
-    def schur_solve(self, r_bottom):
-        """S_c^{-1} r via the bottom block of a full-slab solve."""
-        rhs = np.zeros(self.mesh.n_vertices, dtype=np.asarray(r_bottom).dtype)
-        rhs[self.bottom] = r_bottom
-        return self.solve(rhs)[self.bottom]
-
     def extension(self, phi):
         """Minimal-energy extension of bottom data phi into the slab."""
         v = np.zeros(self.mesh.n_vertices, dtype=np.asarray(phi).dtype)
@@ -78,10 +71,6 @@ class SlabSpace:
         # v is zero inside, so the interior rows of K v are K_ib phi
         v[self.interior] = self.lu_interior().solve(-(self.matrix @ v)[self.interior])
         return v
-
-    def schur_apply(self, phi):
-        """S_c phi = K_bb phi - K_bi K_ii^{-1} K_ib phi, the bottom rows of K E phi."""
-        return (self.matrix @ self.extension(phi))[self.bottom]
 
     def extension_energy(self, phi):
         v = self.extension(phi)
@@ -138,54 +127,54 @@ def slab_for_layout(layout, points_per_bump=8, tau0=None):
 
 
 class _StepCap(Exception):
-    """Raised inside the A operator when s_norm's maxiter is used up."""
+    """Raised inside the M_w operator when s_norm's maxiter is used up."""
 
 
 def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
-    """sqrt of the top eigenvalue of the pencil (B^H K^{-1} B, S_c).
+    """max |mu| over the pencil M_w v = mu K v on the whole slab.
 
     One ARPACK Lanczos solve in mode 2 from a start vector seeded by seed;
-    tol is ARPACK's relative residual tolerance on the Ritz pair.  maxiter
-    caps the applications of A (full-slab solves through B); info records
-    their count in info["iterations"] (one entry).  A weight whose B_w has no
-    nonzero entry gives exactly 0.  When the cap is hit or ARPACK does not
-    converge, info["stalled"] is set, a warning is logged and the value is a
-    lower bound: the largest partial Ritz value, else the Rayleigh quotient
-    of the start vector.
+    which="LM" resolves both ends +-mu of a sign-changing weight, and tol is
+    ARPACK's relative residual tolerance on the Ritz pair.  maxiter caps the
+    applications of M_w, one per Lanczos step next to one full-slab solve;
+    info records their count in info["iterations"] (one entry).  A weight
+    whose M_w has no nonzero entry gives exactly 0; a complex weight raises
+    ValueError.  When the cap is hit or ARPACK does not converge,
+    info["stalled"] is set, a warning is logged and the value is a lower
+    bound: the largest |partial Ritz value| or |x.M_w x| / x.K x over the
+    vectors x that M_w was applied to.
     """
     B = slab.trace_matrix(weight)
+    if np.iscomplexobj(B.data):
+        raise ValueError("s_norm needs a real weight")
     info = {"iterations": [0], "stalled": False}
     if B.count_nonzero() == 0:
         return (0.0, info) if return_info else 0.0
-    BH = B.getH().tocsr()
-    nb = slab.n_trace
+    K, bottom, n = slab.matrix, slab.bottom, slab.mesh.n_vertices
+    best = 0.0  # the largest |Rayleigh quotient| among the vectors seen
 
-    def a(w):
-        return (BH @ slab.solve(B @ w)).real
-
-    def apply_a(w):
+    def apply_mw(x):
+        nonlocal best
         if info["iterations"][0] == maxiter:
             raise _StepCap
         info["iterations"][0] += 1
-        return a(w)
+        y = B @ x[bottom]  # M_w x: only the bottom rows and columns are nonzero
+        best = max(best, abs(x @ y) / (x @ (K @ x)))
+        return y
 
     def operator(matvec):
-        return spla.LinearOperator((nb, nb), matvec=matvec, dtype=float)
+        return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
 
-    v0 = np.random.default_rng(seed).standard_normal(nb)
+    v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        lam = spla.eigsh(operator(apply_a), k=1, M=operator(slab.schur_apply),
-                         Minv=operator(slab.schur_solve), which="LA", v0=v0,
-                         tol=tol, return_eigenvectors=False)[0]
+        mu = spla.eigsh(operator(apply_mw), k=1, M=operator(K.dot),
+                        Minv=operator(slab.solve), which="LM", v0=v0,
+                        tol=tol, return_eigenvectors=False)[0]
     except (_StepCap, spla.ArpackNoConvergence) as exc:
         info["stalled"] = True
         log.warning("s-norm Lanczos solve stalled; value is a lower bound")
-        partial = getattr(exc, "eigenvalues", ())
-        if len(partial):
-            lam = max(partial)
-        else:
-            lam = (v0 @ a(v0)) / (v0 @ slab.schur_apply(v0))
-    val = math.sqrt(max(float(lam), 0.0))
+        mu = max([best, *np.abs(getattr(exc, "eigenvalues", ()))])
+    val = abs(float(mu))
     return (val, info) if return_info else val
 
 
@@ -223,7 +212,7 @@ def kappa_table(eps_values, layout_fn, density_fn=None, alpha0=None,
             "stalled": info["stalled"],
         })
         log.info("kappa(eps=%g) = %g", eps, val)
-        del slab  # frees both factorizations before the next eps builds its slab
+        del slab  # frees its factorization before the next eps builds its slab
     if out_csv:
         with open(out_csv, "w") as fh:
             fh.write("eps,kappa\n")

@@ -109,6 +109,19 @@ def test_coefficient_configs_keep_plain_data_and_callables():
     assert harness.StudyConfig(theorem="T2", nbc_sigma=sigma).nbc_sigma is sigma
 
 
+@pytest.mark.parametrize("key, extra", [
+    ("drift", {}), ("reaction", {}),
+    ("nbc_sigma", {"nbc_kind": "linear"}), ("nbc_sigma", {"nbc_kind": "saturating"}),
+])
+def test_callable_coefficients_needing_a_sup_bound_are_rejected(key, extra):
+    # every row's solvability estimate needs sup|.| of these, which a config
+    # cannot declare
+    value = (lambda x: np.ones((len(x), 2))) if key == "drift" \
+        else (lambda x: np.ones(len(x)))
+    with pytest.raises(harness.ConfigError, match=key):
+        harness.StudyConfig(theorem="T2", **{key: value}, **extra)
+
+
 def test_study_config_owns_dim():
     assert harness.StudyConfig(theorem="T1a", dim=3).layout(0.25).dim == 3
     params = {"dim": 3}

@@ -305,6 +305,9 @@ def test_p1_geometry_matches_lapack(dim):
     np.testing.assert_allclose(vols, np.abs(det) / math.factorial(dim), rtol=1e-13, atol=0)
     scale = np.abs(want).max(axis=(1, 2))
     assert (np.abs(grads - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
-    flipped = meshing._orient(verts, simp)
+    flipped, det_oriented = meshing._orient(verts, simp)
     assert (np.linalg.det(verts[flipped][:, 1:] - verts[flipped][:, :1]) > 0).all()
+    # the returned determinants are bit-identical to recomputing them
+    np.testing.assert_array_equal(
+        det_oriented, meshing._edge_cofactors(verts, flipped)[0])
     np.testing.assert_array_equal(flipped[det > 0], simp[det > 0])

@@ -38,6 +38,18 @@ def test_power_iteration_matches_dense_pencil(slab):
     assert val == pytest.approx(snorm_dense(slab, w), rel=1e-9)
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_sign_changing_weights_match_dense_pencil(slab, k):
+    # M_w has eigenvalues of both signs; the s-norm is the larger |mu|
+    w = lambda x: np.cos(2 * np.pi * k * x[:, 0])
+    assert snorm.s_norm(slab, w) == pytest.approx(snorm_dense(slab, w), rel=1e-9)
+
+
+def test_complex_weight_is_rejected(slab):
+    with pytest.raises(ValueError, match="real weight"):
+        snorm.s_norm(slab, lambda x: np.full(len(x), 1.0 + 0.5j))
+
+
 def test_oscillatory_weights_decay(slab):
     vals = [snorm.s_norm(slab, lambda x, k=k: np.cos(2 * np.pi * k * x[:, 0]))
             for k in (1, 2, 4)]
@@ -174,6 +186,28 @@ def test_stalled_value_is_a_lower_bound(periodic_eighth):
     val, info = snorm.kappa(slab_l, dens, maxiter=1, return_info=True)
     assert info["stalled"] and info["iterations"] == [1]
     assert 0 < val <= snorm_dense(slab_l, weight)
+
+
+def test_stalled_value_grows_with_the_vectors_seen(periodic_eighth):
+    slab_l, dens, weight = periodic_eighth
+    vals = [snorm.kappa(slab_l, dens, maxiter=m) for m in (1, 5)]
+    assert 0 < vals[0] < vals[1] <= snorm_dense(slab_l, weight)
+
+
+def test_one_slab_solve_per_step_and_no_interior_lu():
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    slab_l = snorm.slab_for_layout(lay)
+    solve, calls = slab_l.solve, []
+
+    def spy(rhs):
+        calls.append(1)
+        return solve(rhs)
+
+    slab_l.solve = spy
+    _, info = snorm.kappa(slab_l, alpha.surface_density(lay), return_info=True)
+    assert not info["stalled"]
+    assert 0 < len(calls) <= info["iterations"][0] + 1
+    assert slab_l._lu_ii is None
 
 
 def test_lanczos_step_count(periodic_eighth):
