@@ -15,6 +15,7 @@ eps-independent for lattice layouts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,14 +78,16 @@ class SurfaceDensity:
     def tangential(self, xp):
         """Evaluate at tangential coordinates xp of shape (m, dim-1)."""
         xp = np.atleast_2d(np.asarray(xp, dtype=float))
-        vals = np.zeros(len(xp))
         hits = self._tree.query_ball_point(xp, self.support)
+        counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+        ks = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp,
+                         count=int(counts.sum()))
+        pts = np.repeat(np.arange(len(xp)), counts)
         cent = self.layout.centers_tangential()
-        for i, ks in enumerate(hits):
-            for k in ks:
-                r = np.linalg.norm(xp[i] - cent[k]) / self.support
-                vals[i] += self.coefs[k] * self.mollifier(r)
-        return vals
+        r = np.linalg.norm(xp[pts] - cent[ks], axis=1) / self.support
+        # bincount adds each point's bumps in the order the tree listed them
+        return np.bincount(pts, weights=self.coefs[ks] * self.mollifier(r),
+                           minlength=len(xp))
 
     def __call__(self, x):
         """Evaluate at full points; they must lie on S up to a tight tolerance."""

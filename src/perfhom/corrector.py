@@ -194,10 +194,15 @@ def spectral_tail(beta, modes):
 
 def residual_components(corr, beta, eps, tau0=1.0):
     """The mu budget at scale eps for a corrector built from beta."""
-    psi_sup = eps * corr.sup_boundary()
+    return _residual_row(corr, eps, tau0, corr.sup_boundary(),
+                         spectral_tail(beta, corr.modes))
+
+
+def _residual_row(corr, eps, tau0, sup, tail):
+    """residual_components given the eps-independent sup|Psi| and tail."""
+    psi_sup = eps * sup
     lap_sup = corr.harmonic_defect()
     outer = corr.flux_at_height(tau0 / (2.0 * eps))
-    tail = spectral_tail(beta, corr.modes)
     mu = psi_sup + lap_sup + outer + tail
     return {
         "eps": float(eps),
@@ -229,7 +234,8 @@ def mu_table(eps_values, beta, modes=64, tau0=1.0, kappas=None,
     out_csv is set (kappa column only with kappas).
     """
     corr = fourier_corrector(beta, modes=modes)
-    rows = [residual_components(corr, beta, e, tau0=tau0) for e in eps_values]
+    sup, tail = corr.sup_boundary(), spectral_tail(beta, corr.modes)
+    rows = [_residual_row(corr, e, tau0, sup, tail) for e in eps_values]
     if kappas is not None:
         if calibration is None:
             calibration = calibrate(kappas[0], rows[0]["mu"])

@@ -160,6 +160,7 @@ class StudyConfig:
         self.eta_rule = _config_value("eta_rule", self.eta_rule, _eta_rule)
         self.rhs_names = _config_value("rhs_names", self.rhs_names, _rhs_names)
         self.u0_refine_cap = _config_value("u0_refine_cap", self.u0_refine_cap, _count)
+        self.c0 = _config_value("c0", self.c0, _positive)
         n = self.dim
         # shapes a constant may take (None: may be None); dtype kinds allowed
         for key, shapes, kinds in (("matrix", [None, (n, n)], "iuf"),
@@ -259,6 +260,12 @@ def _count(n):
     if isinstance(n, bool) or int(n) != n or n < 0:
         raise ValueError
     return int(n)
+
+
+def _positive(x):
+    if isinstance(x, bool) or not (math.isfinite(float(x)) and float(x) > 0):
+        raise ValueError("must be a finite number > 0")
+    return float(x)
 
 
 def _eta_rule(rule):

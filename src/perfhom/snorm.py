@@ -18,7 +18,10 @@ Phi^T S_c Phi (S_c the Schur complement of K on the bottom nodes), whose
 top eigenvalue is max mu^2.  The symmetric-definite pencil (M_w, K) is
 solved by ARPACK's Lanczos method in mode 2 (Lehoucq, Sorensen & Yang,
 ARPACK Users' Guide, SIAM 1998): each step applies K^{-1} once, through the
-slab's cached LU, and M_w and K by sparse products.
+slab's cached factorization of K, and M_w and K by sparse products.  In 2D
+that factorization is LAPACK's banded Cholesky pbtrf/pbtrs (Anderson et
+al., LAPACK Users' Guide, SIAM 1999) in the grid's own vertex order; in 3D
+it is the sparse LU fem.sparse_lu.
 """
 
 from __future__ import annotations
@@ -27,12 +30,33 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem, meshing
 
 log = logging.getLogger(__name__)
+
+
+@dataclass
+class BandCholesky:
+    """Cholesky factor of a sparse symmetric positive definite matrix, kept
+    in LAPACK's upper band storage; the half-bandwidth is read off the
+    matrix's nonzeros, so the matrix's own order must keep it narrow."""
+
+    factor: np.ndarray       # (u + 1, n): row u + i - j holds entry (i, j)
+
+    @classmethod
+    def of(cls, K):
+        U = sp.triu(K, format="coo")
+        u = int((U.col - U.row).max())
+        ab = np.zeros((u + 1, K.shape[0]))
+        ab[u + U.row - U.col, U.col] = U.data
+        return cls(la.cholesky_banded(ab, overwrite_ab=True, check_finite=False))
+
+    def solve(self, rhs):
+        return la.cho_solve_banded((self.factor, False), rhs, check_finite=False)
 
 
 @dataclass
@@ -51,8 +75,15 @@ class SlabSpace:
         return len(self.bottom)
 
     def lu(self):
+        """Cached factorization of K.  In 2D the slab's vertices run x-major
+        with each column's rows contiguous, so K is a band of half-width the
+        row count + 1 and a banded Cholesky factors it; a 3D band spans a
+        whole tangential axis of rows, so 3D slabs use fem.sparse_lu."""
         if self._lu is None:
-            self._lu = fem.sparse_lu(self.matrix, hermitian=True)
+            if self.mesh.dim == 2:
+                self._lu = BandCholesky.of(self.matrix)
+            else:
+                self._lu = fem.sparse_lu(self.matrix, hermitian=True)
         return self._lu
 
     def lu_interior(self):

@@ -2,7 +2,8 @@
 
 Everything here is deliberately computed by a different method than the
 package under test (shooting for the transmission profile, dense linear
-algebra for the slab pencil) so that agreement is meaningful.
+algebra for the slab pencil, plain loops for the surface density) so that
+agreement is meaningful.
 """
 
 import math
@@ -70,6 +71,20 @@ def snorm_dense(slab, weight):
         K[np.ix_(ii, ii)], K[np.ix_(ii, ib)])
     vals = eigh(A.real, S.real, eigvals_only=True)
     return math.sqrt(max(float(vals[-1]), 0.0))
+
+
+def density_loop(density, xp):
+    """alpha_eps at tangential points xp, one point and one cavity at a time
+    over every cavity, without the density's search tree."""
+    xp = np.atleast_2d(np.asarray(xp, dtype=float))
+    cent = density.layout.centers_tangential()
+    vals = np.zeros(len(xp))
+    for i in range(len(xp)):
+        for k in range(len(cent)):
+            r = np.linalg.norm(xp[i] - cent[k]) / density.support
+            if r < 1.0:
+                vals[i] += density.coefs[k] * density.mollifier(r)
+    return vals
 
 
 def fit_slope(eps, err):

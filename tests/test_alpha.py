@@ -6,6 +6,8 @@ import pytest
 from perfhom import alpha, geometry
 from perfhom.errors import PointOffManifoldError
 
+from _oracles import density_loop
+
 
 def test_mollifier_normalized_and_frozen_peak():
     z2 = alpha.make_mollifier(2)
@@ -122,6 +124,39 @@ def test_perturbation_stability_uniform_in_eps():
         xs = np.linspace(0, 1, 8001)[:, None]
         diff = np.abs(db.tangential(xs) - dp.tangential(xs)).max()
         assert 0.0 < diff <= C * mu * base.eta
+
+
+def _overlapping_layout(dim):
+    # two bumps 0.3 support radii apart in x, one more far off: points between
+    # the first two lie under both supports (supports have radius eps*R2)
+    eps, R2 = 1 / 8, geometry.DEFAULT_CONSTANTS["R2"]
+    centers = np.array([[0.5, 0.3], [0.5 + 0.3 * eps * R2, 0.3], [0.2, 0.7]])
+    centers = centers[:, :dim - 1]
+    centers = np.column_stack([centers, np.zeros(3)])
+    n = dim - 1
+    return geometry.PerforationLayout(
+        dim, (0.0,) * n + (-1.0,), (1.0,) * n + (1.0,), 0.0, eps, 1.0, centers,
+        [geometry.Shape("ball", {"radius": 0.15})])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tangential_matches_loop_oracle(dim):
+    dens = alpha.surface_density(_overlapping_layout(dim))
+    assert dens.multiplicity() == 2
+    rng = np.random.default_rng(3)
+    cent = dens.layout.centers_tangential()
+    # clouds around every center, centers themselves, and far points
+    near = cent[rng.integers(0, 3, 600)] + rng.uniform(
+        -1.2, 1.2, (600, dim - 1)) * dens.support
+    far = np.full((3, dim - 1), 0.9)
+    xp = np.vstack([near, cent, far])
+    got, want = dens.tangential(xp), density_loop(dens, xp)
+    both = np.linalg.norm(xp[:, None, :] - cent[None, :2, :], axis=2).max(axis=1) \
+        < dens.support
+    assert both.sum() > 10 and np.all(got[both] > 0)
+    assert np.all(got[-3:] == 0.0) and np.all((got == 0.0) == (want == 0.0))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+    assert dens.tangential(np.zeros((0, dim - 1))).shape == (0,)
 
 
 def test_density_csv(tmp_path):

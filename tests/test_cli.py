@@ -123,6 +123,7 @@ def test_study_subcommand_end_to_end(tmp_path, capsys):
     ([1, 2], "JSON object"),
     ({"theorem": "T1a", "matrix": "bogus",
       "eps_list": [0.25, 0.125, 0.0625]}, "matrix"),
+    ({"theorem": "T1a", "c0": 0.0, "eps_list": [0.25, 0.125, 0.0625]}, "c0"),
 ])
 def test_config_mistake_is_a_clean_error(tmp_path, capsys, command, doc, named):
     cfg = _write(tmp_path, doc)

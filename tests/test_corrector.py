@@ -136,6 +136,24 @@ def test_mu_table_certifies_and_writes_csv(tmp_path):
     assert vals[0] == 0.125 and vals[5] == pytest.approx(rows[0]["mu"])
 
 
+def test_mu_table_computes_the_eps_independent_terms_once(monkeypatch):
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    b = corrector.cell_beta_from_layout(lay, n=256)
+    eps = [1 / 8, 1 / 16, 1 / 32]
+    corr = corrector.fourier_corrector(b, modes=64)
+    want = [corrector.residual_components(corr, b, e) for e in eps]
+    sup, calls = corrector.Corrector.sup_boundary, []
+
+    def spy(self, *args, **kw):
+        calls.append(1)
+        return sup(self, *args, **kw)
+
+    monkeypatch.setattr(corrector.Corrector, "sup_boundary", spy)
+    rows, _ = corrector.mu_table(eps, b, modes=64)
+    assert len(calls) == 1
+    assert rows == want
+
+
 def test_two_tangential_dimensions():
     shape = geometry.Shape("ball", {"radius": 0.15})
     b = corrector.cell_beta(shape, 0.5, dim=3, cell=(1.0, 1.0), n=128)

@@ -92,6 +92,7 @@ def test_config_dict_roundtrip():
     ("lam", "x"), ("lam", 0.0),
     ("layout_params", {"dim": 3}), ("layout_params", "s0"),
     ("u0_refine_cap", -1), ("u0_refine_cap", "2"),
+    ("c0", 0.0), ("c0", -1.0), ("c0", "x"),
 ])
 def test_config_errors_name_the_key(key, value):
     with pytest.raises(harness.ConfigError, match=key):

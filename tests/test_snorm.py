@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from perfhom import alpha, geometry, snorm
+from perfhom import alpha, fem, geometry, snorm
 
 from _oracles import snorm_dense
 
@@ -94,9 +94,25 @@ def test_slab_lu_matches_dense_solve(slab):
                            (slab.lu_interior(), Kii, b[slab.interior])):
         want = np.linalg.solve(dense, rhs)
         assert np.linalg.norm(lu.solve(rhs) - want) <= 1e-12 * np.linalg.norm(want)
-        # the shared recipe fills less than SuperLU's COLAMD default
+    # the shared sparse LU recipe fills less than SuperLU's COLAMD default
+    shared = fem.sparse_lu(slab.matrix, True)
+    for lu, dense in ((slab.lu_interior(), Kii), (shared, K)):
         default = spla.splu(sp.csc_matrix(dense))
         assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+    # the 2D slab is a band of half-width the row count + 1, and its banded
+    # Cholesky stores fewer entries than that LU's L + U
+    band = slab.lu()
+    assert isinstance(band, snorm.BandCholesky)
+    assert band.factor.shape[0] - 1 == len(slab.mesh.grid["axes"][-1]) + 1
+    assert band.factor.size < shared.L.nnz + shared.U.nnz
+
+
+def test_3d_slab_keeps_the_sparse_lu():
+    slab3 = snorm.build_slab((0.0, 0.0), (1.0, 1.0), 0.2)
+    assert slab3.mesh.n_vertices == 324
+    w = lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+    assert snorm.s_norm(slab3, w) == pytest.approx(snorm_dense(slab3, w), rel=1e-9)
+    assert not isinstance(slab3.lu(), snorm.BandCholesky)
 
 
 def test_lift_energy_identity(slab):
@@ -194,10 +210,12 @@ def test_stalled_value_grows_with_the_vectors_seen(periodic_eighth):
     assert 0 < vals[0] < vals[1] <= snorm_dense(slab_l, weight)
 
 
-def test_one_slab_solve_per_step_and_no_interior_lu():
+def test_one_slab_solve_per_step_and_no_interior_lu(monkeypatch):
     lay = geometry.make_layout("periodic", {}, 1 / 8)
     slab_l = snorm.slab_for_layout(lay)
     solve, calls = slab_l.solve, []
+    # the 2D slab is factored as a band, never by the sparse LU
+    monkeypatch.setattr(fem, "sparse_lu", None)
 
     def spy(rhs):
         calls.append(1)
