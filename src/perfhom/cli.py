@@ -22,6 +22,7 @@ README.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -44,7 +45,9 @@ def _load_config(path):
 
 
 def _layout_fn(doc):
-    kind = doc.get("layout_kind", "periodic")
+    kind = harness._config_value("layout_kind",
+                                 doc.get("layout_kind", "periodic"),
+                                 harness._layout_kind)
     params = doc.get("layout_params", {})
     rule = harness._config_value("eta_rule", doc.get("eta_rule", 1.0),
                                  harness._eta_rule)
@@ -56,6 +59,34 @@ def _eps_list(doc):
     if not eps:
         raise SystemExit("config must supply a non-empty eps_list")
     return [float(e) for e in eps]
+
+
+def _int_in(lo, hi):
+    """Config converter to an integer n with lo <= n < hi."""
+    def convert(n):
+        if not lo <= harness._count(n) < hi:
+            raise ValueError(f"must be an integer in [{lo}, {hi})")
+        return int(n)
+    return convert
+
+
+def _finite_or_none(x):
+    if x is not None and (isinstance(x, bool) or not math.isfinite(float(x))):
+        raise ValueError("must be null or a finite number")
+    return None if x is None else float(x)
+
+
+def _kappa_rows(doc, args, out_csv=None):
+    """kappa(eps) of a snorm config; corrector calibrates on the same rows."""
+    value = harness._config_value
+    seed = args.seed if args.seed is not None else \
+        value("seed", doc.get("seed", 0), harness._count)
+    return snorm_mod.kappa_table(
+        _eps_list(doc), _layout_fn(doc),
+        alpha0=value("alpha0", doc.get("alpha0"), _finite_or_none),
+        points_per_bump=value("points_per_bump", doc.get("points_per_bump", 8),
+                              _int_in(1, math.inf)),
+        out_csv=out_csv, seed=seed)
 
 
 def cmd_study(args):
@@ -86,12 +117,7 @@ def cmd_study(args):
 def cmd_snorm(args):
     doc = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    rows = snorm_mod.kappa_table(
-        _eps_list(doc), _layout_fn(doc),
-        alpha0=doc.get("alpha0"),
-        points_per_bump=int(doc.get("points_per_bump", 8)),
-        out_csv=os.path.join(args.out, "kappa.csv"),
-        seed=args.seed if args.seed is not None else int(doc.get("seed", 0)))
+    rows = _kappa_rows(doc, args, out_csv=os.path.join(args.out, "kappa.csv"))
     for r in rows:
         note = "  [stalled]" if r.get("stalled") else ""
         print(f"eps={r['eps']:.6g}  kappa={r['kappa']:.6e}  "
@@ -108,17 +134,18 @@ def cmd_corrector(args):
         raise SystemExit("corrector tables assume a fixed cell: eta_rule "
                          "must be a constant")
     eps_list = _eps_list(doc)
-    layout_fn = _layout_fn(doc)
-    beta = corrector_mod.cell_beta_from_layout(layout_fn(eps_list[0]),
-                                               n=int(doc.get("grid", 256)))
+    grid = harness._config_value("grid", doc.get("grid", 256), _int_in(1, math.inf))
+    # fourier_corrector keeps modes below the grid's Nyquist order
+    modes = harness._config_value("modes", doc.get("modes", 64),
+                                  _int_in(1, grid // 2))
+    tau0 = harness._config_value("tau0", doc.get("tau0", 1.0), harness._positive)
+    beta = corrector_mod.cell_beta_from_layout(_layout_fn(doc)(eps_list[0]),
+                                               n=grid)
     kappas = None
     if doc.get("calibrate"):
-        rows = snorm_mod.kappa_table(eps_list, layout_fn,
-                                     seed=args.seed or 0)
-        kappas = [r["kappa"] for r in rows]
+        kappas = [r["kappa"] for r in _kappa_rows(doc, args)]
     table, calibration = corrector_mod.mu_table(
-        eps_list, beta, modes=int(doc.get("modes", 64)),
-        tau0=float(doc.get("tau0", 1.0)), kappas=kappas,
+        eps_list, beta, modes=modes, tau0=tau0, kappas=kappas,
         out_csv=os.path.join(args.out, "mu.csv"))
     for r in table:
         line = f"eps={r['eps']:.6g}  mu={r['mu']:.6e}"
@@ -136,25 +163,30 @@ def cmd_mesh(args):
     kind = doc.get("mesh_kind", "perforated")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "mesh.txt")
+
+    def positive(key, default=None):
+        # mesh_slab would add rows forever for h <= 0
+        return harness._config_value(key, doc.get(key, default), harness._positive)
+
     if kind == "perforated":
         eps = float(doc["eps"])
         layout = _layout_fn(doc)(eps)
-        h = float(doc.get("h", 0.75 * eps))
+        h = positive("h", 0.75 * eps)
         mesh = meshing.mesh_perforated(layout, h,
                                        float(doc.get("refine", 4.0)))
         layout.to_json(os.path.join(args.out, "layout.json"))
     elif kind in ("box", "interface"):
         dim = int(doc.get("dim", 2))
         lo, hi = doc.get("domain", geometry._default_domain(dim))
-        h = float(doc["h"])
+        h = positive("h")
         if kind == "box":
             mesh = meshing.mesh_box(lo, hi, h)
         else:
             mesh = meshing.mesh_interface(lo, hi, float(doc.get("s0", 0.0)), h)
     elif kind == "slab":
-        mesh = meshing.mesh_slab(doc.get("lengths", [1.0]),
-                                 float(doc.get("height", 0.5)),
-                                 float(doc["h"]))
+        lengths = np.atleast_1d(np.asarray(doc.get("lengths", [1.0]), dtype=float))
+        mesh = meshing.mesh_slab(np.zeros_like(lengths), lengths,
+                                 positive("height", 0.5), positive("h"))
     else:
         raise SystemExit(f"unknown mesh_kind {kind!r}")
     mesh.check()

@@ -404,8 +404,7 @@ def _scatter(index, values, n):
 
 
 def _cell_points(mesh, simplices):
-    """Degree-2 quadrature points (ns * q, n) of the given simplices.  They
-    move with the mesh, so unlike its P1 geometry they are not cached."""
+    """Degree-2 quadrature points (ns * q, n) of the given simplices."""
     bary, _ = cell_quadrature(mesh.dim)
     return (bary @ mesh.vertices[simplices]).reshape(-1, mesh.dim)
 

@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 #: b > 1 is the disjointness factor, tau0 is the slab thickness used by the
 #: multiplier-norm problems.
 DEFAULT_CONSTANTS = {"R0": 0.5, "R1": 0.1, "R2": 0.2, "b": 1.2, "tau0": 1.0}
+LAYOUT_KINDS = ("periodic", "perturbed-periodic", "clustered", "explicit")
 
 _measure_cache: dict = {}
 

@@ -157,7 +157,12 @@ class StudyConfig:
             self.eps_list = DEFAULT_SWEEP if self.dim == 2 else DEFAULT_SWEEP_3D
         self.eps_list = _config_value("eps_list", self.eps_list,
                                       lambda v: tuple(float(e) for e in v))
+        self.layout_kind = _config_value("layout_kind", self.layout_kind,
+                                         _layout_kind)
         self.eta_rule = _config_value("eta_rule", self.eta_rule, _eta_rule)
+        # every row builds its layout with eta_rule(eps) in (0, 1]
+        _config_value("eta_rule", self.eta_rule, lambda rule: [
+            geometry.eval_eta(rule, e) for e in self.eps_list])
         self.rhs_names = _config_value("rhs_names", self.rhs_names, _rhs_names)
         self.u0_refine_cap = _config_value("u0_refine_cap", self.u0_refine_cap, _count)
         self.c0 = _config_value("c0", self.c0, _positive)
@@ -266,6 +271,12 @@ def _positive(x):
     if isinstance(x, bool) or not (math.isfinite(float(x)) and float(x) > 0):
         raise ValueError("must be a finite number > 0")
     return float(x)
+
+
+def _layout_kind(kind):
+    if kind not in geometry.LAYOUT_KINDS:
+        raise ValueError(f"must be one of {', '.join(geometry.LAYOUT_KINDS)}")
+    return kind
 
 
 def _eta_rule(rule):

@@ -1,11 +1,13 @@
 """Simplicial meshes: structured interface meshes, graded slabs, and
 Delaunay meshes of a box with cavities carved out.
 
-No external mesh generator is used.  Cavity boundaries are approximated by
-inscribed polygons/point shells whose vertices lie exactly on the analytic
-boundary, so boundary quantities converge at O(h^2).  All triangulations go
-through qhull (scipy.spatial.Delaunay); carved meshes verify that every
-boundary facet is attributable to either the outer box or a cavity.
+No external mesh generator is used.  Box, interface and slab meshes are
+tensor grids whose simplices, orientation and facets follow from index
+arithmetic alone (_grid_mesh).  Perforated meshes go through qhull
+(scipy.spatial.Delaunay): cavity boundaries are approximated by inscribed
+polygons/point shells whose vertices lie exactly on the analytic boundary,
+so boundary quantities converge at O(h^2), and every boundary facet is
+checked to belong to either the outer box or a cavity.
 """
 
 from __future__ import annotations
@@ -94,9 +96,7 @@ class Mesh:
         """(volumes, gradients) of the P1 basis, computed once per mesh.
 
         gradients[s, k] (ns, dim + 1, dim) is the gradient of the barycentric
-        coordinate of vertex k on simplex s.  Both are invariant under
-        translation, the one change a finished mesh may see (build_slab
-        shifts its slab); quadrature points are not and are never cached.
+        coordinate of vertex k on simplex s.
         """
         if self._geometry is None:
             self._geometry = _p1_geometry(self.vertices, self.simplices)
@@ -265,14 +265,18 @@ def _tri_grid(xs, ys):
     return verts, tris, cell_tri
 
 
+# Kuhn paths; an unswapped path has edge determinant sign(perm) * hx*hy*hz,
+# so swapping the last two vertices of the odd ones makes every tet positive
 _KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+_KUHN_ODD = np.array([False, True, True, False, False, True])
 
 
 def _tet_grid(xs, ys, zs):
     """Kuhn 6-tet subdivision of a tensor grid (consistent face diagonals).
 
     Tet p of cell (i, j, k) walks from its lowest corner along the axes in
-    the order _KUHN_PERMS[p]; cells run i-major and own 6 consecutive tets.
+    the order _KUHN_PERMS[p], with the last two vertices swapped on odd
+    paths; cells run i-major and own 6 consecutive tets.
     """
     nx, ny, nz = len(xs) - 1, len(ys) - 1, len(zs) - 1
     X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
@@ -281,6 +285,7 @@ def _tet_grid(xs, ys, zs):
     stride = np.array([(ny + 1) * (nz + 1), nz + 1, 1], dtype=np.int64)
     steps = np.cumsum(stride[np.array(_KUHN_PERMS)], axis=1)
     offsets = np.column_stack([np.zeros(len(_KUHN_PERMS), dtype=np.int64), steps])
+    offsets[_KUHN_ODD, 2:] = offsets[_KUHN_ODD, 2:][:, ::-1]
     I, J, K = np.meshgrid(*(np.arange(n, dtype=np.int64) for n in (nx, ny, nz)),
                           indexing="ij")
     base = ((I * (ny + 1) + J) * (nz + 1) + K).ravel()
@@ -289,83 +294,80 @@ def _tet_grid(xs, ys, zs):
     return verts, tets, cell_tet
 
 
-def mesh_box(domain_lo, domain_hi, h, dim=None):
-    """Structured simplicial mesh of a box, outer boundary tagged."""
-    return mesh_interface(domain_lo, domain_hi, None, h, dim=dim)
+def _grid_layer(n, axis, k):
+    """Facets on the plane of node index k along axis of a tensor grid with
+    n nodes per axis, cells i-major.  A 3D cell splits along its diagonal
+    from the lowest corner, as the Kuhn tets split every coordinate plane."""
+    n = np.asarray(n, dtype=np.int64)
+    stride = np.cumprod(np.r_[1, n[:0:-1]])[::-1]
+    other = [a for a in range(len(n)) if a != axis]
+    cells = np.meshgrid(*(np.arange(n[a] - 1) for a in other), indexing="ij")
+    v00 = (k * stride[axis] + sum(c * stride[a] for c, a in zip(cells, other))).ravel()
+    if len(other) == 1:
+        return np.column_stack([v00, v00 + stride[other[0]]])
+    v10, v01 = v00 + stride[other[0]], v00 + stride[other[1]]
+    v11 = v10 + stride[other[1]]
+    return np.stack([np.column_stack([v00, v10, v11]),
+                     np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
 
 
-def mesh_interface(domain_lo, domain_hi, s0, h, dim=None):
-    """Structured mesh with the plane {x_dim = s0} as an exact facet layer.
-
-    Interior facets on the plane are appended and tagged INTERFACE_TAG; pass
-    s0=None for a plain box mesh without interface facets.
-    """
-    lo = np.asarray(domain_lo, dtype=float)
-    hi = np.asarray(domain_hi, dtype=float)
-    dim = dim or len(lo)
-    if s0 is not None and not lo[dim - 1] < s0 < hi[dim - 1]:
-        raise ValueError("interface coordinate outside the box")
-    axes = [_segment(lo[i], hi[i], h) for i in range(dim - 1)]
-    if s0 is None:
-        axes.append(_segment(lo[dim - 1], hi[dim - 1], h))
-    else:
-        axes.append(_segment_through(lo[dim - 1], hi[dim - 1], s0, h))
-
+def _grid_mesh(axes, h, k=None):
+    """Mesh of the tensor grid on axes by index arithmetic alone: every
+    simplex of _tri_grid and _tet_grid is positive, and the box faces are
+    grid layers.  The layer of node index k along the last axis is tagged
+    INTERFACE_TAG, replacing OUTER_TAG when it is a box face."""
+    dim = len(axes)
+    n = [len(a) for a in axes]
     if dim == 2:
-        verts, simp, cell_map = _tri_grid(axes[0], axes[1])
-    elif dim == 3:
-        verts, simp, cell_map = _tet_grid(*axes)
+        verts, simp, cell_map = _tri_grid(*axes)
     else:
-        raise ValueError("dim must be 2 or 3")
-    simp, _ = _orient(verts, simp)
-
-    tol = 1e-9 * max(hi - lo)
-    bfaces = _boundary_faces(simp, dim)
-    tags = np.full(len(bfaces), OUTER_TAG, dtype=np.int64)
-    facets = [bfaces]
-    tag_list = [tags]
-
-    if s0 is not None:
-        k = int(np.argmin(np.abs(axes[-1] - s0)))
-        n = [len(a) for a in axes]
-        if dim == 2:
-            v0 = np.arange(n[0] - 1, dtype=np.int64) * n[1] + k
-            ifacets = np.column_stack([v0, v0 + n[1]])
-        else:
-            I, J = np.meshgrid(np.arange(n[0] - 1, dtype=np.int64),
-                               np.arange(n[1] - 1, dtype=np.int64), indexing="ij")
-            v00 = ((I * n[1] + J) * n[2] + k).ravel()
-            v10, v01 = v00 + n[1] * n[2], v00 + n[2]
-            v11 = v10 + n[2]
-            # same diagonal the Kuhn tets use on constant-z planes
-            ifacets = np.stack([np.column_stack([v00, v10, v11]),
-                                np.column_stack([v00, v11, v01])],
-                               axis=1).reshape(-1, 3)
-        if not np.all(np.abs(verts[np.unique(ifacets), dim - 1] - s0) < tol):
-            raise InconsistentMeshError("interface layer misaligned")
-        facets.append(ifacets)
-        tag_list.append(np.full(len(ifacets), INTERFACE_TAG, dtype=np.int64))
-
-    mesh = Mesh(
-        verts,
-        simp,
-        np.concatenate(facets, axis=0),
-        np.concatenate(tag_list),
-        h=h,
-        grid={"axes": axes, "cell_map": cell_map, "lo": lo, "hi": hi},
-    )
+        verts, simp, cell_map = _tet_grid(*axes)
+    layers = [(axis, side) for axis in range(dim) for side in (0, n[axis] - 1)]
+    if k is not None and 0 < k < n[-1] - 1:
+        layers.append((dim - 1, k))
+    facets = [_grid_layer(n, axis, i) for axis, i in layers]
+    tags = np.concatenate([
+        np.full(len(f), INTERFACE_TAG if layer == (dim - 1, k) else OUTER_TAG)
+        for f, layer in zip(facets, layers)])
+    mesh = Mesh(verts, simp, np.concatenate(facets), tags, h=h,
+                grid={"axes": axes, "cell_map": cell_map})
     mesh.check()
     return mesh
 
 
-def mesh_slab(lengths, height, h_bottom, grow=1.35, h_cap=None, dim=None):
-    """Graded slab mesh: fine rows near the bottom boundary (the interface),
-    geometrically coarsening upward.  Bottom facets are tagged INTERFACE_TAG.
+def mesh_box(domain_lo, domain_hi, h):
+    """Structured simplicial mesh of a box, outer boundary tagged."""
+    return mesh_interface(domain_lo, domain_hi, None, h)
+
+
+def mesh_interface(domain_lo, domain_hi, s0, h):
+    """Structured mesh with the plane {x_n = s0} as an exact facet layer.
+
+    The facets on the plane are appended and tagged INTERFACE_TAG; pass
+    s0=None for a plain box mesh without interface facets.
     """
-    lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
-    dim = dim or len(lengths) + 1
-    if h_cap is None:
-        h_cap = height / 8.0
+    lo = np.asarray(domain_lo, dtype=float)
+    hi = np.asarray(domain_hi, dtype=float)
+    if len(lo) not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
+    if s0 is not None and not lo[-1] < s0 < hi[-1]:
+        raise ValueError("interface coordinate outside the box")
+    axes = [_segment(a, b, h) for a, b in zip(lo[:-1], hi[:-1])]
+    if s0 is None:
+        return _grid_mesh(axes + [_segment(lo[-1], hi[-1], h)], h)
+    axes.append(_segment_through(lo[-1], hi[-1], s0, h))
+    return _grid_mesh(axes, h, k=int(np.searchsorted(axes[-1], s0)))
+
+
+_SLAB_GROW = 1.35        # ratio of consecutive slab row gaps
+
+
+def mesh_slab(tangential_lo, tangential_hi, height, h_bottom):
+    """Graded slab (tangential box) x (0, height): rows of height h_bottom at
+    the bottom (the interface), coarsening geometrically upward up to
+    height / 8.  Bottom facets are tagged INTERFACE_TAG.
+    """
+    h_cap = height / 8.0
     rows = [0.0]
     step = h_bottom
     while rows[-1] < height - 1e-12:
@@ -374,24 +376,11 @@ def mesh_slab(lengths, height, h_bottom, grow=1.35, h_cap=None, dim=None):
         if height - nxt < 0.5 * step:
             nxt = height
         rows.append(nxt)
-        step *= grow
-    rows = np.asarray(rows)
-    axes = [_segment(0.0, L, h_bottom) for L in lengths]
-    axes.append(rows)
-    if dim == 2:
-        verts, simp, cell_map = _tri_grid(axes[0], axes[1])
-    else:
-        verts, simp, cell_map = _tet_grid(*axes)
-    simp, _ = _orient(verts, simp)
-    bfaces = _boundary_faces(simp, dim)
-    vpos = verts[bfaces]
-    on_bottom = np.all(np.abs(vpos[:, :, dim - 1]) < 1e-12 * height, axis=1)
-    tags = np.where(on_bottom, INTERFACE_TAG, OUTER_TAG).astype(np.int64)
-    mesh = Mesh(verts, simp, bfaces, tags, h=h_bottom,
-                grid={"axes": axes, "cell_map": cell_map,
-                      "lo": np.zeros(dim), "hi": np.append(lengths, height)})
-    mesh.check()
-    return mesh
+        step *= _SLAB_GROW
+    axes = [_segment(a, b, h_bottom) for a, b in
+            zip(np.atleast_1d(tangential_lo), np.atleast_1d(tangential_hi))]
+    axes.append(np.asarray(rows))
+    return _grid_mesh(axes, h_bottom, k=0)
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +569,8 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
     vols = np.abs(_edge_cofactors(pts, simplices)[0])
     flat = vols <= 1e-10 * np.median(vols)
     if flat.any():
-        vv = pts[simplices[flat]]
         wall_tol = 1e-9 * float((hi - lo).max())
-        on_wall_simplex = np.zeros(int(flat.sum()), dtype=bool)
-        for i in range(dim):
-            on_wall_simplex |= np.all(np.abs(vv[:, :, i] - lo[i]) < wall_tol, axis=1)
-            on_wall_simplex |= np.all(np.abs(vv[:, :, i] - hi[i]) < wall_tol, axis=1)
-        if not on_wall_simplex.all():
+        if not _on_box_side(pts[simplices[flat]], lo, hi, wall_tol).all():
             raise MeshingError("degenerate simplex away from the box walls")
         simplices = simplices[~flat]
 

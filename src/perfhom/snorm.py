@@ -1,7 +1,8 @@
 """Trace norms on the interface measured through a graded slab.
 
-The slab is the box (tangential extent of S) x (0, tau0/2), meshed fine at
-the bottom and geometrically coarsened upward, with the energy form
+The slab is the box (tangential extent of S) x (0, tau0/2), meshed in place
+by meshing.mesh_slab: fine at the bottom and geometrically coarsened
+upward.  Its energy form is the H1 Gram matrix K,
 
     ||V||_K^2 = ||grad V||^2 + ||V||^2        (no essential conditions).
 
@@ -12,16 +13,16 @@ seminorm of the weighted trace functional is
              = max |mu|  over  M_w v = mu K v,
 
 where M_w is the weighted facet mass of S on the whole slab, (M_w U)_i =
-int_S w U phi_i.  Restricting U to minimal-energy extensions of its bottom
-data gives the bottom-data form sup_Phi Phi^T B_w^T K^{-1} B_w Phi /
-Phi^T S_c Phi (S_c the Schur complement of K on the bottom nodes), whose
-top eigenvalue is max mu^2.  The symmetric-definite pencil (M_w, K) is
-solved by ARPACK's Lanczos method in mode 2 (Lehoucq, Sorensen & Yang,
-ARPACK Users' Guide, SIAM 1998): each step applies K^{-1} once, through the
-slab's cached factorization of K, and M_w and K by sparse products.  In 2D
-that factorization is LAPACK's banded Cholesky pbtrf/pbtrs (Anderson et
-al., LAPACK Users' Guide, SIAM 1999) in the grid's own vertex order; in 3D
-it is the sparse LU fem.sparse_lu.
+int_S w U phi_i.  (Restricting U to minimal-energy extensions of its bottom
+data gives the equivalent form sup_Phi Phi^T B_w^T K^{-1} B_w Phi /
+Phi^T S_c Phi, S_c the Schur complement of K on the bottom nodes, with top
+eigenvalue max mu^2; no code here needs S_c.)  The symmetric-definite
+pencil (M_w, K) is solved by ARPACK's Lanczos method in mode 2 (Lehoucq,
+Sorensen & Yang, ARPACK Users' Guide, SIAM 1998): each step applies K^{-1}
+once, through the slab's one cached factorization of K, and M_w and K by
+sparse products.  In 2D that factorization is LAPACK's banded Cholesky
+pbtrf/pbtrs (Anderson et al., LAPACK Users' Guide, SIAM 1999) in the grid's
+own vertex order; in 3D it is the sparse LU fem.sparse_lu.
 """
 
 from __future__ import annotations
@@ -61,14 +62,13 @@ class BandCholesky:
 
 @dataclass
 class SlabSpace:
-    """Graded slab mesh with its energy matrix and trace bookkeeping."""
+    """Graded slab mesh, its energy matrix K (the H1 Gram matrix), the
+    bottom (trace) nodes and one cached factorization of K."""
 
     mesh: object
     matrix: sp.csr_matrix
     bottom: np.ndarray
-    interior: np.ndarray
     _lu: object = field(default=None, repr=False)
-    _lu_ii: object = field(default=None, repr=False)
 
     @property
     def n_trace(self):
@@ -86,26 +86,8 @@ class SlabSpace:
                 self._lu = fem.sparse_lu(self.matrix, hermitian=True)
         return self._lu
 
-    def lu_interior(self):
-        if self._lu_ii is None:
-            Kii = self.matrix[self.interior][:, self.interior]
-            self._lu_ii = fem.sparse_lu(Kii, hermitian=True)
-        return self._lu_ii
-
     def solve(self, rhs):
         return self.lu().solve(rhs)
-
-    def extension(self, phi):
-        """Minimal-energy extension of bottom data phi into the slab."""
-        v = np.zeros(self.mesh.n_vertices, dtype=np.asarray(phi).dtype)
-        v[self.bottom] = phi
-        # v is zero inside, so the interior rows of K v are K_ib phi
-        v[self.interior] = self.lu_interior().solve(-(self.matrix @ v)[self.interior])
-        return v
-
-    def extension_energy(self, phi):
-        v = self.extension(phi)
-        return float(np.real(np.vdot(v, self.matrix @ v)))
 
     def trace_matrix(self, weight):
         """Sparse B_w with (B_w Phi)_i = int_S w Phi_h phi_i, Phi on bottom nodes."""
@@ -132,29 +114,18 @@ class SlabSpace:
         return float(np.real(np.vdot(g, U)))
 
 
-def build_slab(tangential_lo, tangential_hi, h_bottom, tau0=1.0, grow=1.35):
-    lo = np.atleast_1d(np.asarray(tangential_lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(tangential_hi, dtype=float))
-    mesh = meshing.mesh_slab(hi - lo, tau0 / 2.0, h_bottom, grow=grow)
-    if np.any(lo != 0.0):
-        mesh.vertices[:, :-1] += lo
-        for i in range(len(lo)):
-            mesh.grid["axes"][i] = mesh.grid["axes"][i] + lo[i]
-    co = fem.CoefficientSet(dim=mesh.dim, reaction=1.0, lam=0.0)
-    K = fem.assemble(mesh, co, dirichlet=None).matrix
+def build_slab(tangential_lo, tangential_hi, h_bottom, tau0=1.0):
+    """Slab (tangential box) x (0, tau0/2) with bottom rows of height h_bottom."""
+    mesh = meshing.mesh_slab(tangential_lo, tangential_hi, tau0 / 2.0, h_bottom)
     bottom = np.unique(mesh.facets[mesh.facet_mask("interface")])
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), bottom)
-    return SlabSpace(mesh, K, bottom, interior)
+    return SlabSpace(mesh, fem.h1_gram(mesh), bottom)
 
 
-def slab_for_layout(layout, points_per_bump=8, tau0=None):
+def slab_for_layout(layout, points_per_bump=8):
     """Slab whose bottom resolves the density bumps of the layout."""
     lo, hi = layout.tangential_extent
-    R2 = layout.constants["R2"]
-    if tau0 is None:
-        tau0 = layout.constants.get("tau0", 1.0)
-    h = 2.0 * layout.eps * R2 / points_per_bump
-    return build_slab(lo, hi, h, tau0=tau0)
+    h = 2.0 * layout.eps * layout.constants["R2"] / points_per_bump
+    return build_slab(lo, hi, h, tau0=layout.constants.get("tau0", 1.0))
 
 
 class _StepCap(Exception):
@@ -220,19 +191,17 @@ def kappa(slab, density, alpha0=None, **kw):
     return s_norm(slab, diff, **kw)
 
 
-def kappa_table(eps_values, layout_fn, density_fn=None, alpha0=None,
-                points_per_bump=8, out_csv=None, seed=0):
-    """kappa(eps) over a family of layouts; optionally writes 'eps,kappa' CSV.
-
-    layout_fn: eps -> PerforationLayout.  density_fn defaults to the mollified
-    surface density of the layout.
+def kappa_table(eps_values, layout_fn, alpha0=None, points_per_bump=8,
+                out_csv=None, seed=0):
+    """kappa(eps) of the mollified surface density over a family of layouts;
+    optionally writes 'eps,kappa' CSV.  layout_fn: eps -> PerforationLayout.
     """
     from . import alpha as alpha_mod
 
     rows = []
     for eps in eps_values:
         layout = layout_fn(eps)
-        dens = density_fn(layout) if density_fn else alpha_mod.surface_density(layout)
+        dens = alpha_mod.surface_density(layout)
         slab = slab_for_layout(layout, points_per_bump=points_per_bump)
         val, info = kappa(slab, dens, alpha0=alpha0, seed=seed, return_info=True)
         rows.append({

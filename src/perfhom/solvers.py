@@ -28,23 +28,22 @@ from .errors import NoConvergenceError, PicardDivergenceError
 log = logging.getLogger(__name__)
 
 
+PICARD_MAX_ITER = 80
+DAMPING = 1.0               # initial Picard damping, adapted down
+LINEAR_TOL = 1e-11
+NEWTON_SWITCH = 1e-3        # relative step size triggering Newton
+NEWTON_MAX_ITER = 30
+
+
 @dataclass
 class SolveOptions:
     lam: float | None = None        # spectral shift; None -> lam0_hat - 1
     picard_tol: float = 1e-9        # relative nonlinear residual
-    picard_max_iter: int = 80
-    damping: float = 1.0            # initial Picard damping, adapted down
-    linear_tol: float = 1e-11
-    newton_switch: float = 1e-3     # relative step size triggering Newton
-    newton_max_iter: int = 30
     initial: object = None          # optional nodal initial guess
 
     def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        for name in ("picard_tol", "linear_tol", "newton_switch"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.picard_tol <= 0:
+            raise ValueError("picard_tol must be positive")
 
 
 def _resolve_lambda(coeffs, nbc, opts):
@@ -130,7 +129,7 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
                    "residual": res, "contraction": contraction}
 
     if nbc.is_zero:
-        u = fem.solve_linear(system, F, tol=opts.linear_tol)
+        u = fem.solve_linear(system, F, tol=LINEAR_TOL)
         res = float(np.linalg.norm((system.matrix @ u - F)[free])) / fscale
         return result(u, "linear", 0, 0, res)
 
@@ -139,18 +138,18 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
         return system.matrix @ u + r_b - F, r_b
 
     if opts.initial is None:
-        u = fem.solve_linear(system, F, tol=opts.linear_tol)
+        u = fem.solve_linear(system, F, tol=LINEAR_TOL)
     else:
         u = np.array(opts.initial, copy=True)
         u[system.dirichlet_mask] = 0.0
-    theta = opts.damping
+    theta = DAMPING
     prev_step = None
     prev_res = math.inf
     grow_count = 0
     picard_iters = 0
     switched = False
 
-    for it in range(1, opts.picard_max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         picard_iters = it
         G, r_b = residual(u)
         res = float(np.linalg.norm(G[free])) / fscale
@@ -167,14 +166,14 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
                         "lam is likely too close to the solvability threshold"
                     )
         prev_res = res
-        u_lin = fem.solve_linear(system, F - r_b, tol=opts.linear_tol)
+        u_lin = fem.solve_linear(system, F - r_b, tol=LINEAR_TOL)
         step = u_lin - u
         snorm_ = float(np.linalg.norm(step[free]))
         if prev_step is not None and prev_step > 0:
             contraction.append(snorm_ / prev_step)
         prev_step = snorm_
         u = u + theta * step
-        if snorm_ <= opts.newton_switch * max(float(np.linalg.norm(u[free])), 1.0):
+        if snorm_ <= NEWTON_SWITCH * max(float(np.linalg.norm(u[free])), 1.0):
             switched = True
             break
 
@@ -184,12 +183,12 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
         if res > opts.picard_tol:
             raise NoConvergenceError(
                 f"Picard stalled at relative residual {res:.3e} "
-                f"after {opts.picard_max_iter} iterations"
+                f"after {PICARD_MAX_ITER} iterations"
             )
         return result(u, "picard", picard_iters, 0, res)
 
     newton_iters = 0
-    for it in range(1, opts.newton_max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         G = residual(u)[0]
         res = float(np.linalg.norm(G[free])) / fscale
         if res <= opts.picard_tol:

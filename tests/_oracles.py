@@ -52,6 +52,21 @@ def plain_profile(y):
     return 1.0 - np.cosh(np.asarray(y, dtype=float)) / math.cosh(1.0)
 
 
+def schur_bottom(slab):
+    """Dense Schur complement S_c of the slab's K on its bottom nodes: the
+    energy matrix of minimal-energy extensions of bottom data."""
+    K = np.asarray(slab.matrix.todense())
+    ib = slab.bottom
+    ii = np.setdiff1d(np.arange(slab.mesh.n_vertices), ib)
+    return K[np.ix_(ib, ib)] - K[np.ix_(ib, ii)] @ np.linalg.solve(
+        K[np.ix_(ii, ii)], K[np.ix_(ii, ib)])
+
+
+def extension_energy(slab, phi):
+    """||V||_K^2 of the minimal-energy extension V of bottom data phi."""
+    return float(np.real(np.vdot(phi, schur_bottom(slab) @ phi)))
+
+
 def snorm_dense(slab, weight):
     """Largest generalized Rayleigh quotient of the slab pencil, densely.
 
@@ -63,13 +78,8 @@ def snorm_dense(slab, weight):
 
     K = np.asarray(slab.matrix.todense())
     B = np.asarray(slab.trace_matrix(weight).todense())
-    nb = len(slab.bottom)
-    Kinv_B = np.linalg.solve(K, B)
-    A = B.conj().T @ Kinv_B
-    ib, ii = slab.bottom, slab.interior
-    S = K[np.ix_(ib, ib)] - K[np.ix_(ib, ii)] @ np.linalg.solve(
-        K[np.ix_(ii, ii)], K[np.ix_(ii, ib)])
-    vals = eigh(A.real, S.real, eigvals_only=True)
+    A = B.conj().T @ np.linalg.solve(K, B)
+    vals = eigh(A.real, schur_bottom(slab).real, eigvals_only=True)
     return math.sqrt(max(float(vals[-1]), 0.0))
 
 

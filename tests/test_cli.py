@@ -124,6 +124,9 @@ def test_study_subcommand_end_to_end(tmp_path, capsys):
     ({"theorem": "T1a", "matrix": "bogus",
       "eps_list": [0.25, 0.125, 0.0625]}, "matrix"),
     ({"theorem": "T1a", "c0": 0.0, "eps_list": [0.25, 0.125, 0.0625]}, "c0"),
+    ({"theorem": "T1a", "eta_rule": 1.5, "eps_list": [0.25, 0.125, 0.0625]},
+     "eta_rule"),
+    ({"theorem": "T1a", "layout_kind": "bogus"}, "layout_kind"),
 ])
 def test_config_mistake_is_a_clean_error(tmp_path, capsys, command, doc, named):
     cfg = _write(tmp_path, doc)
@@ -138,6 +141,40 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "eta_rule" in err
+
+
+@pytest.mark.parametrize("command, extra, named", [
+    ("snorm", {"points_per_bump": 0}, "points_per_bump"),
+    ("snorm", {"alpha0": "x"}, "alpha0"),
+    ("snorm", {"layout_kind": "bogus"}, "layout_kind"),
+    ("corrector", {"modes": 200}, "modes"),
+    ("corrector", {"grid": 0}, "grid"),
+    ("corrector", {"tau0": -1}, "tau0"),
+    ("corrector", {"calibrate": True, "points_per_bump": 0}, "points_per_bump"),
+    ("corrector", {"calibrate": True, "alpha0": "x"}, "alpha0"),
+    ("mesh", {"mesh_kind": "slab", "h": 0.0}, "h"),
+    ("mesh", {"mesh_kind": "slab", "h": 0.1, "height": -1.0}, "height"),
+    ("mesh", {"mesh_kind": "box"}, "h"),
+])
+def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
+                                                     extra, named):
+    cfg = _write(tmp_path, {"eps_list": [1 / 8], **extra})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(named) in err
+    assert "Traceback" not in err
+
+
+def test_corrector_calibrates_on_the_snorm_kappas(tmp_path, capsys):
+    cfg = _write(tmp_path, {"eps_list": [1 / 8, 1 / 16], "calibrate": True,
+                            "modes": 32, "points_per_bump": 6, "seed": 3})
+    kappas = {}
+    for command in ("snorm", "corrector"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        kappas[command] = [tok for tok in capsys.readouterr().out.split()
+                           if tok.startswith("kappa=")]
+    assert len(kappas["snorm"]) == 2
+    assert kappas["corrector"] == kappas["snorm"]
 
 
 def test_validate_samples_coefficients_on_the_layout_box(tmp_path, monkeypatch):

@@ -93,6 +93,7 @@ def test_config_dict_roundtrip():
     ("layout_params", {"dim": 3}), ("layout_params", "s0"),
     ("u0_refine_cap", -1), ("u0_refine_cap", "2"),
     ("c0", 0.0), ("c0", -1.0), ("c0", "x"),
+    ("eta_rule", 1.5), ("eta_rule", ["power", -0.5]), ("layout_kind", "bogus"),
 ])
 def test_config_errors_name_the_key(key, value):
     with pytest.raises(harness.ConfigError, match=key):
@@ -142,9 +143,9 @@ def test_t2_row_meshes_its_interface_at_the_layout_s0(monkeypatch):
     seen = []
     original = meshing.mesh_interface
 
-    def spy(lo, hi, s0, h, dim=None):
+    def spy(lo, hi, s0, h):
         seen.append(s0)
-        return original(lo, hi, s0, h, dim=dim)
+        return original(lo, hi, s0, h)
 
     monkeypatch.setattr(meshing, "mesh_interface", spy)
     row = harness._study_row(cfg, 1 / 8, kappa_val=0.3)

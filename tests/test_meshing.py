@@ -159,7 +159,7 @@ def test_locate_outside_returns_minus_one():
 
 
 def test_slab_bottom_tags_and_grading():
-    m = meshing.mesh_slab((1.0,), 1.0, 0.05)
+    m = meshing.mesh_slab((0.0,), (1.0,), 1.0, 0.05)
     assert m.check()
     bottom = m.facet_mask("interface")
     assert m.facet_measures(bottom).sum() == pytest.approx(1.0, abs=1e-12)
@@ -202,7 +202,8 @@ def _tri_grid_loop(xs, ys):
 
 
 def _tet_grid_loop(xs, ys, zs):
-    """Cell-by-cell reference for meshing._tet_grid (Kuhn paths)."""
+    """Cell-by-cell reference for meshing._tet_grid (Kuhn paths, the last
+    two vertices swapped on odd permutations)."""
     nx, ny, nz = len(xs) - 1, len(ys) - 1, len(zs) - 1
     vid = lambda c: (c[0] * (ny + 1) + c[1]) * (nz + 1) + c[2]
     tets, cell_tet = [], np.empty((nx, ny, nz, 6), dtype=np.int64)
@@ -215,6 +216,9 @@ def _tet_grid_loop(xs, ys, zs):
                     for ax in perm:
                         corner[ax] += 1
                         ids.append(vid(corner))
+                    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                    if inversions % 2:
+                        ids[2], ids[3] = ids[3], ids[2]
                     cell_tet[i, j, k, p] = len(tets)
                     tets.append(ids)
     X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
@@ -247,7 +251,7 @@ def _boundary_faces_unique(simplices, dim):
     lambda: meshing.mesh_box((0.0, 0.0), (1.0, 1.0), 0.1),
     lambda: meshing.mesh_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.25),
     lambda: meshing.mesh_interface((0.0, -1.0), (1.0, 1.0), 0.2, 0.1),
-    lambda: meshing.mesh_slab((1.0, 1.0), 0.5, 0.1),
+    lambda: meshing.mesh_slab((0.0, 0.0), (1.0, 1.0), 0.5, 0.1),
     lambda: meshing.mesh_perforated(geometry.make_layout("periodic", {}, 1 / 8), 0.06),
 ], ids=["box2", "box3", "interface2", "slab3", "perforated2"])
 def test_boundary_faces_match_unique_reference(build):
@@ -256,6 +260,59 @@ def test_boundary_faces_match_unique_reference(build):
     want = _boundary_faces_unique(m.simplices, m.dim)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
+
+
+def _faces_on_plane(m, c):
+    """Distinct faces of m's simplices with every vertex at x_n == c, as
+    sorted rows."""
+    faces = np.concatenate([np.delete(m.simplices, i, axis=1) for i in range(m.dim + 1)])
+    on = np.all(m.vertices[faces, -1] == c, axis=1)
+    return set(map(tuple, np.sort(faces[on], axis=1).tolist()))
+
+
+@pytest.mark.parametrize("build, plane", [
+    (lambda: meshing.mesh_box((0.0, 0.0), (1.0, 1.0), 0.1), None),
+    (lambda: meshing.mesh_box((0.0, 0.0, -0.5), (1.0, 0.75, 0.5), 0.25), None),
+    (lambda: meshing.mesh_interface((0.0, -1.0), (1.0, 1.0), 0.2, 0.1), 0.2),
+    (lambda: meshing.mesh_interface((0.0, 0.0, -1.0), (1.0, 0.75, 1.0), 0.2, 0.25), 0.2),
+    (lambda: meshing.mesh_slab((0.25,), (1.25,), 0.5, 0.05), 0.0),
+    (lambda: meshing.mesh_slab((0.0, -0.5), (1.0, 0.25), 0.5, 0.1), 0.0),
+], ids=["box2", "box3", "interface2", "interface3", "slab2", "slab3"])
+def test_grid_meshes_come_from_arithmetic_alone(build, plane, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a grid mesh needs no orientation or facet search")
+
+    monkeypatch.setattr(meshing, "_orient", forbidden)
+    monkeypatch.setattr(meshing, "_boundary_faces", forbidden)
+    m = build()
+    monkeypatch.undo()
+    det = meshing._edge_cofactors(m.vertices, m.simplices)[0]
+    assert (det > 0).all()
+    rows = list(map(tuple, np.sort(m.facets, axis=1).tolist()))
+    assert len(set(rows)) == len(rows)
+    boundary = set(map(tuple, np.sort(
+        meshing._boundary_faces(m.simplices, m.dim), axis=1).tolist()))
+    layer = set() if plane is None else _faces_on_plane(m, plane)
+    assert set(rows) == boundary | layer
+    tagged = {r for r, t in zip(rows, m.facet_tags) if t == meshing.INTERFACE_TAG}
+    assert tagged == layer
+    assert set(m.facet_tags.tolist()) <= {meshing.OUTER_TAG, meshing.INTERFACE_TAG}
+
+
+@pytest.mark.parametrize("build, shape", [
+    (meshing._tri_grid, (5, 4)),
+    (meshing._tet_grid, (3, 4, 2)),
+])
+def test_grid_simplices_are_positively_oriented(build, shape):
+    rng = np.random.default_rng(4)
+    axes = [np.cumsum(rng.uniform(0.1, 2.0, n + 1)) for n in shape]
+    verts, simp, _ = build(*axes)
+    det = meshing._edge_cofactors(verts, simp)[0]
+    assert (det > 0).all()
+    # the simplices of each cell (consecutive, cells i-major) fill it
+    cells = np.prod(np.meshgrid(*map(np.diff, axes), indexing="ij"), axis=0).ravel()
+    vols = det.reshape(len(cells), -1).sum(axis=1) / math.factorial(len(shape))
+    np.testing.assert_allclose(vols, cells, rtol=1e-13)
 
 
 def _interface_facets_loop(axes, k):

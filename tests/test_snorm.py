@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from perfhom import alpha, fem, geometry, snorm
 
-from _oracles import snorm_dense
+from _oracles import extension_energy, snorm_dense
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ def test_extension_energy_is_minimal(slab):
     K = slab.matrix
     for _ in range(20):
         phi = rng.standard_normal(slab.n_trace)
-        e_min = slab.extension_energy(phi)
+        e_min = extension_energy(slab, phi)
         v = rng.standard_normal(slab.mesh.n_vertices)
         v[slab.bottom] = phi
         assert e_min <= np.vdot(v, K @ v).real + 1e-12
@@ -80,7 +80,7 @@ def test_extension_energy_is_minimal(slab):
 
 def test_constant_extension_and_lift_energies(slab):
     ones = np.ones(slab.n_trace)
-    assert slab.extension_energy(ones) == pytest.approx(math.tanh(0.5), rel=5e-3)
+    assert extension_energy(slab, ones) == pytest.approx(math.tanh(0.5), rel=5e-3)
     assert slab.lift_energy(_const(1.0), ones) == pytest.approx(
         1.0 / math.tanh(0.5), rel=5e-3)
 
@@ -88,17 +88,13 @@ def test_constant_extension_and_lift_energies(slab):
 def test_slab_lu_matches_dense_solve(slab):
     rng = np.random.default_rng(5)
     K = slab.matrix.toarray()
-    Kii = K[np.ix_(slab.interior, slab.interior)]
     b = rng.standard_normal(slab.mesh.n_vertices)
-    for lu, dense, rhs in ((slab.lu(), K, b),
-                           (slab.lu_interior(), Kii, b[slab.interior])):
-        want = np.linalg.solve(dense, rhs)
-        assert np.linalg.norm(lu.solve(rhs) - want) <= 1e-12 * np.linalg.norm(want)
+    want = np.linalg.solve(K, b)
+    assert np.linalg.norm(slab.lu().solve(b) - want) <= 1e-12 * np.linalg.norm(want)
     # the shared sparse LU recipe fills less than SuperLU's COLAMD default
     shared = fem.sparse_lu(slab.matrix, True)
-    for lu, dense in ((slab.lu_interior(), Kii), (shared, K)):
-        default = spla.splu(sp.csc_matrix(dense))
-        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+    default = spla.splu(sp.csc_matrix(K))
+    assert shared.L.nnz + shared.U.nnz < default.L.nnz + default.U.nnz
     # the 2D slab is a band of half-width the row count + 1, and its banded
     # Cholesky stores fewer entries than that LU's L + U
     band = slab.lu()
@@ -113,6 +109,21 @@ def test_3d_slab_keeps_the_sparse_lu():
     w = lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
     assert snorm.s_norm(slab3, w) == pytest.approx(snorm_dense(slab3, w), rel=1e-9)
     assert not isinstance(slab3.lu(), snorm.BandCholesky)
+
+
+@pytest.mark.parametrize("lo, hi, h", [((0.25,), (1.25,), 0.05),
+                                        ((0.25, -0.5), (1.25, 0.5), 0.2)])
+def test_slab_built_in_place_matches_the_unshifted_slab(lo, hi, h):
+    def weight(x):
+        return 1.0 + 0.5 * np.cos(2 * np.pi * x[:, 0]) * np.cos(np.pi * x[:, -2])
+
+    shift = np.r_[lo, 0.0]
+    moved = snorm.build_slab(lo, hi, h)
+    base = snorm.build_slab(np.zeros(len(lo)), np.subtract(hi, lo), h)
+    np.testing.assert_allclose(moved.mesh.vertices, base.mesh.vertices + shift,
+                               rtol=0, atol=1e-15)
+    assert snorm.s_norm(moved, lambda x: weight(x - shift)) == pytest.approx(
+        snorm.s_norm(base, weight), rel=1e-12)
 
 
 def test_lift_energy_identity(slab):
@@ -133,7 +144,7 @@ def test_weighted_pairing_bounded_by_snorm(slab):
         phi = rng.standard_normal(slab.n_trace)
         v = rng.standard_normal(slab.mesh.n_vertices)
         lhs = abs(np.vdot(v, B @ phi))
-        rhs = s * math.sqrt(slab.extension_energy(phi)) * math.sqrt(
+        rhs = s * math.sqrt(extension_energy(slab, phi)) * math.sqrt(
             np.vdot(v, K @ v).real)
         assert lhs <= rhs * (1 + 1e-9)
 
@@ -225,7 +236,6 @@ def test_one_slab_solve_per_step_and_no_interior_lu(monkeypatch):
     _, info = snorm.kappa(slab_l, alpha.surface_density(lay), return_info=True)
     assert not info["stalled"]
     assert 0 < len(calls) <= info["iterations"][0] + 1
-    assert slab_l._lu_ii is None
 
 
 def test_lanczos_step_count(periodic_eighth):
