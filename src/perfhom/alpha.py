@@ -128,24 +128,14 @@ class SurfaceDensity:
 
     def to_csv(self, path, samples=512):
         lo, hi = self.layout.tangential_extent
-        if self.layout.dim == 2:
-            s = np.linspace(lo[0], hi[0], samples)
-            vals = self.tangential(s[:, None])
-            with open(path, "w") as fh:
-                fh.write("s,alpha\n")
-                for si, vi in zip(s, vals):
-                    fh.write(f"{float(si)!r},{float(vi)!r}\n")
-        else:
-            m = int(math.sqrt(samples))
-            s1 = np.linspace(lo[0], hi[0], m)
-            s2 = np.linspace(lo[1], hi[1], m)
-            g1, g2 = np.meshgrid(s1, s2, indexing="ij")
-            pts = np.column_stack([g1.ravel(), g2.ravel()])
-            vals = self.tangential(pts)
-            with open(path, "w") as fh:
-                fh.write("s1,s2,alpha\n")
-                for p, vi in zip(pts, vals):
-                    fh.write(f"{float(p[0])!r},{float(p[1])!r},{float(vi)!r}\n")
+        m = samples if self.layout.dim == 2 else int(math.sqrt(samples))
+        grid = np.meshgrid(*(np.linspace(a, b, m) for a, b in zip(lo, hi)),
+                           indexing="ij")
+        pts = np.column_stack([g.ravel() for g in grid])
+        with open(path, "w") as fh:
+            fh.write("s,alpha\n" if len(grid) == 1 else "s1,s2,alpha\n")
+            for p, v in zip(pts, self.tangential(pts)):
+                fh.write(",".join(repr(float(c)) for c in (*p, v)) + "\n")
 
 
 def surface_density(layout):
@@ -184,11 +174,7 @@ def density_count(layout, r3=0.25):
     lo, hi = layout.tangential_extent
     spacing = 1.4 * r3
     axes = [np.arange(a, b + spacing, spacing) for a, b in zip(lo, hi)]
-    if layout.dim == 2:
-        pts = axes[0][:, None]
-    else:
-        g = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([gi.ravel() for gi in g])
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     tree = cKDTree(cent)
     counts = tree.query_ball_point(pts, r3, return_length=True)
     return int(counts.max())

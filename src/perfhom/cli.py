@@ -44,13 +44,14 @@ def _load_config(path):
     return doc
 
 
+def _value(doc, key, default, convert):
+    return harness._config_value(key, doc.get(key, default), convert)
+
+
 def _layout_fn(doc):
-    kind = harness._config_value("layout_kind",
-                                 doc.get("layout_kind", "periodic"),
-                                 harness._layout_kind)
-    params = doc.get("layout_params", {})
-    rule = harness._config_value("eta_rule", doc.get("eta_rule", 1.0),
-                                 harness._eta_rule)
+    kind = _value(doc, "layout_kind", "periodic", harness._layout_kind)
+    params = _value(doc, "layout_params", {}, dict)
+    rule = _value(doc, "eta_rule", 1.0, harness._eta_rule)
     return lambda eps: geometry.make_layout(kind, params, eps, rule)
 
 
@@ -58,7 +59,8 @@ def _eps_list(doc):
     eps = doc.get("eps_list")
     if not eps:
         raise SystemExit("config must supply a non-empty eps_list")
-    return [float(e) for e in eps]
+    return harness._config_value("eps_list", eps,
+                                 lambda v: [harness._positive(e) for e in v])
 
 
 def _int_in(lo, hi):
@@ -70,22 +72,44 @@ def _int_in(lo, hi):
     return convert
 
 
+def _box(dim):
+    """Config converter to a box [lo, hi] of dim-vectors with lo < hi."""
+    def convert(domain):
+        lo, hi = np.asarray(domain, dtype=float)
+        if lo.shape != (dim,) or not np.all(lo < hi):
+            raise ValueError(f"must be [lo, hi] with lo < hi, each {dim} numbers")
+        return lo, hi
+    return convert
+
+
+def _inside(lo, hi):
+    """Config converter to a number strictly between lo and hi."""
+    def convert(x):
+        if isinstance(x, bool) or not lo < float(x) < hi:
+            raise ValueError(f"must lie in ({lo:g}, {hi:g})")
+        return float(x)
+    return convert
+
+
+def _lengths(v):
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    if arr.shape not in ((1,), (2,)) or not np.all(np.isfinite(arr) & (arr > 0)):
+        raise ValueError("must be 1 or 2 finite numbers > 0")
+    return arr
+
+
 def _finite_or_none(x):
-    if x is not None and (isinstance(x, bool) or not math.isfinite(float(x))):
-        raise ValueError("must be null or a finite number")
-    return None if x is None else float(x)
+    return None if x is None else _inside(-math.inf, math.inf)(x)
 
 
 def _kappa_rows(doc, args, out_csv=None):
     """kappa(eps) of a snorm config; corrector calibrates on the same rows."""
-    value = harness._config_value
     seed = args.seed if args.seed is not None else \
-        value("seed", doc.get("seed", 0), harness._count)
+        _value(doc, "seed", 0, harness._count)
     return snorm_mod.kappa_table(
         _eps_list(doc), _layout_fn(doc),
-        alpha0=value("alpha0", doc.get("alpha0"), _finite_or_none),
-        points_per_bump=value("points_per_bump", doc.get("points_per_bump", 8),
-                              _int_in(1, math.inf)),
+        alpha0=_value(doc, "alpha0", None, _finite_or_none),
+        points_per_bump=_value(doc, "points_per_bump", 8, _int_in(1, math.inf)),
         out_csv=out_csv, seed=seed)
 
 
@@ -128,17 +152,15 @@ def cmd_snorm(args):
 def cmd_corrector(args):
     doc = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    rule = harness._config_value("eta_rule", doc.get("eta_rule", 1.0),
-                                 harness._eta_rule)
+    rule = _value(doc, "eta_rule", 1.0, harness._eta_rule)
     if not isinstance(rule, float):
         raise SystemExit("corrector tables assume a fixed cell: eta_rule "
                          "must be a constant")
     eps_list = _eps_list(doc)
-    grid = harness._config_value("grid", doc.get("grid", 256), _int_in(1, math.inf))
+    grid = _value(doc, "grid", 256, _int_in(1, math.inf))
     # fourier_corrector keeps modes below the grid's Nyquist order
-    modes = harness._config_value("modes", doc.get("modes", 64),
-                                  _int_in(1, grid // 2))
-    tau0 = harness._config_value("tau0", doc.get("tau0", 1.0), harness._positive)
+    modes = _value(doc, "modes", 64, _int_in(1, grid // 2))
+    tau0 = _value(doc, "tau0", 1.0, harness._positive)
     beta = corrector_mod.cell_beta_from_layout(_layout_fn(doc)(eps_list[0]),
                                                n=grid)
     kappas = None
@@ -166,25 +188,25 @@ def cmd_mesh(args):
 
     def positive(key, default=None):
         # mesh_slab would add rows forever for h <= 0
-        return harness._config_value(key, doc.get(key, default), harness._positive)
+        return _value(doc, key, default, harness._positive)
 
     if kind == "perforated":
-        eps = float(doc["eps"])
+        eps = positive("eps")
         layout = _layout_fn(doc)(eps)
         h = positive("h", 0.75 * eps)
-        mesh = meshing.mesh_perforated(layout, h,
-                                       float(doc.get("refine", 4.0)))
+        mesh = meshing.mesh_perforated(layout, h, positive("refine", 4.0))
         layout.to_json(os.path.join(args.out, "layout.json"))
     elif kind in ("box", "interface"):
-        dim = int(doc.get("dim", 2))
-        lo, hi = doc.get("domain", geometry._default_domain(dim))
+        dim = _value(doc, "dim", 2, harness._dimension)
+        lo, hi = _value(doc, "domain", geometry._default_domain(dim), _box(dim))
         h = positive("h")
         if kind == "box":
             mesh = meshing.mesh_box(lo, hi, h)
         else:
-            mesh = meshing.mesh_interface(lo, hi, float(doc.get("s0", 0.0)), h)
+            s0 = _value(doc, "s0", 0.0, _inside(lo[-1], hi[-1]))
+            mesh = meshing.mesh_interface(lo, hi, s0, h)
     elif kind == "slab":
-        lengths = np.atleast_1d(np.asarray(doc.get("lengths", [1.0]), dtype=float))
+        lengths = _value(doc, "lengths", [1.0], _lengths)
         mesh = meshing.mesh_slab(np.zeros_like(lengths), lengths,
                                  positive("height", 0.5), positive("h"))
     else:

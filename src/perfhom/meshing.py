@@ -168,8 +168,9 @@ def _edge_cofactors(vertices, simplices):
     v = vertices[simplices]
     e = v[:, 1:, :] - v[:, :1, :]
     if e.shape[1] == 2:
-        cof = np.stack([e[:, 1, ::-1] * [1.0, -1.0], e[:, 0, ::-1] * [-1.0, 1.0]],
-                       axis=1)
+        cof = np.empty_like(e)
+        cof[:, 0, 0], cof[:, 0, 1] = e[:, 1, 1], -e[:, 1, 0]
+        cof[:, 1, 0], cof[:, 1, 1] = -e[:, 0, 1], e[:, 0, 0]
     else:
         cof = np.stack([np.cross(e[:, 1], e[:, 2]), np.cross(e[:, 2], e[:, 0]),
                         np.cross(e[:, 0], e[:, 1])], axis=1)

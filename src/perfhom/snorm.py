@@ -50,10 +50,14 @@ class BandCholesky:
 
     @classmethod
     def of(cls, K):
-        U = sp.triu(K, format="coo")
-        u = int((U.col - U.row).max())
-        ab = np.zeros((u + 1, K.shape[0]))
-        ab[u + U.row - U.col, U.col] = U.data
+        """Factor the CSR matrix K, reading its upper band off K's arrays."""
+        n = K.shape[0]
+        row = np.repeat(np.arange(n), np.diff(K.indptr))
+        upper = K.indices >= row
+        row, col = row[upper], K.indices[upper]
+        u = int((col - row).max())
+        ab = np.zeros((u + 1, n))
+        ab[u + row - col, col] = K.data[upper]
         return cls(la.cholesky_banded(ab, overwrite_ab=True, check_finite=False))
 
     def solve(self, rhs):
@@ -92,14 +96,9 @@ class SlabSpace:
     def trace_matrix(self, weight):
         """Sparse B_w with (B_w Phi)_i = int_S w Phi_h phi_i, Phi on bottom nodes."""
         cache = fem.build_facet_cache(self.mesh, "interface", weight)
-        nv = self.mesh.n_vertices
-        d = cache.nodes.shape[1]
-        pairs = np.einsum("qi,qj->qij", cache.basis, cache.basis)
-        vals = np.einsum("fq,qij->fij", cache.w, pairs)
-        rows = np.repeat(cache.nodes, d, axis=1).ravel()
-        cols = np.tile(cache.nodes, (1, d)).ravel()
-        M = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-        return M[:, self.bottom]
+        # column of a facet node: its position in the sorted bottom nodes
+        return cache.mass((self.mesh.n_vertices, self.n_trace),
+                          columns=np.searchsorted(self.bottom, cache.nodes))
 
     def lift(self, weight, phi):
         """Neumann lift U = K^{-1} B_w phi of bottom nodal data phi."""
@@ -135,7 +134,8 @@ class _StepCap(Exception):
 def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
     """max |mu| over the pencil M_w v = mu K v on the whole slab.
 
-    One ARPACK Lanczos solve in mode 2 from a start vector seeded by seed;
+    One ARPACK Lanczos solve in mode 2 with a basis of 8 vectors (implicitly
+    restarted until it converges), from a start vector seeded by seed;
     which="LM" resolves both ends +-mu of a sign-changing weight, and tol is
     ARPACK's relative residual tolerance on the Ritz pair.  maxiter caps the
     applications of M_w, one per Lanczos step next to one full-slab solve;
@@ -168,10 +168,12 @@ def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
         return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
 
     v0 = np.random.default_rng(seed).standard_normal(n)
+    # ARPACK checks convergence only once its basis is full, so its default
+    # of 20 vectors takes 21 steps; with 8 these solves take 13-21
     try:
         mu = spla.eigsh(operator(apply_mw), k=1, M=operator(K.dot),
                         Minv=operator(slab.solve), which="LM", v0=v0,
-                        tol=tol, return_eigenvectors=False)[0]
+                        ncv=min(n, 8), tol=tol, return_eigenvectors=False)[0]
     except (_StepCap, spla.ArpackNoConvergence) as exc:
         info["stalled"] = True
         log.warning("s-norm Lanczos solve stalled; value is a lower bound")

@@ -58,23 +58,12 @@ def _resolve_lambda(coeffs, nbc, opts):
 
 def solve_perforated(mesh, coeffs, nbc, f, opts=None):
     """Weak solution with the nonlinear flux condition on cavity boundaries."""
-    opts = opts or SolveOptions()
-    nbc = nbc or fem.NonlinearBC("zero")
-    lam = _resolve_lambda(coeffs, nbc, opts)
-    system = fem.assemble(mesh, coeffs, f=f, dirichlet="outer", lam=lam)
-    u, info = _nonlinear_solve(system, "cavity", nbc, None, opts)
-    info["lam"] = lam
-    return fem.DiscreteField(mesh, u, info, system)
+    return _solve(mesh, coeffs, nbc, f, opts, "outer", "cavity")
 
 
 def solve_homogenized_plain(mesh, coeffs, f, opts=None, dirichlet="outer"):
     """Unperforated Dirichlet problem (the homogenized limit without S)."""
-    opts = opts or SolveOptions()
-    lam = _resolve_lambda(coeffs, None, opts)
-    system = fem.assemble(mesh, coeffs, f=f, dirichlet=dirichlet, lam=lam)
-    u, info = _nonlinear_solve(system, None, fem.NonlinearBC("zero"), None, opts)
-    info["lam"] = lam
-    return fem.DiscreteField(mesh, u, info, system)
+    return _solve(mesh, coeffs, None, f, opts, dirichlet, None)
 
 
 def solve_homogenized_delta(mesh, coeffs, alpha0, nbc, f, opts=None,
@@ -85,15 +74,20 @@ def solve_homogenized_delta(mesh, coeffs, alpha0, nbc, f, opts=None,
     object with a .tangential method (a surface density).  Continuity across
     S holds by conformity; the conormal jump condition is natural.
     """
-    opts = opts or SolveOptions()
-    nbc = nbc or fem.NonlinearBC("zero")
-    lam = _resolve_lambda(coeffs, nbc, opts)
-    system = fem.assemble(mesh, coeffs, f=f, dirichlet=dirichlet, lam=lam)
     if hasattr(alpha0, "tangential"):
         weight = lambda x: alpha0.tangential(x[:, :-1])
     else:
         weight = alpha0
-    u, info = _nonlinear_solve(system, "interface", nbc, weight, opts)
+    return _solve(mesh, coeffs, nbc, f, opts, dirichlet, "interface", weight)
+
+
+def _solve(mesh, coeffs, nbc, f, opts, dirichlet, selector, weight=None):
+    """Assemble at the resolved lam and solve with nbc on selector's facets."""
+    opts = opts or SolveOptions()
+    nbc = nbc or fem.NonlinearBC("zero")
+    lam = _resolve_lambda(coeffs, nbc, opts)
+    system = fem.assemble(mesh, coeffs, f=f, dirichlet=dirichlet, lam=lam)
+    u, info = _nonlinear_solve(system, selector, nbc, weight, opts)
     info["lam"] = lam
     return fem.DiscreteField(mesh, u, info, system)
 

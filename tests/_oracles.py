@@ -83,6 +83,41 @@ def snorm_dense(slab, weight):
     return math.sqrt(max(float(vals[-1]), 0.0))
 
 
+def assembly_dense(mesh, coeffs, lam, rule):
+    """Dense K of the form in the fem module docstring, one simplex and one
+    quadrature point at a time:
+
+        K[a, b] = int_T (A grad phi_b) . grad phi_a + (A_1 . grad phi_b) phi_a
+                  + (A_0 - lam) phi_b phi_a,
+
+    summed over simplices T, with the gradients from inverting each simplex's
+    affine map [1, x] and the coefficients evaluated at the barycentric rule
+    (points, weights), which must be the package's cell rule.
+    """
+    bary, wq = rule
+    dim = mesh.dim
+
+    def at(spec, x, default):
+        if spec is None:
+            return default
+        return np.asarray(spec(x[None, :])[0] if callable(spec) else spec)
+
+    K = np.zeros((mesh.n_vertices,) * 2, dtype=complex)
+    for s in mesh.simplices:
+        X = mesh.vertices[s]
+        T = np.column_stack([np.ones(dim + 1), X])
+        G = np.linalg.inv(T)[1:].T                     # row a: grad phi_a
+        vol = abs(np.linalg.det(T)) / math.factorial(dim)
+        for phi, w in zip(bary, wq):
+            x = phi @ X
+            A = at(coeffs.matrix, x, np.eye(dim))
+            drift = np.broadcast_to(at(coeffs.drift, x, 0.0), (dim,))
+            block = (G @ A @ G.T + np.outer(phi, G @ drift)
+                     + (at(coeffs.reaction, x, 0.0) - lam) * np.outer(phi, phi))
+            K[np.ix_(s, s)] += w * vol * block
+    return K
+
+
 def density_loop(density, xp):
     """alpha_eps at tangential points xp, one point and one cavity at a time
     over every cavity, without the density's search tree."""

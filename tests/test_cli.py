@@ -155,6 +155,14 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     ("mesh", {"mesh_kind": "slab", "h": 0.0}, "h"),
     ("mesh", {"mesh_kind": "slab", "h": 0.1, "height": -1.0}, "height"),
     ("mesh", {"mesh_kind": "box"}, "h"),
+    ("snorm", {"eps_list": ["a"]}, "eps_list"),
+    ("snorm", {"eps_list": [0.125], "layout_params": "s0"}, "layout_params"),
+    ("mesh", {"mesh_kind": "perforated", "eps": "x"}, "eps"),
+    ("mesh", {"mesh_kind": "box", "dim": "two", "h": 0.1}, "dim"),
+    ("mesh", {"mesh_kind": "perforated", "eps": 0.125, "refine": "x"}, "refine"),
+    ("mesh", {"mesh_kind": "box", "h": 0.1, "domain": [[0, 0], [1]]}, "domain"),
+    ("mesh", {"mesh_kind": "interface", "h": 0.1, "s0": 2.0}, "s0"),
+    ("mesh", {"mesh_kind": "slab", "h": 0.1, "lengths": ["x"]}, "lengths"),
 ])
 def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
                                                      extra, named):

@@ -8,6 +8,8 @@ import scipy.sparse.linalg as spla
 from perfhom import fem, geometry, meshing
 from perfhom.errors import NoConvergenceError, NonEllipticCoefficientsError
 
+from _oracles import assembly_dense
+
 
 def _box(h):
     return meshing.mesh_box((0.0, 0.0), (1.0, 1.0), h)
@@ -24,13 +26,48 @@ def test_stiffness_kills_constants():
     assert np.abs(r).max() < 1e-12
 
 
-def test_mass_matrix_total_is_volume():
+def test_unit_reaction_total_is_volume():
+    # the stiffness part annihilates constants, so 1^T K 1 is the reaction
+    # (mass) total, the volume of the mesh
     lay = geometry.make_layout("periodic", {}, 1 / 8)
     m = meshing.mesh_perforated(lay, 0.08)
-    sysm = fem.assemble(m, fem.CoefficientSet(dim=2), dirichlet=None)
+    sysm = fem.assemble(m, fem.CoefficientSet(dim=2, reaction=1.0), lam=0.0,
+                        dirichlet=None)
     ones = np.ones(m.n_vertices)
-    assert ones @ (sysm.mass @ ones) == pytest.approx(
+    assert ones @ (sysm.matrix @ ones) == pytest.approx(
         m.simplex_volumes().sum(), rel=1e-12)
+
+
+def _matrix(x):
+    # symmetric, with eigenvalues in [0.7, 2.3] on the unit box
+    n = x.shape[1]
+    A = np.eye(n) * (1.5 + 0.5 * np.sin(3 * x[:, 0]))[:, None, None]
+    A[:, 0, 1] = A[:, 1, 0] = 0.3 * np.cos(2 * x[:, -1])
+    return A
+
+
+_ORACLE_CASES = {
+    "callable-matrix-constant-drift-complex-reaction": dict(
+        matrix=_matrix, drift=0.7,
+        reaction=lambda x: 1.0 + x[:, 0] ** 2 + 0.5j * np.sin(4 * x[:, -1])),
+    "callable-drift-constant-reaction": dict(
+        drift=lambda x: np.exp(-x[:, ::-1]) + 0.2j, reaction=0.25),
+}
+
+
+@pytest.mark.parametrize("dim, h", [(2, 0.25), (3, 0.5)])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+@pytest.mark.parametrize("lam, dirichlet", [(-0.75, "outer"), (0.0, None), (0.3, None)])
+def test_assembled_matrix_matches_dense_oracle(dim, h, case, lam, dirichlet):
+    m = meshing.mesh_box(np.zeros(dim), np.ones(dim), h)
+    coeffs = fem.CoefficientSet(dim=dim, **_ORACLE_CASES[case])
+    sysm = fem.assemble(m, coeffs, dirichlet=dirichlet, lam=lam)
+    want = assembly_dense(m, coeffs, lam, fem.cell_quadrature(dim))
+    got = sysm.matrix.toarray()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    outer = np.unique(m.facets[m.facet_mask("outer")])
+    assert sorted(np.where(sysm.dirichlet_mask)[0]) == (
+        sorted(outer) if dirichlet else [])
 
 
 def test_load_vector_of_one_sums_to_volume():

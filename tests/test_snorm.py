@@ -45,6 +45,33 @@ def test_sign_changing_weights_match_dense_pencil(slab, k):
     assert snorm.s_norm(slab, w) == pytest.approx(snorm_dense(slab, w), rel=1e-9)
 
 
+@pytest.fixture(scope="module", params=[((0.0,), (1.0,), 0.05),
+                                        ((0.0,), (1.0,), 0.02),
+                                        ((0.0, 0.0), (1.0, 1.0), 0.2)],
+                ids=["2d-h0.05", "2d-h0.02", "3d-h0.2"])
+def any_slab(request):
+    return snorm.build_slab(*request.param)
+
+
+@pytest.mark.parametrize("w", [
+    lambda x: np.cos(2 * np.pi * x[:, 0]),
+    lambda x: np.sin(6 * np.pi * x[:, 0]) * (1 + 0.3 * x[:, 0]),
+], ids=["cos2pix", "sin6pix"])
+def test_small_lanczos_basis_matches_dense_pencil(any_slab, w):
+    # sign-changing weights are the slow case of the 8-vector basis: the
+    # Ritz value of +-mu converges after a restart
+    val, info = snorm.s_norm(any_slab, w, return_info=True)
+    assert not info["stalled"] and info["iterations"][0] <= 21
+    assert val == pytest.approx(snorm_dense(any_slab, w), rel=1e-9)
+
+
+def test_trace_matrix_shape_and_total(any_slab):
+    B = any_slab.trace_matrix(_const(1.0))
+    assert B.shape == (any_slab.mesh.n_vertices, any_slab.n_trace)
+    # 1^T B_1 1 = int_S 1: the unit interface measure
+    assert B.sum() == pytest.approx(1.0, rel=1e-12)
+
+
 def test_complex_weight_is_rejected(slab):
     with pytest.raises(ValueError, match="real weight"):
         snorm.s_norm(slab, lambda x: np.full(len(x), 1.0 + 0.5j))
