@@ -31,7 +31,7 @@ import numpy as np
 from . import corrector as corrector_mod
 from . import snorm as snorm_mod
 from . import fem, geometry, harness, meshing
-from .errors import PerfhomError
+from .errors import PerfhomError, _config_value
 
 
 def _load_config(path):
@@ -45,7 +45,7 @@ def _load_config(path):
 
 
 def _value(doc, key, default, convert):
-    return harness._config_value(key, doc.get(key, default), convert)
+    return _config_value(key, doc.get(key, default), convert)
 
 
 def _layout_fn(doc):
@@ -59,8 +59,8 @@ def _eps_list(doc):
     eps = doc.get("eps_list")
     if not eps:
         raise SystemExit("config must supply a non-empty eps_list")
-    return harness._config_value("eps_list", eps,
-                                 lambda v: [harness._positive(e) for e in v])
+    return _config_value("eps_list", eps,
+                         lambda v: [harness._positive(e) for e in v])
 
 
 def _int_in(lo, hi):
@@ -69,16 +69,6 @@ def _int_in(lo, hi):
         if not lo <= harness._count(n) < hi:
             raise ValueError(f"must be an integer in [{lo}, {hi})")
         return int(n)
-    return convert
-
-
-def _box(dim):
-    """Config converter to a box [lo, hi] of dim-vectors with lo < hi."""
-    def convert(domain):
-        lo, hi = np.asarray(domain, dtype=float)
-        if lo.shape != (dim,) or not np.all(lo < hi):
-            raise ValueError(f"must be [lo, hi] with lo < hi, each {dim} numbers")
-        return lo, hi
     return convert
 
 
@@ -132,8 +122,15 @@ def cmd_study(args):
     if report.uniformity:
         print(f"rhs uniformity spread: {report.uniformity['max_spread']:.2f} "
               f"({'ok' if report.uniformity['ok'] else 'VIOLATED'})")
+    # a slope needs 3 rows accepted in the theorem's own norm
+    norm = report.primary_norm
+    no_slope = not report.degenerate and norm not in report.slopes
+    if no_slope:
+        print(f"{norm}: no slope, {len(report.accepted(norm))} of "
+              f"{len(report.rows)} rows accepted at guard_tol "
+              f"{report.config['guard_tol']:g} (a fit needs 3)")
     print("wrote " + ", ".join(paths))
-    bad = report.dominance_ok is False or (
+    bad = no_slope or report.dominance_ok is False or (
         report.uniformity and not report.uniformity["ok"])
     return 1 if bad else 0
 
@@ -197,8 +194,9 @@ def cmd_mesh(args):
         mesh = meshing.mesh_perforated(layout, h, positive("refine", 4.0))
         layout.to_json(os.path.join(args.out, "layout.json"))
     elif kind in ("box", "interface"):
-        dim = _value(doc, "dim", 2, harness._dimension)
-        lo, hi = _value(doc, "domain", geometry._default_domain(dim), _box(dim))
+        dim = _value(doc, "dim", 2, geometry._dimension)
+        lo, hi = _value(doc, "domain", geometry._default_domain(dim),
+                        geometry._box(dim))
         h = positive("h")
         if kind == "box":
             mesh = meshing.mesh_box(lo, hi, h)

@@ -9,6 +9,14 @@ class ConfigError(PerfhomError, ValueError):
     """A study config has an unknown key or an unusable value."""
 
 
+def _config_value(key, value, convert):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        reason = f" ({exc})" if str(exc) else ""
+        raise ConfigError(f"bad value for {key!r}: {value!r}{reason}") from None
+
+
 class InfeasibleSpacingError(PerfhomError):
     """Requested layout violates the cavity disjointness condition."""
 

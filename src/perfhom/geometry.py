@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InfeasibleSpacingError, ManifoldOutsideDomainError
+from .errors import InfeasibleSpacingError, ManifoldOutsideDomainError, _config_value
 
 log = logging.getLogger(__name__)
 
@@ -361,6 +361,33 @@ def _default_shape():
     return Shape("ball", {"radius": 0.15})
 
 
+def _dimension(dim):
+    if dim not in (2, 3):
+        raise ValueError
+    return int(dim)
+
+
+def _box(dim):
+    """Config converter to a box [lo, hi] of dim-vectors with lo < hi."""
+    def convert(domain):
+        lo, hi = np.asarray(domain, dtype=float)
+        if lo.shape != (dim,) or not np.all(lo < hi):
+            raise ValueError(f"must be [lo, hi] with lo < hi, each {dim} numbers")
+        return lo, hi
+    return convert
+
+
+def _floats(*shape):
+    """Config converter to a float array of the given shape (-1: any
+    number of rows); each row must have shape[-1] numbers."""
+    def convert(v):
+        arr = np.asarray(v, dtype=float)
+        if arr.size and arr.shape[-1:] != shape[-1:]:
+            raise ValueError(f"shape {arr.shape}: rows of {shape[-1]} expected")
+        return arr.reshape(shape)
+    return convert
+
+
 def make_layout(kind, params, eps, eta_rule=1.0):
     """Build a validated cavity layout.
 
@@ -381,13 +408,16 @@ def make_layout(kind, params, eps, eta_rule=1.0):
         Satisfies the placement invariants (validated before return).
     """
     params = dict(params or {})
-    dim = int(params.get("dim", 2))
+
+    def value(key, default, convert):
+        return _config_value(key, params.get(key, default), convert)
+
+    dim = value("dim", 2, _dimension)
     eps = float(eps)
     eta = eval_eta(eta_rule, eps)
-    lo, hi = params.get("domain", _default_domain(dim))
-    lo = tuple(float(v) for v in lo)
-    hi = tuple(float(v) for v in hi)
-    s0 = float(params.get("s0", 0.0))
+    lo, hi = (tuple(b.tolist()) for b in
+              value("domain", _default_domain(dim), _box(dim)))
+    s0 = value("s0", 0.0, float)
     constants = dict(DEFAULT_CONSTANTS)
     constants.update(params.get("constants", {}))
     if not lo[dim - 1] < s0 < hi[dim - 1]:
@@ -399,11 +429,8 @@ def make_layout(kind, params, eps, eta_rule=1.0):
         shape = Shape.from_dict(shape)
 
     if kind == "periodic" or kind == "perturbed-periodic":
-        periods = tuple(params.get("periods", (1.0,) * (dim - 1)))
-        offset = params.get("offset")
-        if offset is None:
-            offset = tuple(p / 2.0 for p in periods) + (0.0,)
-        offset = np.asarray(offset, dtype=float)
+        periods = value("periods", (1.0,) * (dim - 1), _floats(dim - 1))
+        offset = value("offset", np.r_[periods / 2.0, 0.0], _floats(dim))
         if abs(offset[-1]) > constants["R0"]:
             raise ManifoldOutsideDomainError(
                 f"normal offset {offset[-1]} exceeds R0={constants['R0']}"
@@ -424,8 +451,8 @@ def make_layout(kind, params, eps, eta_rule=1.0):
         )
         shapes = [shape] * len(centers)
         if kind == "perturbed-periodic":
-            mu = float(params.get("mu", 0.0))
-            rng = np.random.default_rng(int(params.get("seed", 0)))
+            mu = value("mu", 0.0, float)
+            rng = value("seed", 0, np.random.default_rng)
             shift = rng.uniform(-1.0, 1.0, size=centers.shape)
             shift /= np.maximum(1.0, np.linalg.norm(shift, axis=1) / 1.0)[:, None]
             centers = centers + mu * eps * shift / math.sqrt(dim)
@@ -433,7 +460,7 @@ def make_layout(kind, params, eps, eta_rule=1.0):
             nrm = centers[:, dim - 1] - s0
             cap = constants["R0"] * eps
             centers[:, dim - 1] = s0 + np.clip(nrm, -cap, cap)
-            pj = float(params.get("perimeter_jitter", 0.0))
+            pj = value("perimeter_jitter", 0.0, float)
             if pj > 0.0:
                 if shape.family != "ball":
                     raise ValueError("perimeter jitter supports ball shapes only")
@@ -446,10 +473,10 @@ def make_layout(kind, params, eps, eta_rule=1.0):
                     for s in scale
                 ]
     elif kind == "clustered":
-        beta = float(params.get("beta", 0.25))
-        cluster_period = float(params.get("cluster_period", 0.5))
-        extent0 = float(params.get("extent0", 0.2))
-        spacing = float(params.get("cluster_spacing", 0.6)) * eps
+        beta = value("beta", 0.25, float)
+        cluster_period = value("cluster_period", 0.5, float)
+        extent0 = value("extent0", 0.2, float)
+        spacing = value("cluster_spacing", 0.6, float) * eps
         if spacing <= 2.0 * constants["b"] * constants["R2"] * eps:
             raise InfeasibleSpacingError("in-cluster spacing violates disjointness")
         if dim != 2:
@@ -466,9 +493,7 @@ def make_layout(kind, params, eps, eta_rule=1.0):
         centers = np.column_stack([tang, np.full(len(tang), s0)])
         shapes = [shape] * len(centers)
     elif kind == "explicit":
-        centers = np.atleast_2d(np.asarray(params["centers"], dtype=float))
-        if centers.size == 0:
-            centers = centers.reshape(0, dim)
+        centers = value("centers", None, _floats(-1, dim))
         shp = params.get("shapes", shape)
         if isinstance(shp, Shape):
             shapes = [shp] * len(centers)

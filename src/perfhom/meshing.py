@@ -3,11 +3,12 @@ Delaunay meshes of a box with cavities carved out.
 
 No external mesh generator is used.  Box, interface and slab meshes are
 tensor grids whose simplices, orientation and facets follow from index
-arithmetic alone (_grid_mesh).  Perforated meshes go through qhull
-(scipy.spatial.Delaunay): cavity boundaries are approximated by inscribed
-polygons/point shells whose vertices lie exactly on the analytic boundary,
-so boundary quantities converge at O(h^2), and every boundary facet is
-checked to belong to either the outer box or a cavity.
+arithmetic alone (_grid_mesh), and so does point location on them (locate).
+Perforated meshes go through qhull (scipy.spatial.Delaunay): cavity
+boundaries are approximated by inscribed polygons/point shells whose
+vertices lie exactly on the analytic boundary, so boundary quantities
+converge at O(h^2), and every boundary facet is checked to belong to either
+the outer box or a cavity.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import (
@@ -261,9 +263,7 @@ def _tri_grid(xs, ys):
                      np.column_stack([v10, v11, v01]))
     second = np.where(even, np.column_stack([v00, v11, v01]),
                       np.column_stack([v10, v01, v00]))
-    tris = np.stack([first, second], axis=1).reshape(-1, 3)
-    cell_tri = np.arange(2 * nx * ny, dtype=np.int64).reshape(nx, ny, 2)
-    return verts, tris, cell_tri
+    return verts, np.stack([first, second], axis=1).reshape(-1, 3)
 
 
 # Kuhn paths; an unswapped path has edge determinant sign(perm) * hx*hy*hz,
@@ -290,9 +290,7 @@ def _tet_grid(xs, ys, zs):
     I, J, K = np.meshgrid(*(np.arange(n, dtype=np.int64) for n in (nx, ny, nz)),
                           indexing="ij")
     base = ((I * (ny + 1) + J) * (nz + 1) + K).ravel()
-    tets = (base[:, None, None] + offsets[None]).reshape(-1, 4)
-    cell_tet = np.arange(6 * nx * ny * nz, dtype=np.int64).reshape(nx, ny, nz, 6)
-    return verts, tets, cell_tet
+    return verts, (base[:, None, None] + offsets[None]).reshape(-1, 4)
 
 
 def _grid_layer(n, axis, k):
@@ -319,10 +317,7 @@ def _grid_mesh(axes, h, k=None):
     INTERFACE_TAG, replacing OUTER_TAG when it is a box face."""
     dim = len(axes)
     n = [len(a) for a in axes]
-    if dim == 2:
-        verts, simp, cell_map = _tri_grid(*axes)
-    else:
-        verts, simp, cell_map = _tet_grid(*axes)
+    verts, simp = _tri_grid(*axes) if dim == 2 else _tet_grid(*axes)
     layers = [(axis, side) for axis in range(dim) for side in (0, n[axis] - 1)]
     if k is not None and 0 < k < n[-1] - 1:
         layers.append((dim - 1, k))
@@ -331,7 +326,7 @@ def _grid_mesh(axes, h, k=None):
         np.full(len(f), INTERFACE_TAG if layer == (dim - 1, k) else OUTER_TAG)
         for f, layer in zip(facets, layers)])
     mesh = Mesh(verts, simp, np.concatenate(facets), tags, h=h,
-                grid={"axes": axes, "cell_map": cell_map})
+                grid={"axes": axes})
     mesh.check()
     return mesh
 
@@ -617,72 +612,56 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
 # ---------------------------------------------------------------------------
 # point location and interpolation
 
-
-def _barycentric(verts, simp, pts, simp_idx):
-    v = verts[simp[simp_idx]]
-    T = np.swapaxes(v[:, 1:, :] - v[:, :1, :], 1, 2)
-    rhs = pts - v[:, 0, :]
-    lam = np.linalg.solve(T, rhs[..., None])[..., 0]
-    lam0 = 1.0 - lam.sum(axis=1, keepdims=True)
-    return np.concatenate([lam0, lam], axis=1)
+# a barycentric coordinate down to -_LOCATE_TOL still counts as inside
+_LOCATE_TOL = 1e-10
 
 
-def locate(mesh, pts, tol=1e-10):
-    """Simplex index containing each point (-1 if not found)."""
+def _barycentric(mesh, pts, simp_idx):
+    """Barycentric coordinates of each point on its simplex (pts and
+    simp_idx broadcast), from the mesh's P1 gradients:
+    lam_k(x) = lam_k(v_0) + grad lam_k . (x - v_0)."""
+    lam = np.einsum("...kd,...d->...k", mesh.p1_geometry()[1][simp_idx],
+                    pts - mesh.vertices[mesh.simplices[simp_idx, 0]])
+    lam[..., 0] += 1.0
+    return lam
+
+
+def locate(mesh, pts):
+    """Simplex index of a grid mesh containing each point (-1 if none).
+
+    A point's cell follows from the grid axes.  Cells run i-major and own
+    consecutive simplices, 2 in 2D and 6 in 3D, so only those are tried; the
+    first that holds the point wins.
+    """
+    if mesh.grid is None:
+        raise MeshingError("point location needs a grid mesh")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = len(pts)
-    out = np.full(n, -1, dtype=np.int64)
-    if mesh.grid is not None:
-        axes = mesh.grid["axes"]
-        cmap = mesh.grid["cell_map"]
-        idx = []
-        for a, ax in enumerate(axes):
-            i = np.clip(np.searchsorted(ax, pts[:, a]) - 1, 0, len(ax) - 2)
-            # snap points sitting on a grid line
-            i = np.where(pts[:, a] <= ax[0], 0, i)
-            idx.append(i)
-        cand = cmap[tuple(idx)]  # (n, 2) or (n, 6)
-        rem = np.arange(n)
-        for c in range(cand.shape[1]):
-            if len(rem) == 0:
-                break
-            lam = _barycentric(mesh.vertices, mesh.simplices, pts[rem], cand[rem, c])
-            ok = np.all(lam >= -tol, axis=1)
-            out[rem[ok]] = cand[rem[ok], c]
-            rem = rem[~ok]
-        return out
-    # generic fallback: nearest centroids then barycentric checks
-    cent = mesh.vertices[mesh.simplices].mean(axis=1)
-    tree = cKDTree(cent)
-    rem = np.arange(n)
-    for k in (8, 32, 128):
-        if len(rem) == 0:
-            break
-        k_eff = min(k, len(cent))
-        _, nb = tree.query(pts[rem], k=k_eff)
-        nb = np.atleast_2d(nb)
-        found = np.full(len(rem), -1, dtype=np.int64)
-        for c in range(k_eff):
-            open_rows = found < 0
-            if not open_rows.any():
-                break
-            lam = _barycentric(
-                mesh.vertices, mesh.simplices, pts[rem[open_rows]], nb[open_rows, c]
-            )
-            ok = np.all(lam >= -tol, axis=1)
-            rows = np.where(open_rows)[0][ok]
-            found[rows] = nb[rows, c]
-        out[rem] = found
-        rem = rem[found < 0]
-    return out
+    axes = mesh.grid["axes"]
+    cell = [np.clip(np.searchsorted(ax, pts[:, a]) - 1, 0, len(ax) - 2)
+            for a, ax in enumerate(axes)]
+    m = 2 if mesh.dim == 2 else 6
+    cand = (np.ravel_multi_index(cell, [len(ax) - 1 for ax in axes])[:, None] * m
+            + np.arange(m))
+    inside = np.all(_barycentric(mesh, pts[:, None], cand) >= -_LOCATE_TOL, axis=2)
+    first = cand[np.arange(len(pts)), inside.argmax(axis=1)]
+    return np.where(inside.any(axis=1), first, -1)
 
 
-def interpolate(mesh, values, pts, tol=1e-10):
-    """Evaluate a P1 field at points; raises if a point lies in no simplex."""
+def interpolation_matrix(mesh, pts):
+    """P1 transfer from a grid mesh onto points, as a CSR matrix of shape
+    (len(pts), n_vertices): row p holds the barycentric weights of the
+    simplex containing pts[p].  Raises if a point lies in no simplex."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    idx = locate(mesh, pts, tol=tol)
+    idx = locate(mesh, pts)
     if (idx < 0).any():
         raise MeshingError(f"{int((idx < 0).sum())} points outside the mesh")
-    lam = _barycentric(mesh.vertices, mesh.simplices, pts, idx)
-    vals = np.asarray(values)
-    return np.einsum("pk,pk->p", lam, vals[mesh.simplices[idx]])
+    k = mesh.dim + 1
+    lam = _barycentric(mesh, pts, idx)
+    return sp.csr_matrix((lam.ravel(), mesh.simplices[idx].ravel(),
+                          np.arange(0, k * len(pts) + 1, k)),
+                         shape=(len(pts), mesh.n_vertices))
+
+
+def interpolate(mesh, values, pts):
+    """Evaluate a P1 field of a grid mesh at points."""
+    return interpolation_matrix(mesh, pts) @ np.asarray(values)

@@ -117,6 +117,14 @@ def test_study_subcommand_end_to_end(tmp_path, capsys):
     assert len(summary["rows"]) == 3
 
 
+def test_study_without_a_primary_slope_exits_1(tmp_path, capsys):
+    # two eps cannot give the 3 accepted rows that a slope needs
+    cfg = _write(tmp_path, {"theorem": "T1a", "eps_list": [1 / 8, 1 / 16]})
+    assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out
+    assert "h1: no slope, 2 of 2 rows accepted at guard_tol 0.1" in out
+
+
 @pytest.mark.parametrize("command", ["validate", "study"])
 @pytest.mark.parametrize("doc, named", [
     ({"theorem": "T1a", "eps_lst": [0.125]}, "eps_lst"),
@@ -163,6 +171,10 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     ("mesh", {"mesh_kind": "box", "h": 0.1, "domain": [[0, 0], [1]]}, "domain"),
     ("mesh", {"mesh_kind": "interface", "h": 0.1, "s0": 2.0}, "s0"),
     ("mesh", {"mesh_kind": "slab", "h": 0.1, "lengths": ["x"]}, "lengths"),
+    ("snorm", {"layout_kind": "perturbed-periodic", "layout_params": {"mu": "x"}},
+     "mu"),
+    ("snorm", {"layout_params": {"domain": [[0, -0.5], [1]]}}, "domain"),
+    ("snorm", {"layout_params": {"periods": "ab"}}, "periods"),
 ])
 def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
                                                      extra, named):

@@ -198,19 +198,23 @@ def test_converged_u0_ladder_interpolates_its_last_level_once(monkeypatch):
     from perfhom import meshing
 
     calls = []
-    original = meshing.interpolate
+    original = meshing.interpolation_matrix
 
-    def spy(mesh, values, points):
-        calls.append((values, points))
-        return original(mesh, values, points)
+    def spy(mesh, points):
+        calls.append((mesh, points))
+        return original(mesh, points)
 
-    monkeypatch.setattr(meshing, "interpolate", spy)
+    monkeypatch.setattr(meshing, "interpolation_matrix", spy)
     row = harness._study_row(harness.StudyConfig(theorem="T1a"), 1 / 8)
     assert row["u0_converged"]
+    # one transfer per (u0 mesh, point set): each ladder level onto the h
+    # mesh, and the final level onto the h/2 mesh; calls keeps every mesh
+    # alive, so ids are not reused
+    assert len(calls) == row["u0_solves"] + 1
+    assert len({(id(m), id(p)) for m, p in calls}) == len(calls)
     h_points = calls[0][1]
-    # the h/2 error is the one call on other points; it reads the final u0
-    (final,) = [v for v, p in calls if p is not h_points]
-    assert sum(v is final and p is h_points for v, p in calls) == 1
+    (final,) = [m for m, p in calls if p is not h_points]
+    assert sum(m is final and p is h_points for m, p in calls) == 1
 
 
 def test_u0_ladder_records_its_cap(caplog):

@@ -150,12 +150,59 @@ def test_locate_and_interpolate_reproduce_linears():
 
 def test_locate_outside_returns_minus_one():
     m = meshing.mesh_box((0.0, 0.0), (1.0, 1.0), 0.25)
-    lay = geometry.make_layout("periodic", {}, 1 / 8)
-    mp = meshing.mesh_perforated(lay, 0.08)
-    # unstructured path: a point inside a cavity is in no simplex
-    assert meshing.locate(mp, lay.centers[:1])[0] == -1
+    got = meshing.locate(m, [[2.0, 2.0], [0.5, -0.1], [1.0 + 1e-6, 0.5], [0.3, 0.6]])
+    assert (got[:3] == -1).all() and got[3] >= 0
     with pytest.raises(MeshingError):
         meshing.interpolate(m, np.zeros(m.n_vertices), [[2.0, 2.0]])
+    # only grid meshes locate points
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    mp = meshing.mesh_perforated(lay, 0.08)
+    with pytest.raises(MeshingError):
+        meshing.locate(mp, lay.centers[:1])
+
+
+def _grid_line_points(m, rng, n):
+    """Random points of m's box, points with one coordinate on a grid line,
+    and every vertex of m."""
+    axes = m.grid["axes"]
+    lo, hi = [ax[0] for ax in axes], [ax[-1] for ax in axes]
+    inner = rng.uniform(lo, hi, size=(n, len(axes)))
+    on_lines = rng.uniform(lo, hi, size=(n, len(axes)))
+    for p, a in enumerate(rng.integers(len(axes), size=n)):
+        on_lines[p, a] = rng.choice(axes[a])
+    return np.vstack([inner, on_lines, m.vertices])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: meshing.mesh_interface((0.0, -1.0), (1.0, 1.0), 0.3, 0.15),
+    lambda: meshing.mesh_interface((0.0, 0.0, -0.5), (1.0, 0.75, 0.5), 0.1, 0.25),
+    lambda: meshing.mesh_slab((0.0, -0.5), (1.0, 0.25), 0.5, 0.1),
+], ids=["interface2", "interface3", "slab3"])
+def test_interpolation_matrix_is_the_p1_transfer(build):
+    m = build()
+    rng = np.random.default_rng(5)
+    pts = _grid_line_points(m, rng, 150)
+    P = meshing.interpolation_matrix(m, pts)
+    assert P.shape == (len(pts), m.n_vertices)
+    assert P.nnz == (m.dim + 1) * len(pts)
+    np.testing.assert_allclose(P.sum(axis=1).A1, 1.0, rtol=0, atol=1e-14)
+    coef = np.array([2.0, -3.0, 0.5][:m.dim])
+    got = P @ (m.vertices @ coef - 0.5)
+    np.testing.assert_allclose(got, pts @ coef - 0.5, rtol=0, atol=1e-12)
+    # vertices map onto themselves
+    np.testing.assert_allclose(P[-m.n_vertices:].toarray(), np.eye(m.n_vertices),
+                               rtol=0, atol=1e-12)
+    # the per-point einsum of barycentric weights from an LU solve of each
+    # simplex's edge matrix gives the same values
+    vals = rng.random(m.n_vertices)
+    idx = meshing.locate(m, pts)
+    v = m.vertices[m.simplices[idx]]
+    lam = np.linalg.solve(np.swapaxes(v[:, 1:] - v[:, :1], 1, 2),
+                          (pts - v[:, 0])[..., None])[..., 0]
+    lam = np.column_stack([1.0 - lam.sum(axis=1), lam])
+    want = np.einsum("pk,pk->p", lam, vals[m.simplices[idx]])
+    np.testing.assert_allclose(meshing.interpolate(m, vals, pts), want,
+                               rtol=0, atol=1e-15)
 
 
 def test_slab_bottom_tags_and_grading():
@@ -233,9 +280,15 @@ def _tet_grid_loop(xs, ys, zs):
 def test_structured_grid_matches_cell_loop(build, reference, shape):
     rng = np.random.default_rng(3)
     axes = [np.sort(rng.random(n + 1)) for n in shape]
-    for got, want in zip(build(*axes), reference(*axes)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+    *want, cell_map = reference(*axes)
+    for got, ref in zip(build(*axes), want):
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+    # locate's rule: cells run i-major and own m consecutive simplices
+    m = cell_map.shape[-1]
+    cells = np.indices(shape).reshape(len(shape), -1)
+    rule = np.ravel_multi_index(cells, shape)[:, None] * m + np.arange(m)
+    np.testing.assert_array_equal(cell_map.reshape(-1, m), rule)
 
 
 def _boundary_faces_unique(simplices, dim):
@@ -306,7 +359,7 @@ def test_grid_meshes_come_from_arithmetic_alone(build, plane, monkeypatch):
 def test_grid_simplices_are_positively_oriented(build, shape):
     rng = np.random.default_rng(4)
     axes = [np.cumsum(rng.uniform(0.1, 2.0, n + 1)) for n in shape]
-    verts, simp, _ = build(*axes)
+    verts, simp = build(*axes)
     det = meshing._edge_cofactors(verts, simp)[0]
     assert (det > 0).all()
     # the simplices of each cell (consecutive, cells i-major) fill it
