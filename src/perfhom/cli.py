@@ -66,7 +66,7 @@ def _eps_list(doc):
 def _int_in(lo, hi):
     """Config converter to an integer n with lo <= n < hi."""
     def convert(n):
-        if not lo <= harness._count(n) < hi:
+        if not lo <= geometry._count(n) < hi:
             raise ValueError(f"must be an integer in [{lo}, {hi})")
         return int(n)
     return convert
@@ -95,7 +95,7 @@ def _finite_or_none(x):
 def _kappa_rows(doc, args, out_csv=None):
     """kappa(eps) of a snorm config; corrector calibrates on the same rows."""
     seed = args.seed if args.seed is not None else \
-        _value(doc, "seed", 0, harness._count)
+        _value(doc, "seed", 0, geometry._count)
     return snorm_mod.kappa_table(
         _eps_list(doc), _layout_fn(doc),
         alpha0=_value(doc, "alpha0", None, _finite_or_none),

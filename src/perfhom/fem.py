@@ -296,7 +296,8 @@ class BoundaryJacobian:
 
 @dataclass
 class AssembledSystem:
-    """Sparse discrete operator K with its load and Dirichlet bookkeeping."""
+    """Sparse discrete operator K with its load, Dirichlet bookkeeping and
+    boundary term: nbc on the facets of selector, weighted by weight."""
 
     mesh: object
     matrix: sp.csr_matrix
@@ -304,7 +305,10 @@ class AssembledSystem:
     dirichlet_mask: np.ndarray
     coeffs: CoefficientSet
     lam: float
-    caches: dict = field(default_factory=dict, repr=False)
+    selector: object = None
+    nbc: NonlinearBC = field(default_factory=NonlinearBC)
+    weight: object = None
+    _facets: FacetCache | None = field(default=None, repr=False)
     _free: np.ndarray | None = field(default=None, repr=False)
     _reduced: object = field(default=None, repr=False)
     _solver: object = field(default=None, repr=False)
@@ -322,11 +326,12 @@ class AssembledSystem:
             self._reduced = self.matrix[f][:, f].tocsr()
         return self._reduced
 
-    def facet_cache(self, selector, weight=None):
-        key = (str(selector), id(weight) if weight is not None else None)
-        if key not in self.caches:
-            self.caches[key] = build_facet_cache(self.mesh, selector, weight)
-        return self.caches[key]
+    @property
+    def facets(self):
+        """Facet quadrature of the boundary term, built on first use."""
+        if self._facets is None:
+            self._facets = build_facet_cache(self.mesh, self.selector, self.weight)
+        return self._facets
 
     def is_hermitian(self):
         if self._hermitian is None:
@@ -411,12 +416,15 @@ def _cell_points(mesh, simplices):
     return (bary @ mesh.vertices[simplices]).reshape(-1, mesh.dim)
 
 
-def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None):
+def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None, boundary=None,
+             weight=None):
     """Assemble the discrete form; see the module docstring for the identity.
 
     dirichlet : "outer" constrains every outer-boundary node, None keeps all
         nodes free, a callable(midpoints) keeps only the outer facets for
         which it returns True.
+    boundary : None, or (selector, nbc): nbc on the facets of selector,
+        weighted by weight, a constant or a callable of the facet points.
     """
     dim = mesh.dim
     lam = float(coeffs.lam if lam is None else lam)
@@ -477,9 +485,10 @@ def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None):
             raise ValueError(f"unsupported dirichlet spec {dirichlet!r}")
         mask[np.unique(mesh.facets[chosen])] = True
 
+    selector, nbc = boundary or (None, NonlinearBC())
     return AssembledSystem(
-        mesh=mesh, matrix=K, load=F, dirichlet_mask=mask,
-        coeffs=coeffs, lam=lam,
+        mesh=mesh, matrix=K, load=F, dirichlet_mask=mask, coeffs=coeffs,
+        lam=lam, selector=selector, nbc=nbc, weight=weight,
     )
 
 
@@ -504,33 +513,34 @@ def l2_of_function(mesh, f, region=None):
     return math.sqrt(float(vols @ (np.abs(fq) ** 2 @ wq)))
 
 
-def _facet_state(system, selector, u, weight):
+def _facet_state(system, u):
     """Facet cache, flat quadrature points and u at those points (F, q)."""
-    cache = system.facet_cache(selector, weight)
+    cache = system.facets
     uq = np.einsum("qk,fk->fq", cache.basis, u[cache.nodes])
     return cache, cache.qp.reshape(-1, system.mesh.dim), uq
 
 
-def boundary_residual(system, selector, nbc, u, weight=None):
-    """Residual vector r of the boundary term at state u.
+def boundary_residual(system, u):
+    """Residual vector r of the system's boundary term at state u.
 
-    Satisfies v^H r = (w * a(., u_h), v)_{L2(facets)} for discrete v, with w
-    an optional weight field on the facets.
+    Satisfies v^H r = (w * a(., u_h), v)_{L2(facets)} for discrete v, with a
+    the system's nbc and w its weight on the facets.
     """
-    cache, x, uq = _facet_state(system, selector, u, weight)
-    a = nbc.value(x, uq.ravel()).reshape(uq.shape)
+    cache, x, uq = _facet_state(system, u)
+    a = system.nbc.value(x, uq.ravel()).reshape(uq.shape)
     contrib = np.einsum("fq,qk->fk", cache.w * a, cache.basis)
     return _scatter(cache.nodes.ravel(), contrib.ravel(), system.mesh.n_vertices)
 
 
-def boundary_nonlinear(system, selector, nbc, u, weight=None):
+def boundary_nonlinear(system, u):
     """Residual vector (boundary_residual) and Jacobian of the boundary term
     at state u; only a Newton step needs the Jacobian."""
-    cache, x, uq = _facet_state(system, selector, u, weight)
-    Aq, Bq = (np.asarray(z).reshape(uq.shape) for z in nbc.wirtinger(x, uq.ravel()))
+    cache, x, uq = _facet_state(system, u)
+    Aq, Bq = (np.asarray(z).reshape(uq.shape)
+              for z in system.nbc.wirtinger(x, uq.ravel()))
     shape = (system.mesh.n_vertices,) * 2
     jac = BoundaryJacobian(cache.mass(shape, Aq), cache.mass(shape, Bq))
-    return boundary_residual(system, selector, nbc, u, weight), jac
+    return boundary_residual(system, u), jac
 
 
 def solve_linear(system, rhs, tol=1e-10, maxiter=None, perturbation=None,

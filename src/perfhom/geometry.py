@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InfeasibleSpacingError, ManifoldOutsideDomainError, _config_value
+from .errors import (ConfigError, InfeasibleSpacingError,
+                     ManifoldOutsideDomainError, _config_value)
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +30,16 @@ DEFAULT_CONSTANTS = {"R0": 0.5, "R1": 0.1, "R2": 0.2, "b": 1.2, "tau0": 1.0}
 LAYOUT_KINDS = ("periodic", "perturbed-periodic", "clustered", "explicit")
 
 _measure_cache: dict = {}
+
+
+def _count(n):
+    if isinstance(n, bool) or int(n) != n or n < 0:
+        raise ValueError
+    return int(n)
+
+
+# converters of the shape params that are not a number
+_SHAPE_PARAMS = {"semi_axes": lambda v: tuple(float(a) for a in v), "wings": _count}
 
 
 @dataclass
@@ -48,7 +59,9 @@ class Shape:
 
     def __post_init__(self):
         if self.family not in ("ball", "ellipse", "star"):
-            raise ValueError(f"unknown shape family {self.family!r}")
+            raise ConfigError(f"unknown shape family {self.family!r}")
+        self.params = {key: _config_value(key, v, _SHAPE_PARAMS.get(key, float))
+                       for key, v in dict(self.params).items()}
 
     # -- radial description (2D families) ---------------------------------
 
@@ -56,28 +69,28 @@ class Shape:
         """Boundary radius at polar angle theta (2D)."""
         theta = np.asarray(theta, dtype=float)
         if self.family == "ball":
-            return np.full_like(theta, float(self.params["radius"]))
+            return np.full_like(theta, self.params["radius"])
         if self.family == "ellipse":
             a, b = self.params["semi_axes"][:2]
             return 1.0 / np.sqrt((np.cos(theta) / a) ** 2 + (np.sin(theta) / b) ** 2)
-        r0, r1 = float(self.params["r0"]), float(self.params["r1"])
-        m = int(self.params.get("wings", 5))
-        ph = float(self.params.get("phase", 0.0))
+        r0, r1 = self.params["r0"], self.params["r1"]
+        m = self.params.get("wings", 5)
+        ph = self.params.get("phase", 0.0)
         return r0 + r1 * np.cos(m * theta + ph)
 
     def rmin(self, dim=2):
         if self.family == "ball":
-            return float(self.params["radius"])
+            return self.params["radius"]
         if self.family == "ellipse":
-            return float(min(self.params["semi_axes"][:dim]))
-        return float(self.params["r0"]) - abs(float(self.params["r1"]))
+            return min(self.params["semi_axes"][:dim])
+        return self.params["r0"] - abs(self.params["r1"])
 
     def rmax(self, dim=2):
         if self.family == "ball":
-            return float(self.params["radius"])
+            return self.params["radius"]
         if self.family == "ellipse":
-            return float(max(self.params["semi_axes"][:dim]))
-        return float(self.params["r0"]) + abs(float(self.params["r1"]))
+            return max(self.params["semi_axes"][:dim])
+        return self.params["r0"] + abs(self.params["r1"])
 
     # -- predicates and measures ------------------------------------------
 
@@ -86,7 +99,7 @@ class Shape:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         dim = y.shape[1]
         if self.family == "ball":
-            return np.linalg.norm(y, axis=1) <= float(self.params["radius"])
+            return np.linalg.norm(y, axis=1) <= self.params["radius"]
         if self.family == "ellipse":
             ax = np.asarray(self.params["semi_axes"][:dim], dtype=float)
             return np.sum((y / ax) ** 2, axis=1) <= 1.0
@@ -102,7 +115,7 @@ class Shape:
         Computed by quadrature and cached; closed forms are only used as
         test oracles.
         """
-        key = (self.family, _params_key(self.params), dim)
+        key = (self.family, tuple(sorted(self.params.items())), dim)
         if key in _measure_cache:
             return _measure_cache[key]
         if dim == 2:
@@ -139,9 +152,9 @@ class Shape:
     def _radius_prime(self, theta):
         if self.family == "ball":
             return np.zeros_like(np.asarray(theta, dtype=float))
-        r0, r1 = float(self.params["r0"]), float(self.params["r1"])
-        m = int(self.params.get("wings", 5))
-        ph = float(self.params.get("phase", 0.0))
+        r0, r1 = self.params["r0"], self.params["r1"]
+        m = self.params.get("wings", 5)
+        ph = self.params.get("phase", 0.0)
         return -r1 * m * np.sin(m * np.asarray(theta, dtype=float) + ph)
 
     # -- boundary sampling (meshing support) -------------------------------
@@ -163,7 +176,7 @@ class Shape:
         if dim == 3:
             pts = _fibonacci_sphere(m)
             if self.family == "ball":
-                return (float(self.params["radius"]) + offset) * pts
+                return (self.params["radius"] + offset) * pts
             ax = np.asarray(self.params["semi_axes"][:3], dtype=float)
             out = pts * ax
             if offset:
@@ -191,7 +204,7 @@ class Shape:
             ax = (
                 np.asarray(self.params["semi_axes"][:3], dtype=float)
                 if self.family == "ellipse"
-                else np.full(3, float(self.params["radius"]))
+                else np.full(3, self.params["radius"])
             )
             gl_x, gl_w = np.polynomial.legendre.leggauss(n_r)
             mu, muw = np.polynomial.legendre.leggauss(n_r)  # cos(theta) in (-1,1)
@@ -215,28 +228,8 @@ class Shape:
         raise ValueError("dim must be 2 or 3")
 
     def to_dict(self):
-        return {"family": self.family, "params": _jsonable(self.params)}
-
-    @staticmethod
-    def from_dict(d):
-        params = dict(d["params"])
-        if "semi_axes" in params:
-            params["semi_axes"] = tuple(params["semi_axes"])
-        return Shape(d["family"], params)
-
-
-def _params_key(params):
-    return tuple(
-        (k, tuple(v) if isinstance(v, (list, tuple)) else v)
-        for k, v in sorted(params.items())
-    )
-
-
-def _jsonable(params):
-    out = {}
-    for k, v in params.items():
-        out[k] = list(v) if isinstance(v, (tuple, np.ndarray)) else v
-    return out
+        """The inverse of Shape(**d), ready for JSON."""
+        return {"family": self.family, "params": dict(self.params)}
 
 
 def _fibonacci_sphere(m):
@@ -330,7 +323,7 @@ class PerforationLayout:
             eps=doc["eps"],
             eta=doc["eta"],
             centers=np.asarray(doc["centers"], dtype=float),
-            shapes=[Shape.from_dict(s) for s in doc["shapes"]],
+            shapes=[Shape(**s) for s in doc["shapes"]],
             constants=dict(doc["constants"]),
         )
 
@@ -419,14 +412,14 @@ def make_layout(kind, params, eps, eta_rule=1.0):
               value("domain", _default_domain(dim), _box(dim)))
     s0 = value("s0", 0.0, float)
     constants = dict(DEFAULT_CONSTANTS)
-    constants.update(params.get("constants", {}))
+    for key, v in value("constants", {}, dict).items():
+        constants[key] = _config_value(key, v, float)
     if not lo[dim - 1] < s0 < hi[dim - 1]:
         raise ManifoldOutsideDomainError(
             f"s0={s0} outside normal extent ({lo[dim-1]}, {hi[dim-1]})"
         )
-    shape = params.get("shape", _default_shape())
-    if isinstance(shape, dict):
-        shape = Shape.from_dict(shape)
+    shape = value("shape", _default_shape(),
+                  lambda v: v if isinstance(v, Shape) else Shape(**dict(v)))
 
     if kind == "periodic" or kind == "perturbed-periodic":
         periods = value("periods", (1.0,) * (dim - 1), _floats(dim - 1))
@@ -498,7 +491,7 @@ def make_layout(kind, params, eps, eta_rule=1.0):
         if isinstance(shp, Shape):
             shapes = [shp] * len(centers)
         else:
-            shapes = [s if isinstance(s, Shape) else Shape.from_dict(s) for s in shp]
+            shapes = [s if isinstance(s, Shape) else Shape(**s) for s in shp]
     else:
         raise ValueError(f"unknown layout kind {kind!r}")
 

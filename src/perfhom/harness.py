@@ -121,8 +121,12 @@ def f_norm_cavities(layout, f):
     """||f|| over the cavity interiors via per-shape mapped quadrature."""
     total = 0.0
     scale = layout.cavity_scale
+    quadratures = {}  # one per distinct shape
     for center, shape in zip(layout.centers, layout.shapes):
-        pts, w = shape.area_quadrature(layout.dim)
+        key = (shape.family, tuple(sorted(shape.params.items())))
+        if key not in quadratures:
+            quadratures[key] = shape.area_quadrature(layout.dim)
+        pts, w = quadratures[key]
         x = center[None, :] + scale * pts
         total += float(np.sum(np.abs(f(x)) ** 2 * w)) * scale ** layout.dim
     return math.sqrt(total)
@@ -164,7 +168,8 @@ class StudyConfig:
         _config_value("eta_rule", self.eta_rule, lambda rule: [
             geometry.eval_eta(rule, e) for e in self.eps_list])
         self.rhs_names = _config_value("rhs_names", self.rhs_names, _rhs_names)
-        self.u0_refine_cap = _config_value("u0_refine_cap", self.u0_refine_cap, _count)
+        self.u0_refine_cap = _config_value("u0_refine_cap", self.u0_refine_cap,
+                                            geometry._count)
         self.c0 = _config_value("c0", self.c0, _positive)
         n = self.dim
         # shapes a constant may take (None: may be None); dtype kinds allowed
@@ -245,12 +250,6 @@ class StudyConfig:
         if "theorem" not in doc:
             raise ConfigError("study config needs a 'theorem' key")
         return StudyConfig(**doc)
-
-
-def _count(n):
-    if isinstance(n, bool) or int(n) != n or n < 0:
-        raise ValueError
-    return int(n)
 
 
 def _positive(x):
@@ -347,13 +346,15 @@ def _study_row(config, eps, kappa_val=None):
 
     alpha0 = alpha_mod.alpha0_mean(layout) if homog_kind == "delta" else None
 
-    sys_h = fem.assemble(mesh_h, coeffs, dirichlet="outer", lam=lam)
-    sys_half = fem.assemble(mesh_half, coeffs, dirichlet="outer", lam=lam)
+    sys_h = fem.assemble(mesh_h, coeffs, dirichlet="outer", lam=lam,
+                         boundary=("cavity", nbc))
+    sys_half = fem.assemble(mesh_half, coeffs, dirichlet="outer", lam=lam,
+                            boundary=("cavity", nbc))
 
     infos = []  # every perforated and homogenized solve of the row
 
     def solve_eps(system, f):
-        u, info = solvers.solve_assembled(system, "cavity", nbc, None, opts,
+        u, info = solvers.solve_assembled(system, opts,
                                           load=fem.load_vector(system.mesh, f))
         infos.append(info)
         return u
@@ -401,11 +402,9 @@ def _study_row(config, eps, kappa_val=None):
     # uniformity across right-hand sides, measured on the h mesh and solved
     # on the final ladder level's system, which already holds its setup
     per_f = {name0: {"l2": e_h[0], "h1": e_h[2], "f_norm": f_omega}}
-    selector, nbc0 = ("interface", nbc) if homog_kind == "delta" else (None, None)
     for name, f in fs[1:]:
         uh = solve_eps(sys_h, f)
-        u0v, info = solvers.solve_assembled(u0_field.system, selector, nbc0,
-                                            alpha0, opts,
+        u0v, info = solvers.solve_assembled(u0_field.system, opts,
                                             load=fem.load_vector(u0_mesh, f))
         infos.append(info)
         err = fem.norms(mesh_h, uh - P_h @ u0v)

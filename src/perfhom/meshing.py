@@ -627,7 +627,8 @@ def _barycentric(mesh, pts, simp_idx):
 
 
 def locate(mesh, pts):
-    """Simplex index of a grid mesh containing each point (-1 if none).
+    """Simplex index of a grid mesh containing each point (-1 if none), and
+    the point's barycentric coordinates on it (on its first candidate if none).
 
     A point's cell follows from the grid axes.  Cells run i-major and own
     consecutive simplices, 2 in 2D and 6 in 3D, so only those are tried; the
@@ -642,24 +643,23 @@ def locate(mesh, pts):
     m = 2 if mesh.dim == 2 else 6
     cand = (np.ravel_multi_index(cell, [len(ax) - 1 for ax in axes])[:, None] * m
             + np.arange(m))
-    inside = np.all(_barycentric(mesh, pts[:, None], cand) >= -_LOCATE_TOL, axis=2)
-    first = cand[np.arange(len(pts)), inside.argmax(axis=1)]
-    return np.where(inside.any(axis=1), first, -1)
+    lam = _barycentric(mesh, pts[:, None], cand)
+    inside = np.all(lam >= -_LOCATE_TOL, axis=2)
+    rows, first = np.arange(len(pts)), inside.argmax(axis=1)
+    return np.where(inside.any(axis=1), cand[rows, first], -1), lam[rows, first]
 
 
 def interpolation_matrix(mesh, pts):
     """P1 transfer from a grid mesh onto points, as a CSR matrix of shape
     (len(pts), n_vertices): row p holds the barycentric weights of the
     simplex containing pts[p].  Raises if a point lies in no simplex."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    idx = locate(mesh, pts)
+    idx, lam = locate(mesh, pts)
     if (idx < 0).any():
         raise MeshingError(f"{int((idx < 0).sum())} points outside the mesh")
     k = mesh.dim + 1
-    lam = _barycentric(mesh, pts, idx)
     return sp.csr_matrix((lam.ravel(), mesh.simplices[idx].ravel(),
-                          np.arange(0, k * len(pts) + 1, k)),
-                         shape=(len(pts), mesh.n_vertices))
+                          np.arange(0, k * len(idx) + 1, k)),
+                         shape=(len(idx), mesh.n_vertices))
 
 
 def interpolate(mesh, values, pts):

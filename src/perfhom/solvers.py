@@ -74,37 +74,35 @@ def solve_homogenized_delta(mesh, coeffs, alpha0, nbc, f, opts=None,
     object with a .tangential method (a surface density).  Continuity across
     S holds by conformity; the conormal jump condition is natural.
     """
+    weight = alpha0
     if hasattr(alpha0, "tangential"):
         weight = lambda x: alpha0.tangential(x[:, :-1])
-    else:
-        weight = alpha0
     return _solve(mesh, coeffs, nbc, f, opts, dirichlet, "interface", weight)
 
 
 def _solve(mesh, coeffs, nbc, f, opts, dirichlet, selector, weight=None):
-    """Assemble at the resolved lam and solve with nbc on selector's facets."""
+    """Assemble at the resolved lam with nbc on selector's facets and solve."""
     opts = opts or SolveOptions()
     nbc = nbc or fem.NonlinearBC("zero")
     lam = _resolve_lambda(coeffs, nbc, opts)
-    system = fem.assemble(mesh, coeffs, f=f, dirichlet=dirichlet, lam=lam)
-    u, info = _nonlinear_solve(system, selector, nbc, weight, opts)
+    system = fem.assemble(mesh, coeffs, f=f, dirichlet=dirichlet, lam=lam,
+                          boundary=(selector, nbc), weight=weight)
+    u, info = _nonlinear_solve(system, opts)
     info["lam"] = lam
     return fem.DiscreteField(mesh, u, info, system)
 
 
-def solve_assembled(system, selector=None, nbc=None, weight=None, opts=None,
-                    load=None):
-    """Nonlinear solve on an already assembled system, reusing its caches.
+def solve_assembled(system, opts=None, load=None):
+    """Nonlinear solve on an already assembled system, with its own boundary
+    term, reusing its caches.
 
     Sweeping several right-hand sides over one mesh should assemble once and
     call this with each load vector.
     """
-    opts = opts or SolveOptions()
-    nbc = nbc or fem.NonlinearBC("zero")
-    return _nonlinear_solve(system, selector, nbc, weight, opts, load=load)
+    return _nonlinear_solve(system, opts or SolveOptions(), load=load)
 
 
-def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
+def _nonlinear_solve(system, opts, load=None):
     F = system.load if load is None else load
     if F is None:
         F = np.zeros(system.mesh.n_vertices)
@@ -122,13 +120,13 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
                    "linear_iters": krylov["iterations"],
                    "residual": res, "contraction": contraction}
 
-    if nbc.is_zero:
+    if system.nbc.is_zero:
         u = fem.solve_linear(system, F, tol=LINEAR_TOL)
         res = float(np.linalg.norm((system.matrix @ u - F)[free])) / fscale
         return result(u, "linear", 0, 0, res)
 
     def residual(u):
-        r_b = fem.boundary_residual(system, selector, nbc, u, weight)
+        r_b = fem.boundary_residual(system, u)
         return system.matrix @ u + r_b - F, r_b
 
     if opts.initial is None:
@@ -189,7 +187,7 @@ def _nonlinear_solve(system, selector, nbc, weight, opts, load=None):
             return result(u, "picard+newton", picard_iters, newton_iters,
                           res)
         newton_iters = it
-        jac = fem.boundary_nonlinear(system, selector, nbc, u, weight)[1]
+        jac = fem.boundary_nonlinear(system, u)[1]
         delta = _newton_step(system, jac, -G, krylov)
         # line search guards the global phase Newton inherited from Picard
         scale = 1.0

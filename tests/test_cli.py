@@ -175,6 +175,9 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
      "mu"),
     ("snorm", {"layout_params": {"domain": [[0, -0.5], [1]]}}, "domain"),
     ("snorm", {"layout_params": {"periods": "ab"}}, "periods"),
+    ("snorm", {"layout_params": {"shape": {"family": "ball", "params": {"radius": "x"}}}},
+     "radius"),
+    ("snorm", {"layout_params": {"constants": {"R2": "x"}}}, "R2"),
 ])
 def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
                                                      extra, named):

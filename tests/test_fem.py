@@ -195,10 +195,9 @@ def _facet_jacobian(sigma, u):
     of a saturating nonlinearity on its outer facets at the state u(x)."""
     m = _box(1 / 16)
     sysm = fem.assemble(m, fem.CoefficientSet(dim=2), f=_exact,
-                        dirichlet=lambda mids: mids[:, 0] < 1e-12)
-    _, jac = fem.boundary_nonlinear(sysm, "outer",
-                                    fem.NonlinearBC("saturating", sigma=sigma),
-                                    u(m.vertices))
+                        dirichlet=lambda mids: mids[:, 0] < 1e-12,
+                        boundary=("outer", fem.NonlinearBC("saturating", sigma=sigma)))
+    _, jac = fem.boundary_nonlinear(sysm, u(m.vertices))
     return sysm, jac
 
 
@@ -291,35 +290,38 @@ def test_boundary_nonlinearity_values_and_monotonicity():
 def test_boundary_residual_zero_and_linear():
     lay = geometry.make_layout("periodic", {}, 1 / 8)
     m = meshing.mesh_perforated(lay, 0.08)
-    sysm = fem.assemble(m, fem.CoefficientSet(dim=2))
+
+    def system(nbc):
+        return fem.assemble(m, fem.CoefficientSet(dim=2), boundary=("cavity", nbc))
+
     u = np.ones(m.n_vertices)
-    r0, j0 = fem.boundary_nonlinear(sysm, "cavity", fem.NonlinearBC("zero"), u)
+    r0, j0 = fem.boundary_nonlinear(system(fem.NonlinearBC("zero")), u)
     assert np.all(r0 == 0.0)
     assert j0.A.nnz == 0 or np.abs(j0.A.data).max() == 0.0
 
     s = 2.5
-    r, jac = fem.boundary_nonlinear(sysm, "cavity", fem.NonlinearBC("linear", sigma=s), u)
+    sysm = system(fem.NonlinearBC("linear", sigma=s))
+    r, jac = fem.boundary_nonlinear(sysm, u)
     total = m.facet_measures(m.facet_mask("cavity")).sum()
     # v^H r = s (u, v) on the cavity walls; test with v = 1
     assert r.sum() == pytest.approx(s * total, rel=1e-12)
     # for linear a the Jacobian applied to u reproduces the residual
     assert np.abs(jac.apply(u) - r).max() < 1e-12
-    np.testing.assert_array_equal(
-        fem.boundary_residual(sysm, "cavity", fem.NonlinearBC("linear", sigma=s), u), r)
+    np.testing.assert_array_equal(fem.boundary_residual(sysm, u), r)
 
 
 def test_boundary_jacobian_matches_finite_differences():
     lay = geometry.make_layout("periodic", {}, 1 / 8)
     m = meshing.mesh_perforated(lay, 0.08)
-    sysm = fem.assemble(m, fem.CoefficientSet(dim=2))
     nbc = fem.NonlinearBC("saturating", sigma=2.0)
+    sysm = fem.assemble(m, fem.CoefficientSet(dim=2), boundary=("cavity", nbc))
     rng = np.random.default_rng(3)
     u = rng.standard_normal(m.n_vertices) + 1j * rng.standard_normal(m.n_vertices)
     du = rng.standard_normal(m.n_vertices) + 1j * rng.standard_normal(m.n_vertices)
-    r0, jac = fem.boundary_nonlinear(sysm, "cavity", nbc, u)
-    np.testing.assert_array_equal(fem.boundary_residual(sysm, "cavity", nbc, u), r0)
+    r0, jac = fem.boundary_nonlinear(sysm, u)
+    np.testing.assert_array_equal(fem.boundary_residual(sysm, u), r0)
     t = 1e-6
-    r1, _ = fem.boundary_nonlinear(sysm, "cavity", nbc, u + t * du)
+    r1, _ = fem.boundary_nonlinear(sysm, u + t * du)
     fd = (r1 - r0) / t
     lin = jac.apply(du)
     denom = np.abs(lin).max()
@@ -332,6 +334,11 @@ def test_facet_cache_weight_scales_measure():
     weighted = fem.build_facet_cache(m, "interface", weight=lambda x: 2.0 * np.ones(len(x)))
     assert plain.total_measure == pytest.approx(1.0, abs=1e-12)
     assert weighted.total_measure == pytest.approx(2.0, abs=1e-12)
+    # an assembled system builds the cache of its own boundary term once
+    sysm = fem.assemble(m, fem.CoefficientSet(dim=2), weight=2.0,
+                        boundary=("interface", fem.NonlinearBC("linear", sigma=1.0)))
+    assert sysm.facets is sysm.facets
+    np.testing.assert_array_equal(sysm.facets.w, weighted.w)
 
 
 def test_discrete_field_csv(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ellipe
 
 from perfhom import geometry
-from perfhom.errors import InfeasibleSpacingError, ManifoldOutsideDomainError
+from perfhom.errors import ConfigError, InfeasibleSpacingError, ManifoldOutsideDomainError
 
 
 def test_ball_boundary_measure_closed_form():
@@ -28,6 +28,22 @@ def test_star_shape_radii_within_band():
     r = shape.radius(t)
     assert r.min() == pytest.approx(0.11, abs=1e-12)
     assert r.max() == pytest.approx(0.19, abs=1e-12)
+
+
+
+def test_shape_params_are_checked_and_named():
+    star = geometry.Shape("star", {"r0": 0.15, "r1": "0.02", "wings": 4.0})
+    assert star.params == {"r0": 0.15, "r1": 0.02, "wings": 4}
+    assert geometry.Shape("ellipse", {"semi_axes": [0.1, 0.2]}).params == {
+        "semi_axes": (0.1, 0.2)}
+    for family, params, key in (("ball", {"radius": "x"}, "radius"),
+                                ("ellipse", {"semi_axes": 0.1}, "semi_axes"),
+                                ("star", {"r0": 0.15, "r1": 0.02, "wings": 2.5}, "wings"),
+                                ("blob", {}, "blob")):
+        with pytest.raises(ConfigError, match=repr(key)):
+            geometry.Shape(family, params)
+    with pytest.raises(ConfigError, match="'R2'"):
+        geometry.make_layout("periodic", {"constants": {"R2": "x"}}, 1 / 8)
 
 
 def test_periodic_lattice_count_and_positions():

@@ -150,7 +150,7 @@ def test_locate_and_interpolate_reproduce_linears():
 
 def test_locate_outside_returns_minus_one():
     m = meshing.mesh_box((0.0, 0.0), (1.0, 1.0), 0.25)
-    got = meshing.locate(m, [[2.0, 2.0], [0.5, -0.1], [1.0 + 1e-6, 0.5], [0.3, 0.6]])
+    got, _ = meshing.locate(m, [[2.0, 2.0], [0.5, -0.1], [1.0 + 1e-6, 0.5], [0.3, 0.6]])
     assert (got[:3] == -1).all() and got[3] >= 0
     with pytest.raises(MeshingError):
         meshing.interpolate(m, np.zeros(m.n_vertices), [[2.0, 2.0]])
@@ -192,10 +192,14 @@ def test_interpolation_matrix_is_the_p1_transfer(build):
     # vertices map onto themselves
     np.testing.assert_allclose(P[-m.n_vertices:].toarray(), np.eye(m.n_vertices),
                                rtol=0, atol=1e-12)
+    # the weights locate keeps for the winning simplex are, bit for bit, a
+    # second barycentric evaluation on the located simplices
+    idx, _ = meshing.locate(m, pts)
+    np.testing.assert_array_equal(P.indices, m.simplices[idx].ravel())
+    np.testing.assert_array_equal(P.data, meshing._barycentric(m, pts, idx).ravel())
     # the per-point einsum of barycentric weights from an LU solve of each
     # simplex's edge matrix gives the same values
     vals = rng.random(m.n_vertices)
-    idx = meshing.locate(m, pts)
     v = m.vertices[m.simplices[idx]]
     lam = np.linalg.solve(np.swapaxes(v[:, 1:] - v[:, :1], 1, 2),
                           (pts - v[:, 0])[..., None])[..., 0]

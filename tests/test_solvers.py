@@ -96,10 +96,10 @@ def test_linear_bc_agrees_with_one_shot_solve():
         assert u.info["newton_iters"] > 0
         # for a(u) = sigma u the problem is linear: fold the boundary mass
         # into K
-        system = fem.assemble(m, coeffs, f=_one, dirichlet=_ends, lam=-1.0)
-        _, jac = fem.boundary_nonlinear(
-            system, "interface", fem.NonlinearBC("linear", sigma=sigma),
-            np.zeros(m.n_vertices), weight=a0)
+        system = fem.assemble(
+            m, coeffs, f=_one, dirichlet=_ends, lam=-1.0,
+            boundary=("interface", fem.NonlinearBC("linear", sigma=sigma)), weight=a0)
+        _, jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices))
         direct = _reduced_spsolve(system, system.matrix + jac.A)
         assert np.abs(u.values - direct).max() < 1e-8
 
@@ -166,10 +166,10 @@ def test_nonhermitian_newton_step_runs_bicgstab(monkeypatch):
     assert u.info["backend"] == "splu" and u.info["newton_iters"] > 0
     assert len(splu) == 1 and not cg
     assert len(bicgstab) == u.info["newton_iters"]
-    system = fem.assemble(m, coeffs, f=_one, dirichlet=_ends, lam=u.info["lam"])
+    system = fem.assemble(m, coeffs, f=_one, dirichlet=_ends, lam=u.info["lam"],
+                          boundary=("interface", nbc), weight=1.0)
     assert not system.is_hermitian()
-    _, jac = fem.boundary_nonlinear(system, "interface", nbc,
-                                    np.zeros(m.n_vertices), weight=1.0)
+    _, jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices))
     direct = _reduced_spsolve(system, system.matrix + jac.A)
     assert np.abs(u.values - direct).max() < 1e-8
 
@@ -240,10 +240,10 @@ def test_complex_sigma_transmission(monkeypatch):
     assert np.iscomplexobj(u.values)
     assert np.abs(u.values.imag).max() > 1e-4
     assert u.info["residual"] <= 1e-9
-    system = fem.assemble(m, IDENT, f=_one, dirichlet=_ends, lam=u.info["lam"])
-    _, jac = fem.boundary_nonlinear(
-        system, "interface", fem.NonlinearBC("linear", sigma=sigma),
-        np.zeros(m.n_vertices, dtype=complex), weight=1.0)
+    system = fem.assemble(
+        m, IDENT, f=_one, dirichlet=_ends, lam=u.info["lam"],
+        boundary=("interface", fem.NonlinearBC("linear", sigma=sigma)), weight=1.0)
+    _, jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices, dtype=complex))
     direct = _reduced_spsolve(system, system.matrix.astype(complex) + jac.A)
     assert np.abs(u.values - direct).max() < 1e-7
 
@@ -252,14 +252,35 @@ def test_assembled_reuse_matches_fresh_solves():
     m = _strip(1 / 32)
     nbc = fem.NonlinearBC("saturating", sigma=1.5)
     opts = solvers.SolveOptions(lam=-1.0)
-    system = fem.assemble(m, IDENT, dirichlet=_ends, lam=-1.0)
+    system = fem.assemble(m, IDENT, dirichlet=_ends, lam=-1.0,
+                          boundary=("interface", nbc), weight=1.0)
     for f in (_one, lambda x: x[:, 1] ** 2):
         load = fem.load_vector(m, f)
-        u_re, _ = solvers.solve_assembled(
-            system, "interface", nbc, weight=1.0, opts=opts, load=load)
+        u_re, _ = solvers.solve_assembled(system, opts, load=load)
         u_fr = solvers.solve_homogenized_delta(
             m, IDENT, 1.0, nbc, f, opts=opts, dirichlet=_ends)
         assert np.abs(u_re - u_fr.values).max() < 1e-8
+
+
+def test_successive_weights_get_their_own_facets():
+    # six weight callables c * 1 on one mesh, each freed before the next is
+    # made, so a new callable may take a freed one's id: every solve must
+    # match a solve on a fresh mesh
+    m = _strip(1 / 16)
+    nbc = fem.NonlinearBC("linear", sigma=1.0)
+    opts = solvers.SolveOptions(lam=-1.0)
+    load = fem.load_vector(m, _one)
+
+    def solve(c):
+        system = fem.assemble(m, IDENT, dirichlet=_ends, lam=-1.0,
+                              boundary=("interface", nbc),
+                              weight=lambda x: c * np.ones(len(x)))
+        return solvers.solve_assembled(system, opts, load=load)[0]
+
+    for c in range(1, 7):
+        fresh = solvers.solve_homogenized_delta(_strip(1 / 16), IDENT, float(c), nbc,
+                                                _one, opts=opts, dirichlet=_ends)
+        np.testing.assert_allclose(solve(c), fresh.values, rtol=1e-12, atol=0)
 
 
 def test_threshold_and_option_validation():

@@ -1,0 +1,59 @@
+"""The benchmark's tracer against the current API: every traced entry point
+exists, wrapping restores it, and a traced T2 row records the nonlinear
+solve spans.  perfbench/tracing.py is only imported, never changed."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from perfhom import harness
+
+_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_SPEC = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)
+tracing = importlib.util.module_from_spec(_SPEC)
+sys.modules[_SPEC.name] = tracing
+_SPEC.loader.exec_module(tracing)
+
+
+def test_every_target_resolves():
+    names = [name for *_, name, _ in tracing.targets()]
+    assert len(set(names)) == len(names)
+    for module, attr, name, hook in tracing.targets():
+        assert callable(getattr(module, attr, None)), name
+        assert hook is None or callable(hook)
+
+
+def test_instrument_wraps_and_restores_every_target():
+    before = [(m, a, getattr(m, a)) for m, a, _, _ in tracing.targets()]
+    with tracing.instrument(tracing.Tracer("t")):
+        assert all(getattr(m, a) is not f for m, a, f in before)
+    assert all(getattr(m, a) is f for m, a, f in before)
+    with pytest.raises(RuntimeError):
+        with tracing.instrument(tracing.Tracer("t")):
+            raise RuntimeError("boom")
+    assert all(getattr(m, a) is f for m, a, f in before)
+
+
+def test_traced_t2_row_records_the_nonlinear_spans():
+    config = harness.StudyConfig(theorem="T2", nbc_kind="saturating",
+                                 nbc_sigma=2.0, eps_list=(1 / 8,))
+    tracer = tracing.Tracer("t")
+    with tracing.instrument(tracer), tracer.span("workload"):
+        report = harness.run_study(config)
+    assert len(report.rows) == 1
+
+    def ancestors(span):
+        while span.parent is not None:
+            span = tracer.spans[span.parent]
+            yield span.name
+
+    jacobians = [s for s in tracer.spans if s.name == "fem.boundary_nonlinear"]
+    assert jacobians
+    assert any("solvers.solve_assembled" in ancestors(s) for s in jacobians)
+    m = tracing.layer_metrics(tracer)
+    assert m["solvers.solve_assembled.calls"] == 6  # 3 rhs on the h mesh, 1 on h/2, 2 on u0
+    assert m["fem.boundary_nonlinear.calls"] >= 1
+    assert m["fem.boundary_nonlinear.calls"] == m["solvers.newton_iters"]
+    assert m["solvers.picard_iters"] >= 1 and m["solvers.u0_solves"] >= 2
