@@ -18,10 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from .errors import PointOffManifoldError
@@ -52,15 +50,16 @@ class Mollifier:
         return self.amp * math.exp(-1.0)
 
 
-@lru_cache(maxsize=None)
+#: Unit mass of bump over R^(dim-1): int_{-1}^{1} bump in 2D and
+#: 2 pi int_0^1 r bump(r) dr = pi (e^-1 - E1(1)) in 3D, as the doubles that
+#: adaptive Gauss-Kronrod quadrature (scipy.integrate.quad) returns.
+BUMP_MASS = {2: 0.44399381616807865, 3: 0.4665123931783276}
+
+
 def make_mollifier(dim):
-    if dim == 2:
-        mass, _ = quad(lambda t: float(bump(t)), -1.0, 1.0)
-    elif dim == 3:
-        mass, _ = quad(lambda r: 2.0 * math.pi * r * float(bump(r)), 0.0, 1.0)
-    else:
+    if dim not in BUMP_MASS:
         raise ValueError("dim must be 2 or 3")
-    return Mollifier(dim, 1.0 / mass)
+    return Mollifier(dim, 1.0 / BUMP_MASS[dim])
 
 
 @dataclass

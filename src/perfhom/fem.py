@@ -533,14 +533,13 @@ def boundary_residual(system, u):
 
 
 def boundary_nonlinear(system, u):
-    """Residual vector (boundary_residual) and Jacobian of the boundary term
-    at state u; only a Newton step needs the Jacobian."""
+    """Jacobian of the system's boundary term at state u (its residual is
+    boundary_residual); only a Newton step needs it."""
     cache, x, uq = _facet_state(system, u)
     Aq, Bq = (np.asarray(z).reshape(uq.shape)
               for z in system.nbc.wirtinger(x, uq.ravel()))
     shape = (system.mesh.n_vertices,) * 2
-    jac = BoundaryJacobian(cache.mass(shape, Aq), cache.mass(shape, Bq))
-    return boundary_residual(system, u), jac
+    return BoundaryJacobian(cache.mass(shape, Aq), cache.mass(shape, Bq))
 
 
 def solve_linear(system, rhs, tol=1e-10, maxiter=None, perturbation=None,

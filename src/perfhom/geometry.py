@@ -40,6 +40,8 @@ def _count(n):
 
 # converters of the shape params that are not a number
 _SHAPE_PARAMS = {"semi_axes": lambda v: tuple(float(a) for a in v), "wings": _count}
+# the params each shape family cannot do without
+_REQUIRED_PARAMS = {"ball": ("radius",), "ellipse": ("semi_axes",), "star": ("r0", "r1")}
 
 
 @dataclass
@@ -58,8 +60,11 @@ class Shape:
     params: dict
 
     def __post_init__(self):
-        if self.family not in ("ball", "ellipse", "star"):
+        if self.family not in _REQUIRED_PARAMS:
             raise ConfigError(f"unknown shape family {self.family!r}")
+        for key in _REQUIRED_PARAMS[self.family]:
+            if key not in self.params:
+                raise ConfigError(f"a {self.family} shape needs the param {key!r}")
         self.params = {key: _config_value(key, v, _SHAPE_PARAMS.get(key, float))
                        for key, v in dict(self.params).items()}
 

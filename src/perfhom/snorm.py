@@ -143,8 +143,8 @@ def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
     whose M_w has no nonzero entry gives exactly 0; a complex weight raises
     ValueError.  When the cap is hit or ARPACK does not converge,
     info["stalled"] is set, a warning is logged and the value is a lower
-    bound: the largest |partial Ritz value| or |x.M_w x| / x.K x over the
-    vectors x that M_w was applied to.
+    bound: the largest |partial Ritz value| or |y.M_w y| / y.K y over the
+    vectors y = K^-1 M_w x of the Lanczos steps.
     """
     B = slab.trace_matrix(weight)
     if np.iscomplexobj(B.data):
@@ -153,15 +153,22 @@ def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
     if B.count_nonzero() == 0:
         return (0.0, info) if return_info else 0.0
     K, bottom, n = slab.matrix, slab.bottom, slab.mesh.n_vertices
+    B_bottom = B[bottom]  # the bottom block of M_w
     best = 0.0  # the largest |Rayleigh quotient| among the vectors seen
 
     def apply_mw(x):
-        nonlocal best
         if info["iterations"][0] == maxiter:
             raise _StepCap
         info["iterations"][0] += 1
-        y = B @ x[bottom]  # M_w x: only the bottom rows and columns are nonzero
-        best = max(best, abs(x @ y) / (x @ (K @ x)))
+        return B @ x[bottom]  # M_w x: only the bottom rows and columns are nonzero
+
+    def apply_kinv(z):
+        # ARPACK applies K^-1 only to z = M_w x, so y = K^-1 z has K y = z
+        # and its Rayleigh quotient y.M_w y / y.K y costs a trace-sized product
+        nonlocal best
+        y = slab.solve(z)
+        y_b = y[bottom]
+        best = max(best, abs(y_b @ (B_bottom @ y_b)) / (y @ z))
         return y
 
     def operator(matvec):
@@ -172,7 +179,7 @@ def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
     # of 20 vectors takes 21 steps; with 8 these solves take 13-21
     try:
         mu = spla.eigsh(operator(apply_mw), k=1, M=operator(K.dot),
-                        Minv=operator(slab.solve), which="LM", v0=v0,
+                        Minv=operator(apply_kinv), which="LM", v0=v0,
                         ncv=min(n, 8), tol=tol, return_eigenvectors=False)[0]
     except (_StepCap, spla.ArpackNoConvergence) as exc:
         info["stalled"] = True

@@ -187,7 +187,7 @@ def _nonlinear_solve(system, opts, load=None):
             return result(u, "picard+newton", picard_iters, newton_iters,
                           res)
         newton_iters = it
-        jac = fem.boundary_nonlinear(system, u)[1]
+        jac = fem.boundary_nonlinear(system, u)
         delta = _newton_step(system, jac, -G, krylov)
         # line search guards the global phase Newton inherited from Picard
         scale = 1.0

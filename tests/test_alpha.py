@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import exp1
 
 from perfhom import alpha, geometry
 from perfhom.errors import PointOffManifoldError
@@ -19,6 +21,14 @@ def test_mollifier_normalized_and_frozen_peak():
     r = np.linspace(0, 1, 200_001)
     assert np.trapezoid(2 * math.pi * r * z3(r), r) == pytest.approx(1.0, abs=1e-8)
     assert z3.zero_value == pytest.approx(0.7885737797126814, rel=1e-12)
+
+    # the tabulated unit masses are the doubles adaptive quadrature returns
+    mass2 = quad(lambda t: float(alpha.bump(t)), -1.0, 1.0)[0]
+    mass3 = quad(lambda r: 2.0 * math.pi * r * float(alpha.bump(r)), 0.0, 1.0)[0]
+    assert alpha.BUMP_MASS == {2: mass2, 3: mass3}
+    assert (z2.amp, z3.amp) == (1.0 / mass2, 1.0 / mass3)
+    # 2 pi int_0^1 r exp(-1/(1-r^2)) dr = pi int_0^1 exp(-1/s) ds
+    assert abs(mass3 - math.pi * (math.exp(-1.0) - exp1(1.0))) < 1e-14
 
 
 def test_bump_support_and_smooth_vanishing():

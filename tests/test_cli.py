@@ -1,8 +1,12 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import pytest
 
+import perfhom
 from perfhom import cli, meshing
 
 
@@ -19,6 +23,18 @@ def test_help_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for name in ("study", "snorm", "corrector", "mesh", "validate"):
         assert name in out
+
+
+def test_import_loads_no_quadrature_or_optimizer():
+    # scipy.integrate pulls in scipy.optimize: about 12 MB of resident memory
+    # in every perfhom process
+    src = os.path.dirname(os.path.dirname(perfhom.__file__))
+    probe = ("import sys, perfhom.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_missing_config_exits(tmp_path):
@@ -177,6 +193,7 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     ("snorm", {"layout_params": {"periods": "ab"}}, "periods"),
     ("snorm", {"layout_params": {"shape": {"family": "ball", "params": {"radius": "x"}}}},
      "radius"),
+    ("snorm", {"layout_params": {"shape": {"family": "ball", "params": {}}}}, "radius"),
     ("snorm", {"layout_params": {"constants": {"R2": "x"}}}, "R2"),
 ])
 def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,

@@ -197,8 +197,7 @@ def _facet_jacobian(sigma, u):
     sysm = fem.assemble(m, fem.CoefficientSet(dim=2), f=_exact,
                         dirichlet=lambda mids: mids[:, 0] < 1e-12,
                         boundary=("outer", fem.NonlinearBC("saturating", sigma=sigma)))
-    _, jac = fem.boundary_nonlinear(sysm, u(m.vertices))
-    return sysm, jac
+    return sysm, fem.boundary_nonlinear(sysm, u(m.vertices))
 
 
 def test_perturbed_solve_iteration_cap():
@@ -295,19 +294,19 @@ def test_boundary_residual_zero_and_linear():
         return fem.assemble(m, fem.CoefficientSet(dim=2), boundary=("cavity", nbc))
 
     u = np.ones(m.n_vertices)
-    r0, j0 = fem.boundary_nonlinear(system(fem.NonlinearBC("zero")), u)
+    sys0 = system(fem.NonlinearBC("zero"))
+    r0, j0 = fem.boundary_residual(sys0, u), fem.boundary_nonlinear(sys0, u)
     assert np.all(r0 == 0.0)
     assert j0.A.nnz == 0 or np.abs(j0.A.data).max() == 0.0
 
     s = 2.5
     sysm = system(fem.NonlinearBC("linear", sigma=s))
-    r, jac = fem.boundary_nonlinear(sysm, u)
+    r, jac = fem.boundary_residual(sysm, u), fem.boundary_nonlinear(sysm, u)
     total = m.facet_measures(m.facet_mask("cavity")).sum()
     # v^H r = s (u, v) on the cavity walls; test with v = 1
     assert r.sum() == pytest.approx(s * total, rel=1e-12)
     # for linear a the Jacobian applied to u reproduces the residual
     assert np.abs(jac.apply(u) - r).max() < 1e-12
-    np.testing.assert_array_equal(fem.boundary_residual(sysm, u), r)
 
 
 def test_boundary_jacobian_matches_finite_differences():
@@ -318,10 +317,9 @@ def test_boundary_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
     u = rng.standard_normal(m.n_vertices) + 1j * rng.standard_normal(m.n_vertices)
     du = rng.standard_normal(m.n_vertices) + 1j * rng.standard_normal(m.n_vertices)
-    r0, jac = fem.boundary_nonlinear(sysm, u)
-    np.testing.assert_array_equal(fem.boundary_residual(sysm, u), r0)
+    r0, jac = fem.boundary_residual(sysm, u), fem.boundary_nonlinear(sysm, u)
     t = 1e-6
-    r1, _ = fem.boundary_nonlinear(sysm, u + t * du)
+    r1 = fem.boundary_residual(sysm, u + t * du)
     fd = (r1 - r0) / t
     lin = jac.apply(du)
     denom = np.abs(lin).max()

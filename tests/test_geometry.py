@@ -39,6 +39,9 @@ def test_shape_params_are_checked_and_named():
     for family, params, key in (("ball", {"radius": "x"}, "radius"),
                                 ("ellipse", {"semi_axes": 0.1}, "semi_axes"),
                                 ("star", {"r0": 0.15, "r1": 0.02, "wings": 2.5}, "wings"),
+                                ("ball", {}, "radius"),
+                                ("ellipse", {"radius": 0.1}, "semi_axes"),
+                                ("star", {"r0": 0.15}, "r1"),
                                 ("blob", {}, "blob")):
         with pytest.raises(ConfigError, match=repr(key)):
             geometry.Shape(family, params)

@@ -200,10 +200,17 @@ def test_kappa_decreases_with_eps():
 def test_stall_flag_and_warning(slab, caplog):
     w = lambda x: 1.0 + np.cos(2 * np.pi * x[:, 0])
     with caplog.at_level(logging.WARNING, logger="perfhom.snorm"):
-        val, info = snorm.s_norm(slab, w, maxiter=1, return_info=True)
+        val, info = snorm.s_norm(slab, w, maxiter=1, seed=0, return_info=True)
     assert info["stalled"]
-    assert val > 0
     assert any("stalled" in r.message for r in caplog.records)
+    # one step applies M_w to the start vector v0; the bound is the Rayleigh
+    # quotient of y = K^-1 M_w v0, below the converged s-norm
+    v0 = np.random.default_rng(0).standard_normal(slab.mesh.n_vertices)
+    B = slab.trace_matrix(w)
+    y = slab.solve(B @ v0[slab.bottom])
+    rayleigh = abs(y @ (B @ y[slab.bottom])) / (y @ (slab.matrix @ y))
+    assert val == pytest.approx(rayleigh, rel=1e-12)
+    assert 0 < val < snorm.s_norm(slab, w)
 
 
 def test_kappa_table_csv(tmp_path):

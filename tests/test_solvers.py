@@ -99,7 +99,7 @@ def test_linear_bc_agrees_with_one_shot_solve():
         system = fem.assemble(
             m, coeffs, f=_one, dirichlet=_ends, lam=-1.0,
             boundary=("interface", fem.NonlinearBC("linear", sigma=sigma)), weight=a0)
-        _, jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices))
+        jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices))
         direct = _reduced_spsolve(system, system.matrix + jac.A)
         assert np.abs(u.values - direct).max() < 1e-8
 
@@ -169,7 +169,7 @@ def test_nonhermitian_newton_step_runs_bicgstab(monkeypatch):
     system = fem.assemble(m, coeffs, f=_one, dirichlet=_ends, lam=u.info["lam"],
                           boundary=("interface", nbc), weight=1.0)
     assert not system.is_hermitian()
-    _, jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices))
+    jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices))
     direct = _reduced_spsolve(system, system.matrix + jac.A)
     assert np.abs(u.values - direct).max() < 1e-8
 
@@ -243,7 +243,7 @@ def test_complex_sigma_transmission(monkeypatch):
     system = fem.assemble(
         m, IDENT, f=_one, dirichlet=_ends, lam=u.info["lam"],
         boundary=("interface", fem.NonlinearBC("linear", sigma=sigma)), weight=1.0)
-    _, jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices, dtype=complex))
+    jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices, dtype=complex))
     direct = _reduced_spsolve(system, system.matrix.astype(complex) + jac.A)
     assert np.abs(u.values - direct).max() < 1e-7
 
