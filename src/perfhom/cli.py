@@ -119,7 +119,7 @@ def cmd_study(args):
     if report.dominance_ok is not None:
         print(f"bound dominance: {'ok' if report.dominance_ok else 'VIOLATED'}"
               f" (C_fit={report.c_fit:.3g})")
-    if report.uniformity:
+    if report.uniformity["max_spread"] is not None:
         print(f"rhs uniformity spread: {report.uniformity['max_spread']:.2f} "
               f"({'ok' if report.uniformity['ok'] else 'VIOLATED'})")
     # a slope needs 3 rows accepted in the theorem's own norm
@@ -130,8 +130,8 @@ def cmd_study(args):
               f"{len(report.rows)} rows accepted at guard_tol "
               f"{report.config['guard_tol']:g} (a fit needs 3)")
     print("wrote " + ", ".join(paths))
-    bad = no_slope or report.dominance_ok is False or (
-        report.uniformity and not report.uniformity["ok"])
+    bad = no_slope or report.dominance_ok is False \
+        or report.uniformity["ok"] is False
     return 1 if bad else 0
 
 

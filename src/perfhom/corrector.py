@@ -147,49 +147,35 @@ class Corrector:
         return float(np.sum(np.abs(self.gamma) * self.kabs * np.exp(-self.kabs * xi_n)))
 
 
+def _fourier_modes(beta):
+    """Integer modes (N, tdim) of the cell grid and the coefficients
+    fftn(values)/size (N,) that go with them, both in FFT order."""
+    v = beta.values
+    ms = np.fft.fftfreq(v.shape[0], d=1.0 / v.shape[0]).astype(int)
+    grids = np.meshgrid(*[ms] * beta.tdim, indexing="ij")
+    modes = np.column_stack([g.ravel() for g in grids])
+    return modes, (np.fft.fftn(v) / v.size).ravel()
+
+
 def fourier_corrector(beta, modes=64):
     """Corrector from a mean-zero cell field, keeping |m_i| <= modes."""
-    v = beta.values
-    n = v.shape[0]
-    if modes >= n // 2:
+    if modes >= beta.values.shape[0] // 2:
         raise ValueError("modes must stay below the grid Nyquist order")
-    vhat = np.fft.fftn(v) / v.size
-    if beta.tdim == 1:
-        ms = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        keep = (np.abs(ms) <= modes) & (ms != 0)
-        mm = ms[keep][:, None]
-        gamma_src = vhat[keep]
-    else:
-        ms = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        M1, M2 = np.meshgrid(ms, ms, indexing="ij")
-        keep = (np.abs(M1) <= modes) & (np.abs(M2) <= modes) & ~((M1 == 0) & (M2 == 0))
-        mm = np.column_stack([M1[keep], M2[keep]])
-        gamma_src = vhat[keep]
-    kvecs = 2.0 * math.pi * mm / np.asarray(beta.cell)[None, :]
+    mm, vhat = _fourier_modes(beta)
+    keep = (np.abs(mm) <= modes).all(axis=1) & mm.any(axis=1)
+    kvecs = 2.0 * math.pi * mm[keep] / np.asarray(beta.cell)[None, :]
     kabs = np.linalg.norm(kvecs, axis=1)
-    gamma = gamma_src / kabs
-    return Corrector(gamma, kvecs, kabs, beta.cell, modes)
+    return Corrector(vhat[keep] / kabs, kvecs, kabs, beta.cell, modes)
 
 
 def spectral_tail(beta, modes):
     """Energy-type bound on the discarded modes: sqrt(sum |beta_hat|^2/|k|)."""
-    v = beta.values
-    n = v.shape[0]
-    vhat = np.fft.fftn(v) / v.size
-    ms = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    if beta.tdim == 1:
-        sel = np.abs(ms) > modes
-        mm = ms[sel][:, None]
-        coef = vhat[sel]
-    else:
-        M1, M2 = np.meshgrid(ms, ms, indexing="ij")
-        sel = (np.abs(M1) > modes) | (np.abs(M2) > modes)
-        mm = np.column_stack([M1[sel], M2[sel]])
-        coef = vhat[sel]
-    if len(coef) == 0:
+    mm, vhat = _fourier_modes(beta)
+    sel = (np.abs(mm) > modes).any(axis=1)
+    if not sel.any():
         return 0.0
-    kabs = 2.0 * math.pi * np.linalg.norm(mm / np.asarray(beta.cell)[None, :], axis=1)
-    return float(math.sqrt(np.sum(np.abs(coef) ** 2 / kabs)))
+    kabs = 2.0 * math.pi * np.linalg.norm(mm[sel] / np.asarray(beta.cell)[None, :], axis=1)
+    return float(math.sqrt(np.sum(np.abs(vhat[sel]) ** 2 / kabs)))
 
 
 def residual_components(corr, beta, eps, tau0=1.0):
@@ -224,21 +210,21 @@ def calibrate(kappa_measured, mu):
     return 2.0 * kappa_measured / math.sqrt(mu)
 
 
-def mu_table(eps_values, beta, modes=64, tau0=1.0, kappas=None,
-             calibration=None, out_csv=None):
+def mu_table(eps_values, beta, modes=64, tau0=1.0, kappas=None, out_csv=None):
     """Residual budget across eps; optionally row-wise certified bounds.
 
-    kappas: measured interface defects aligned with eps_values.  If given and
-    calibration is None, the constant is frozen from the first (coarsest)
-    row.  Writes 'eps,psi_sup,lap_sup,outer_flux,s_mismatch,mu,kappa' when
-    out_csv is set (kappa column only with kappas).
+    kappas: measured interface defects aligned with eps_values.  If given,
+    the calibration constant is frozen from the first (coarsest) row and
+    returned with the rows (None without kappas).  Writes
+    'eps,psi_sup,lap_sup,outer_flux,s_mismatch,mu,kappa' when out_csv is
+    set (kappa column only with kappas).
     """
     corr = fourier_corrector(beta, modes=modes)
     sup, tail = corr.sup_boundary(), spectral_tail(beta, corr.modes)
     rows = [_residual_row(corr, e, tau0, sup, tail) for e in eps_values]
+    calibration = None
     if kappas is not None:
-        if calibration is None:
-            calibration = calibrate(kappas[0], rows[0]["mu"])
+        calibration = calibrate(kappas[0], rows[0]["mu"])
         for r, k in zip(rows, kappas):
             r["kappa"] = float(k)
             r["kappa_bound"] = kappa_bound(r["mu"], calibration)

@@ -285,7 +285,9 @@ def build_facet_cache(mesh, selector, weight=None):
 
 @dataclass
 class BoundaryJacobian:
-    """R-linear boundary Jacobian: J(du) = A du + B conj(du)."""
+    """R-linear boundary Jacobian: J(du) = A du + B conj(du).  The
+    saturating nonlinearity is not holomorphic, so B is nonzero at a
+    complex state."""
 
     A: sp.spmatrix
     B: sp.spmatrix
@@ -297,21 +299,27 @@ class BoundaryJacobian:
 @dataclass
 class AssembledSystem:
     """Sparse discrete operator K with its load, Dirichlet bookkeeping and
-    boundary term: nbc on the facets of selector, weighted by weight."""
+    boundary term: nbc on the facets of selector, weighted by weight.
+
+    The system also owns the linear-solve setup of its reduced matrix, built
+    on the first solve and reused by every later one, Newton tangents
+    included.  2D meshes use a sparse LU ("splu"), whose fill stays small.
+    In 3D the fill of an LU costs far more than the solves it serves, so 3D
+    iterates: "cg" with a Jacobi preconditioner for Hermitian matrices,
+    "bicgstab" with an incomplete LU otherwise.
+    """
 
     mesh: object
     matrix: sp.csr_matrix
     load: np.ndarray | None
     dirichlet_mask: np.ndarray
-    coeffs: CoefficientSet
-    lam: float
     selector: object = None
     nbc: NonlinearBC = field(default_factory=NonlinearBC)
     weight: object = None
     _facets: FacetCache | None = field(default=None, repr=False)
     _free: np.ndarray | None = field(default=None, repr=False)
     _reduced: object = field(default=None, repr=False)
-    _solver: object = field(default=None, repr=False)
+    _setup: tuple | None = field(default=None, repr=False)
     _hermitian: bool | None = field(default=None, repr=False)
 
     @property
@@ -338,55 +346,43 @@ class AssembledSystem:
             self._hermitian = _is_hermitian(self.reduced_matrix())
         return self._hermitian
 
-    def linear_solver(self):
-        """The cached backend setup for the reduced matrix."""
-        if self._solver is None:
-            self._solver = LinearSolver.build(
-                self.reduced_matrix(), self.mesh.dim, self.is_hermitian())
-        return self._solver
+    def _solver_setup(self):
+        """(backend, apply), apply mapping z to K^{-1} z (the LU) or to the
+        preconditioner's approximation of it."""
+        if self._setup is None:
+            K = self.reduced_matrix()
+            if self.mesh.dim == 2:
+                self._setup = ("splu", sparse_lu(K, self.is_hermitian()).solve)
+            elif self.is_hermitian():
+                # CG needs an SPD preconditioner; an incomplete LU of an SPD
+                # matrix is not SPD in general and stalls CG on fine meshes
+                d = K.diagonal().copy()
+                d[d == 0] = 1.0
+                inv = 1.0 / d
+                self._setup = ("cg", lambda x: inv * x)
+            else:
+                ilu = spla.spilu(K.tocsc(), drop_tol=1e-5, fill_factor=12)
+                self._setup = ("bicgstab", ilu.solve)
+        return self._setup
+
+    @property
+    def backend(self):
+        """The setup's name, "splu", "cg" or "bicgstab"; builds the setup."""
+        return self._solver_setup()[0]
+
+    def precondition(self, z):
+        """apply(z) on free-dof vectors, split into real and imaginary parts
+        when K is real."""
+        apply = self._solver_setup()[1]
+        if np.iscomplexobj(z) and not np.iscomplexobj(self.matrix.data):
+            return apply(z.real) + 1j * apply(z.imag)
+        return apply(z)
 
 
 def _is_hermitian(K):
     d = K - K.getH()
     scale = max(1.0, abs(K.data).max() if K.nnz else 1.0)
     return d.nnz == 0 or abs(d.data).max() <= 1e-12 * scale
-
-
-@dataclass
-class LinearSolver:
-    """Backend setup for one reduced matrix K, built once per assembled
-    system and reused by every solve on it, Newton tangents included.
-
-    2D meshes use a sparse LU ("splu"), whose fill stays small.  In 3D the
-    fill of an LU costs far more than the solves it serves, so 3D iterates:
-    "cg" with a Jacobi preconditioner for Hermitian matrices, "bicgstab"
-    with an incomplete LU otherwise.  apply maps z to K^{-1} z (the LU) or
-    to the preconditioner's approximation of it.
-    """
-
-    backend: str
-    matrix: sp.csr_matrix
-    apply: object
-
-    @classmethod
-    def build(cls, K, dim, hermitian):
-        if dim == 2:
-            return cls("splu", K, sparse_lu(K, hermitian).solve)
-        # CG needs an SPD preconditioner; an incomplete LU of an SPD matrix
-        # is not SPD in general and stalls CG on fine meshes, so use Jacobi
-        if hermitian:
-            d = K.diagonal().copy()
-            d[d == 0] = 1.0
-            inv = 1.0 / d
-            return cls("cg", K, lambda x: inv * x)
-        ilu = spla.spilu(K.tocsc(), drop_tol=1e-5, fill_factor=12)
-        return cls("bicgstab", K, ilu.solve)
-
-    def precondition(self, z):
-        """apply(z), split into real and imaginary parts when K is real."""
-        if np.iscomplexobj(z) and not np.iscomplexobj(self.matrix.data):
-            return self.apply(z.real) + 1j * self.apply(z.imag)
-        return self.apply(z)
 
 
 def sparse_lu(K, hermitian):
@@ -487,8 +483,8 @@ def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None, boundary=None,
 
     selector, nbc = boundary or (None, NonlinearBC())
     return AssembledSystem(
-        mesh=mesh, matrix=K, load=F, dirichlet_mask=mask, coeffs=coeffs,
-        lam=lam, selector=selector, nbc=nbc, weight=weight,
+        mesh=mesh, matrix=K, load=F, dirichlet_mask=mask, selector=selector,
+        nbc=nbc, weight=weight,
     )
 
 
@@ -542,29 +538,34 @@ def boundary_nonlinear(system, u):
     return BoundaryJacobian(cache.mass(shape, Aq), cache.mass(shape, Bq))
 
 
-def solve_linear(system, rhs, tol=1e-10, maxiter=None, perturbation=None,
-                 conjugate=None, stats=None):
-    """Solve K x + J x + C conj(x) = rhs on the free dofs to relative
-    residual tol, where K is the system's reduced matrix.
+def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None,
+                 stats=None):
+    """Solve (K + J_b) x = rhs on the free dofs to relative residual tol,
+    where K is the system's reduced matrix and J_b the optional boundary
+    Jacobian of a Newton step, J_b x = A x + B conj(x).
 
-    perturbation J and conjugate C are optional full-size sparse matrices,
-    typically the boundary Jacobian of a Newton step; they live on a few
-    facets only.  There is one factorization per system: without J and C a
-    2D system is solved by its cached LU; every other case runs a Krylov
-    method preconditioned by the cached setup (the exact LU in 2D, so the
-    tangent K + J converges in a few steps).  That is CG when K and J are
-    Hermitian and C is absent, BiCGStab otherwise, on the split real form
-    [Re x; Im x] when C is given (x -> C conj(x) is only R-linear).  stats,
-    a dict, accumulates the Krylov iterations under "iterations".  Raises
+    J_b lives on a few facets only.  There is one setup per system: without
+    J_b a 2D system is solved by its cached LU; every other case runs a
+    Krylov method preconditioned by the cached setup (the exact LU in 2D, so
+    a tangent converges in a few steps).  A real state has conj(x) = x, so
+    its tangent K + A + B is solved by CG when Hermitian and BiCGStab
+    otherwise; a complex one keeps B on conj(x), which is only R-linear, and
+    runs BiCGStab on the split real form [Re x; Im x].  stats, a dict,
+    accumulates the Krylov iterations under "iterations".  Raises
     NoConvergenceError when the Krylov method hits maxiter or the residual
     exceeds tol (usually a sign that lam is too close to the solvability
     threshold or the mesh is bad).
     """
     f = system.free
-    solver = system.linear_solver()
-    K = solver.matrix
-    J, C = (None if m is None else m[f][:, f] for m in (perturbation, conjugate))
+    backend = system.backend  # the first solve builds the setup, zero rhs too
+    K = system.reduced_matrix()
     b = np.asarray(rhs)[f]
+    J = C = None
+    if jacobian is not None:
+        if any(np.iscomplexobj(z) for z in (b, jacobian.A.data, K.data)):
+            J, C = jacobian.A[f][:, f], jacobian.B[f][:, f]
+        else:  # a real state has conj(x) = x: the tangent is K + A + B
+            J = (jacobian.A + jacobian.B)[f][:, f]
     if maxiter is None:
         maxiter = max(500, 20 * int(math.sqrt(K.shape[0])))
     dtype = np.result_type(b, *(m.dtype for m in (K, J, C) if m is not None))
@@ -583,11 +584,11 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, perturbation=None,
             y = y + C @ np.conj(x)
         return y
 
-    if J is None and C is None and solver.backend == "splu":
-        x = solver.precondition(b)
+    if J is None and backend == "splu":
+        x = system.precondition(b)
     elif C is None:
         hermitian = system.is_hermitian() and (J is None or _is_hermitian(J))
-        x = _krylov(operator, solver.precondition, b, dtype, hermitian, tol,
+        x = _krylov(operator, system.precondition, b, dtype, hermitian, tol,
                     maxiter, stats)
     else:
         n = len(b)
@@ -599,7 +600,7 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, perturbation=None,
             return y[:n] + 1j * y[n:]
 
         x = join(_krylov(lambda y: split(operator(join(y))),
-                         lambda y: split(solver.precondition(join(y))),
+                         lambda y: split(system.precondition(join(y))),
                          split(b), float, False, tol, maxiter, stats))
     res = np.linalg.norm(operator(x) - b)
     if res > 10.0 * tol * bnorm:
@@ -629,13 +630,12 @@ def _krylov(matvec, precondition, b, dtype, hermitian, tol, maxiter, stats):
     return x
 
 
-def estimate_lambda0(coeffs, nbc=None, geometry_constants=None):
+def estimate_lambda0(coeffs, nbc=None):
     """Solvability threshold estimate lam0_hat = -C1 - C2 - c0/4.
 
     C1 = n*sup|A_j|^2/c0 + sup|A_0| absorbs the lower-order interior terms;
-    C2 = a0*C_tr + a0^2*C_tr^2/c0 absorbs the boundary term through the trace
-    constant C_tr (taken from geometry_constants, default 1).  Any lam below
-    the returned value yields a coercive form.
+    C2 = a0 + a0^2/c0 absorbs the boundary term, with the trace constant
+    taken as 1.  Any lam below the returned value yields a coercive form.
     """
     c0 = float(coeffs.c0)
     n = int(coeffs.dim)
@@ -644,10 +644,7 @@ def estimate_lambda0(coeffs, nbc=None, geometry_constants=None):
     # monotone boundary terms are dissipative and need no spectral margin
     if nbc is not None and nbc.is_monotone:
         a0 = 0.0
-    ctr = 1.0
-    if geometry_constants is not None:
-        ctr = float(geometry_constants.get("trace_constant", 1.0))
-    C2 = a0 * ctr + (a0 * ctr) ** 2 / c0
+    C2 = a0 + a0 ** 2 / c0
     return -C1 - C2 - c0 / 4.0
 
 

@@ -191,8 +191,10 @@ class Shape:
             return out
         raise ValueError("dim must be 2 or 3")
 
-    def area_quadrature(self, dim, n_r=24, n_t=96):
-        """Quadrature points/weights over the unit shape interior."""
+    def area_quadrature(self, dim):
+        """Quadrature points/weights over the unit shape interior: 24
+        Gauss-Legendre radii (and polar cosines) by 96 angles."""
+        n_r, n_t = 24, 96
         if dim == 2:
             gl_x, gl_w = np.polynomial.legendre.leggauss(n_r)
             t = np.linspace(0.0, 2.0 * np.pi, n_t, endpoint=False)
@@ -212,7 +214,7 @@ class Shape:
                 else np.full(3, self.params["radius"])
             )
             gl_x, gl_w = np.polynomial.legendre.leggauss(n_r)
-            mu, muw = np.polynomial.legendre.leggauss(n_r)  # cos(theta) in (-1,1)
+            mu, muw = gl_x, gl_w  # cos(theta) in (-1,1)
             ph = np.linspace(0.0, 2.0 * np.pi, n_t, endpoint=False)
             dph = 2.0 * np.pi / n_t
             r = 0.5 * (gl_x + 1.0)

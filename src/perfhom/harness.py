@@ -170,7 +170,11 @@ class StudyConfig:
         self.rhs_names = _config_value("rhs_names", self.rhs_names, _rhs_names)
         self.u0_refine_cap = _config_value("u0_refine_cap", self.u0_refine_cap,
                                             geometry._count)
-        self.c0 = _config_value("c0", self.c0, _positive)
+        for key in ("c0", "h_factor", "refine_floor", "guard_tol"):
+            setattr(self, key, _config_value(key, getattr(self, key), _positive))
+        self.seed = _config_value("seed", self.seed, geometry._count)
+        self.vanish_near_s = _config_value("vanish_near_s", self.vanish_near_s,
+                                           _bool)
         n = self.dim
         # shapes a constant may take (None: may be None); dtype kinds allowed
         for key, shapes, kinds in (("matrix", [None, (n, n)], "iuf"),
@@ -256,6 +260,12 @@ def _positive(x):
     if isinstance(x, bool) or not (math.isfinite(float(x)) and float(x) > 0):
         raise ValueError("must be a finite number > 0")
     return float(x)
+
+
+def _bool(x):
+    if not isinstance(x, bool):
+        raise ValueError("must be true or false")
+    return x
 
 
 def _layout_kind(kind):

@@ -420,7 +420,10 @@ def _cavity_cloud(layout, k, h_near, h_band, gap_k, wall_k):
     return np.concatenate(blocks, axis=0), protect
 
 
-def _graded_rows(lo, hi, s0, h_band, w_band, h, grow=1.5):
+def _graded_rows(lo, hi, s0, h_band, w_band, h):
+    """Normal positions of the background rows: step h_band within w_band of
+    s0, then steps growing by 1.5 per row up to h."""
+    grow = 1.5
     rows = set()
     r = s0
     while r <= min(s0 + w_band, hi):
@@ -469,16 +472,14 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
     centers = layout.centers
     n_cav = layout.n_cavities
 
-    # distances used to cap the graded rings
-    if n_cav >= 2:
-        tree_c = cKDTree(centers)
+    if n_cav:
+        tree_c = cKDTree(centers)  # nearest-cavity queries
+        rmaxs = np.array([s.rmax(dim) for s in layout.shapes])
+        # distances used to cap the graded rings; a lone cavity's second
+        # neighbour is at inf
         dnn = tree_c.query(centers, k=2)[0][:, 1]
-    else:
-        dnn = np.full(max(n_cav, 1), np.inf)
-    wall = np.minimum(
-        (centers - lo[None, :]).min(axis=1) if n_cav else np.array([np.inf]),
-        (hi[None, :] - centers).min(axis=1) if n_cav else np.array([np.inf]),
-    )
+        wall = np.minimum((centers - lo[None, :]).min(axis=1),
+                          (hi[None, :] - centers).min(axis=1))
 
     clouds = []
     protect = np.zeros(n_cav)
@@ -493,8 +494,7 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
         w_band = layout.constants["R0"] * eps + cs * R2 + protect.max() + h_band
     else:
         w_band = 2 * h_band
-    rows = _graded_rows(lo[dim - 1], hi[dim - 1], layout.s0, h_band, w_band,
-                        h, grow=1.5)
+    rows = _graded_rows(lo[dim - 1], hi[dim - 1], layout.s0, h_band, w_band, h)
     gaps = np.diff(rows)
     rng = np.random.default_rng(20240817)
     bg_blocks = []
@@ -526,14 +526,9 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
     bg = np.concatenate(bg_blocks, axis=0)
 
     # keep wall points; drop interior background points inside protection radii
-    on_wall = np.zeros(len(bg), dtype=bool)
-    tol = 1e-12 * float((hi - lo).max())
-    for i in range(dim):
-        on_wall |= np.abs(bg[:, i] - lo[i]) < tol
-        on_wall |= np.abs(bg[:, i] - hi[i]) < tol
+    on_wall = _on_box_side(bg[:, None, :], lo, hi, 1e-12 * float((hi - lo).max()))
     if n_cav:
-        d_near, k_near = tree_c.query(bg) if n_cav >= 2 else (
-            np.linalg.norm(bg - centers[0], axis=1), np.zeros(len(bg), dtype=int))
+        d_near, k_near = tree_c.query(bg)
         drop = (d_near < protect[k_near]) & ~on_wall
         bg = bg[~drop]
 
@@ -545,12 +540,7 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
 
     keep = np.ones(len(simplices), dtype=bool)
     if n_cav:
-        if n_cav >= 2:
-            d_c, k_c = tree_c.query(centroids)
-        else:
-            d_c = np.linalg.norm(centroids - centers[0], axis=1)
-            k_c = np.zeros(len(centroids), dtype=int)
-        rmaxs = np.array([s.rmax(dim) for s in layout.shapes])
+        d_c, k_c = tree_c.query(centroids)
         cand = d_c <= cs * rmaxs[k_c] + 1e-12
         for k in np.unique(k_c[cand]):
             rows_k = np.where(cand & (k_c == k))[0]
@@ -587,13 +577,7 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
     if inner.any():
         if not n_cav:
             raise MeshingError("boundary facets not on the box in a solid mesh")
-        mids = vpos[inner].mean(axis=1)
-        if n_cav >= 2:
-            d_m, k_m = tree_c.query(mids)
-        else:
-            d_m = np.linalg.norm(mids - centers[0], axis=1)
-            k_m = np.zeros(len(mids), dtype=int)
-        rmaxs = np.array([s.rmax(dim) for s in layout.shapes])
+        d_m, k_m = tree_c.query(vpos[inner].mean(axis=1))
         bad = d_m > cs * rmaxs[k_m] + 3.0 * h_near
         if bad.any():
             raise MeshingError(

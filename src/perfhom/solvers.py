@@ -6,12 +6,10 @@ freezes a(., u) at the previous iterate and re-solves the fixed coercive
 linear system, switching to Newton once the step is small.  There is one
 factorization per system and Newton iterates on it: every Picard sweep is
 solved by the system's cached LU or preconditioner, and every Newton
-tangent K + J_b by a Krylov method that the same setup preconditions
-(fem.solve_linear with the boundary Jacobian as a perturbation).  J_b lives
-on cavity or interface facets only, so with the exact LU of K a 2D step
-takes a handful of iterations.  For complex states the tangent is R-linear
-(the saturating nonlinearity is not holomorphic): J_b du = A du + B conj(du)
-is solved on its split real form.
+tangent K + J_b by fem.solve_linear, which takes the boundary Jacobian J_b
+and runs a Krylov method that the same setup preconditions.  J_b lives on
+cavity or interface facets only, so with the exact LU of K a 2D step takes
+a handful of iterations.
 """
 
 from __future__ import annotations
@@ -114,8 +112,7 @@ def _nonlinear_solve(system, opts, load=None):
 
     def result(u, method, picard_iters, newton_iters, res):
         # read after the first solve, which builds the system's backend
-        return u, {"method": method,
-                   "backend": system.linear_solver().backend,
+        return u, {"method": method, "backend": system.backend,
                    "picard_iters": picard_iters, "newton_iters": newton_iters,
                    "linear_iters": krylov["iterations"],
                    "residual": res, "contraction": contraction}
@@ -126,8 +123,10 @@ def _nonlinear_solve(system, opts, load=None):
         return result(u, "linear", 0, 0, res)
 
     def residual(u):
+        """(relative norm of G on the free dofs, G = K u + r_b - F, r_b)"""
         r_b = fem.boundary_residual(system, u)
-        return system.matrix @ u + r_b - F, r_b
+        G = system.matrix @ u + r_b - F
+        return float(np.linalg.norm(G[free])) / fscale, G, r_b
 
     if opts.initial is None:
         u = fem.solve_linear(system, F, tol=LINEAR_TOL)
@@ -143,8 +142,7 @@ def _nonlinear_solve(system, opts, load=None):
 
     for it in range(1, PICARD_MAX_ITER + 1):
         picard_iters = it
-        G, r_b = residual(u)
-        res = float(np.linalg.norm(G[free])) / fscale
+        res, _, r_b = residual(u)
         if res <= opts.picard_tol:
             return result(u, "picard", it, 0, res)
         if res > prev_res * 1.0001:
@@ -170,8 +168,7 @@ def _nonlinear_solve(system, opts, load=None):
             break
 
     if not switched:
-        G = residual(u)[0]
-        res = float(np.linalg.norm(G[free])) / fscale
+        res = residual(u)[0]
         if res > opts.picard_tol:
             raise NoConvergenceError(
                 f"Picard stalled at relative residual {res:.3e} "
@@ -181,40 +178,24 @@ def _nonlinear_solve(system, opts, load=None):
 
     newton_iters = 0
     for it in range(1, NEWTON_MAX_ITER + 1):
-        G = residual(u)[0]
-        res = float(np.linalg.norm(G[free])) / fscale
+        res, G, _ = residual(u)
         if res <= opts.picard_tol:
             return result(u, "picard+newton", picard_iters, newton_iters,
                           res)
         newton_iters = it
         jac = fem.boundary_nonlinear(system, u)
-        delta = _newton_step(system, jac, -G, krylov)
+        delta = fem.solve_linear(system, -G, tol=1e-12, jacobian=jac,
+                                 stats=krylov)
         # line search guards the global phase Newton inherited from Picard
         scale = 1.0
         for _ in range(6):
-            G_try = residual(u + scale * delta)[0]
-            if np.linalg.norm(G_try[free]) / fscale < res:
+            if residual(u + scale * delta)[0] < res:
                 break
             scale *= 0.5
         u = u + scale * delta
-    G = residual(u)[0]
-    res = float(np.linalg.norm(G[free])) / fscale
+    res = residual(u)[0]
     if res <= opts.picard_tol:
         return result(u, "picard+newton", picard_iters, newton_iters, res)
     raise NoConvergenceError(
         f"Newton stalled at relative residual {res:.3e}"
     )
-
-
-def _newton_step(system, jac, rhs, stats):
-    """Solve (K + J_b) delta = rhs on free dofs, on the system's own setup.
-
-    A real state has conj(delta) = delta, so its tangent is K + A + B; a
-    complex one keeps B on conj(delta).
-    """
-    if np.iscomplexobj(rhs) or np.iscomplexobj(jac.A.data) \
-            or np.iscomplexobj(system.matrix.data):
-        return fem.solve_linear(system, rhs, tol=1e-12, perturbation=jac.A,
-                                conjugate=jac.B, stats=stats)
-    return fem.solve_linear(system, rhs, tol=1e-12,
-                            perturbation=jac.A + jac.B, stats=stats)

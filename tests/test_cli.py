@@ -141,6 +141,16 @@ def test_study_without_a_primary_slope_exits_1(tmp_path, capsys):
     assert "h1: no slope, 2 of 2 rows accepted at guard_tol 0.1" in out
 
 
+def test_degenerate_study_exits_0(tmp_path, capsys):
+    # zero data gives zero errors: nothing to fit and no rhs spread to check
+    cfg = _write(tmp_path, {"theorem": "T1a", "rhs_names": ["zero"] * 3,
+                            "eps_list": [1 / 8, 1 / 12, 1 / 16]})
+    assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "degenerate input" in out
+    assert "uniformity" not in out and "no slope" not in out
+
+
 @pytest.mark.parametrize("command", ["validate", "study"])
 @pytest.mark.parametrize("doc, named", [
     ({"theorem": "T1a", "eps_lst": [0.125]}, "eps_lst"),
@@ -151,6 +161,14 @@ def test_study_without_a_primary_slope_exits_1(tmp_path, capsys):
     ({"theorem": "T1a", "eta_rule": 1.5, "eps_list": [0.25, 0.125, 0.0625]},
      "eta_rule"),
     ({"theorem": "T1a", "layout_kind": "bogus"}, "layout_kind"),
+    # a negative h_factor steps the graded mesh rows away from the box forever
+    ({"theorem": "T1a", "h_factor": -0.5}, "h_factor"),
+    ({"theorem": "T1a", "h_factor": "x"}, "h_factor"),
+    ({"theorem": "T1a", "guard_tol": "x"}, "guard_tol"),
+    ({"theorem": "T1a", "refine_floor": "x"}, "refine_floor"),
+    ({"theorem": "T1a", "seed": -1}, "seed"),
+    ({"theorem": "T1a", "seed": 1.5}, "seed"),
+    ({"theorem": "T1a", "vanish_near_s": "no"}, "vanish_near_s"),
 ])
 def test_config_mistake_is_a_clean_error(tmp_path, capsys, command, doc, named):
     cfg = _write(tmp_path, doc)

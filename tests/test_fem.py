@@ -185,7 +185,7 @@ def test_solve_linear_iteration_cap():
     for drift, backend in ((None, "cg"), ([1.0, 0.5, 0.0], "bicgstab")):
         sysm = fem.assemble(m, fem.CoefficientSet(dim=3, drift=drift),
                             f=lambda x: np.ones(len(x)))
-        assert sysm.linear_solver().backend == backend
+        assert sysm.backend == backend
         with pytest.raises(NoConvergenceError):
             fem.solve_linear(sysm, sysm.load, tol=1e-14, maxiter=1)
 
@@ -204,8 +204,7 @@ def test_perturbed_solve_iteration_cap():
     # the tangent is iterated even in 2D, where K itself is factorized
     sysm, jac = _facet_jacobian(2.0, _exact)
     with pytest.raises(NoConvergenceError):
-        fem.solve_linear(sysm, sysm.load, tol=1e-14, maxiter=1,
-                         perturbation=jac.A + jac.B)
+        fem.solve_linear(sysm, sysm.load, tol=1e-14, maxiter=1, jacobian=jac)
 
 
 def test_conjugate_term_matches_split_real_direct_solve():
@@ -213,8 +212,7 @@ def test_conjugate_term_matches_split_real_direct_solve():
     assert abs(jac.B.data).max() > 0
     rhs = sysm.load * (1.0 - 0.3j)
     stats = {}
-    x = fem.solve_linear(sysm, rhs, tol=1e-12, perturbation=jac.A,
-                         conjugate=jac.B, stats=stats)
+    x = fem.solve_linear(sysm, rhs, tol=1e-12, jacobian=jac, stats=stats)
     assert 0 < stats["iterations"] <= 10
     # (K + A) x + B conj(x) = b on the free dofs, as a real 2n system
     f = sysm.free

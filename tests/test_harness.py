@@ -94,10 +94,18 @@ def test_config_dict_roundtrip():
     ("u0_refine_cap", -1), ("u0_refine_cap", "2"),
     ("c0", 0.0), ("c0", -1.0), ("c0", "x"),
     ("eta_rule", 1.5), ("eta_rule", ["power", -0.5]), ("layout_kind", "bogus"),
+    ("h_factor", 0.0), ("refine_floor", -1.0), ("guard_tol", "x"),
+    ("seed", "3"), ("vanish_near_s", 1),
 ])
 def test_config_errors_name_the_key(key, value):
     with pytest.raises(harness.ConfigError, match=key):
         harness.StudyConfig.from_dict({"theorem": "T1a", key: value})
+
+
+def test_mesh_and_guard_numbers_become_floats():
+    # the study's arithmetic on h_factor and guard_tol needs numbers
+    cfg = harness.StudyConfig(theorem="T1a", h_factor="0.5", guard_tol=1)
+    assert cfg.h_factor == 0.5 and type(cfg.guard_tol) is float
 
 
 def test_coefficient_configs_keep_plain_data_and_callables():

@@ -57,3 +57,9 @@ def test_traced_t2_row_records_the_nonlinear_spans():
     assert m["fem.boundary_nonlinear.calls"] >= 1
     assert m["fem.boundary_nonlinear.calls"] == m["solvers.newton_iters"]
     assert m["solvers.picard_iters"] >= 1 and m["solvers.u0_solves"] >= 2
+    # each system factors K inside its first solve; the fallback hook counts
+    # an LU whose caller is a solvers span, so none may appear there
+    lus = [s for s in tracer.spans if s.name == "kernel.splu"]
+    assert lus and all(tracer.spans[s.parent].name == "fem.solve_linear"
+                       for s in lus)
+    assert m["kernel.newton_splu_fallbacks"] == 0
