@@ -15,7 +15,10 @@ assemble forms K alone, in one sparse pass of the local blocks
 |T| (G A G^T + D + (A_0 - lam) M_ref) of the simplices T, with G the
 barycentric gradients, D the drift term and M_ref the mass matrix of T over
 |T| (a callable A_0 goes through the cell rule).  With A = I, A_0 = 1 and
-lam = 0, K is the H1 Gram matrix (h1_gram).
+lam = 0, K is the H1 Gram matrix (h1_gram).  The local blocks, and the cell
+quadrature of loads and L2 norms, are computed meshing.SIMPLEX_BLOCK
+simplices at a time (meshing.blockwise), so their temporaries do not grow
+with the mesh.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import (
     NoConvergenceError,
     NonEllipticCoefficientsError,
 )
+from .meshing import blockwise
 
 log = logging.getLogger(__name__)
 
@@ -253,16 +257,18 @@ class FacetCache:
     def total_measure(self):
         return float(self.w.sum())
 
-    def mass(self, shape, values=1.0, columns=None):
+    def mass(self, shape, values=1.0, rows=None, columns=None):
         """Sparse facet mass of the weights times values (F, q): entry (i, j)
-        sums w * values * phi_i phi_j, with j the node's index in columns
-        (F, d), default the node itself."""
+        sums w * values * phi_a phi_b over the facet nodes a, b, with i the
+        index of a in rows and j that of b in columns (F, d), by default the
+        node itself.  An index of -1 drops the entry."""
         d = self.nodes.shape[1]
         pairs = np.einsum("qi,qj->qij", self.basis, self.basis)
-        vals = np.einsum("fq,qij->fij", self.w * values, pairs)
-        rows = np.repeat(self.nodes, d, axis=1).ravel()
-        cols = np.tile(self.nodes if columns is None else columns, (1, d)).ravel()
-        return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=shape).tocsr()
+        vals = np.einsum("fq,qij->fij", self.w * values, pairs).ravel()
+        r = np.repeat(self.nodes if rows is None else rows, d, axis=1).ravel()
+        c = np.tile(self.nodes if columns is None else columns, (1, d)).ravel()
+        keep = (r >= 0) & (c >= 0)
+        return sp.coo_matrix((vals[keep], (r[keep], c[keep])), shape=shape).tocsr()
 
 
 def build_facet_cache(mesh, selector, weight=None):
@@ -285,14 +291,18 @@ def build_facet_cache(mesh, selector, weight=None):
 
 @dataclass
 class BoundaryJacobian:
-    """R-linear boundary Jacobian: J(du) = A du + B conj(du).  The
-    saturating nonlinearity is not holomorphic, so B is nonzero at a
-    complex state."""
+    """R-linear boundary Jacobian on the free dofs of its system:
+    J(du) = A du + B conj(du).  The saturating nonlinearity is not
+    holomorphic, so B is nonzero at a complex state.  At a real state of a
+    real system B is None and A is the tangent A + B, which is J on real
+    increments; it is a real facet mass, so symmetric by construction."""
 
     A: sp.spmatrix
-    B: sp.spmatrix
+    B: sp.spmatrix | None = None
 
     def apply(self, du):
+        if self.B is None:
+            return self.A @ du
         return self.A @ du + self.B @ np.conj(du)
 
 
@@ -422,45 +432,9 @@ def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None, boundary=None,
     boundary : None, or (selector, nbc): nbc on the facets of selector,
         weighted by weight, a constant or a callable of the facet points.
     """
-    dim = mesh.dim
-    lam = float(coeffs.lam if lam is None else lam)
-    simp = mesh.simplices
-    vols, grads = mesh.p1_geometry()                     # (ns,), (ns, d+1, n)
-    bary, wq = cell_quadrature(dim)
-    ns, nq, nloc = len(simp), len(wq), dim + 1
-
-    def at_points(spec, shape):
-        """Coefficient values (ns, nq, *shape) at the quadrature points."""
-        if callable(spec):
-            x = _cell_points(mesh, simp)
-            return _eval_field(spec, x, dim, shape).reshape((ns, nq) + shape)
-        return np.broadcast_to(np.asarray(spec), (ns, nq) + shape)
-
-    # gradients are constant on a simplex, so A enters through its mean
-    A = coeffs.matrix
-    if callable(A):
-        A = np.einsum("q,fqnm->fnm", wq, at_points(A, (dim, dim)))
-    Ag = grads if A is None else grads @ np.swapaxes(np.asarray(A), -1, -2)
-    # G A G^T per unit volume, summed over the axes (in 2D twice as fast as
-    # einsum, adding in the same order)
-    K_loc = sum(grads[:, :, None, k] * Ag[:, None, :, k] for k in range(dim))
-    if coeffs.drift is not None:
-        Gd = np.einsum("fjn,fqn->fqj", grads, at_points(coeffs.drift, (dim,)))
-        K_loc = K_loc + np.einsum("q,qi,fqj->fij", wq, bary, Gd)
-    reaction = coeffs.reaction
-    if callable(reaction):
-        rq = wq * at_points(reaction, ())
-        K_loc = K_loc + np.einsum("fq,qi,qj->fij", rq, bary, bary)
-        reaction = 0.0
-    K_loc *= vols[:, None, None]
-    M_loc = vols[:, None, None] * np.einsum("q,qi,qj->ij", wq, bary, bary)
-    K_loc = K_loc + (reaction - lam) * M_loc
-
     nv = mesh.n_vertices
-    idx = simp.astype(np.int32)
-    rows = np.repeat(idx, nloc, axis=1).ravel()
-    cols = np.tile(idx, (1, nloc)).ravel()
-    K = sp.coo_matrix((K_loc.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    lam = float(coeffs.lam if lam is None else lam)
+    K = _assemble_matrix(mesh, coeffs, lam)
 
     F = None
     if f is not None:
@@ -488,14 +462,68 @@ def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None, boundary=None,
     )
 
 
+def _assemble_matrix(mesh, coeffs, lam):
+    """CSR matrix K of the form, from element matrices computed block by
+    block (meshing.blockwise) and summed in one COO -> CSR pass.  The
+    element arrays are freed on return, before assemble builds the load."""
+    dim = mesh.dim
+    simp = mesh.simplices
+    vols, grads = mesh.p1_geometry()                     # (ns,), (ns, d+1, n)
+    bary, wq = cell_quadrature(dim)
+    nq, nloc = len(wq), dim + 1
+    M_ref = np.einsum("q,qi,qj->ij", wq, bary, bary)
+
+    def element(blk):
+        """Element matrices (nb, d+1, d+1) of the simplices of blk."""
+        G, vol = grads[blk], vols[blk, None, None]
+        nb = len(G)
+
+        def at_points(spec, shape):
+            """Coefficient values (nb, nq, *shape) at the quadrature points."""
+            if callable(spec):
+                x = _cell_points(mesh, simp[blk])
+                return _eval_field(spec, x, dim, shape).reshape((nb, nq) + shape)
+            return np.broadcast_to(np.asarray(spec), (nb, nq) + shape)
+
+        # gradients are constant on a simplex, so A enters through its mean
+        A = coeffs.matrix
+        if callable(A):
+            A = np.einsum("q,fqnm->fnm", wq, at_points(A, (dim, dim)))
+        Ag = G if A is None else G @ np.swapaxes(np.asarray(A), -1, -2)
+        # G A G^T per unit volume, summed over the axes (in 2D twice as fast
+        # as einsum, adding in the same order)
+        K_loc = sum(G[:, :, None, k] * Ag[:, None, :, k] for k in range(dim))
+        if coeffs.drift is not None:
+            Gd = np.einsum("fjn,fqn->fqj", G, at_points(coeffs.drift, (dim,)))
+            K_loc = K_loc + np.einsum("q,qi,fqj->fij", wq, bary, Gd)
+        reaction = coeffs.reaction
+        if callable(reaction):
+            rq = wq * at_points(reaction, ())
+            K_loc = K_loc + np.einsum("fq,qi,qj->fij", rq, bary, bary)
+            reaction = 0.0
+        K_loc *= vol
+        return K_loc + (reaction - lam) * (vol * M_ref)
+
+    K_loc = blockwise(len(simp), element)
+    idx = simp.astype(np.int32)
+    rows = np.repeat(idx, nloc, axis=1).ravel()
+    cols = np.tile(idx, (1, nloc)).ravel()
+    nv = mesh.n_vertices
+    return sp.coo_matrix((K_loc.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
 def load_vector(mesh, f):
     """Nodal load with entries (f, phi_i), degree-2 cell quadrature."""
     bary, wq = cell_quadrature(mesh.dim)
-    x = _cell_points(mesh, mesh.simplices)
-    fq = np.asarray(f(x) if callable(f) else np.broadcast_to(f, (len(x),)))
-    contrib = (fq.reshape(-1, len(wq)) @ (wq[:, None] * bary)) \
-        * mesh.simplex_volumes()[:, None]
-    return _scatter(mesh.simplices.ravel(), contrib.ravel(), mesh.n_vertices)
+    simp, vols = mesh.simplices, mesh.simplex_volumes()
+
+    def contrib(blk):
+        x = _cell_points(mesh, simp[blk])
+        fq = np.asarray(f(x) if callable(f) else np.broadcast_to(f, (len(x),)))
+        return (fq.reshape(-1, len(wq)) @ (wq[:, None] * bary)) * vols[blk, None]
+
+    return _scatter(simp.ravel(), blockwise(len(simp), contrib).ravel(),
+                    mesh.n_vertices)
 
 
 def l2_of_function(mesh, f, region=None):
@@ -505,8 +533,13 @@ def l2_of_function(mesh, f, region=None):
     if region is not None:
         simp, vols = simp[region], vols[region]
     _, wq = cell_quadrature(mesh.dim)
-    fq = np.asarray(f(_cell_points(mesh, simp))).reshape(len(simp), len(wq))
-    return math.sqrt(float(vols @ (np.abs(fq) ** 2 @ wq)))
+
+    def squares(blk):
+        """Quadrature of |f|^2 per unit volume on the simplices of blk."""
+        fq = np.asarray(f(_cell_points(mesh, simp[blk]))).reshape(-1, len(wq))
+        return np.abs(fq) ** 2 @ wq
+
+    return math.sqrt(float(vols @ blockwise(len(simp), squares)))
 
 
 def _facet_state(system, u):
@@ -529,13 +562,18 @@ def boundary_residual(system, u):
 
 
 def boundary_nonlinear(system, u):
-    """Jacobian of the system's boundary term at state u (its residual is
-    boundary_residual); only a Newton step needs it."""
+    """Jacobian of the system's boundary term at state u on the free dofs
+    (its residual is boundary_residual); only a Newton step needs it."""
     cache, x, uq = _facet_state(system, u)
     Aq, Bq = (np.asarray(z).reshape(uq.shape)
               for z in system.nbc.wirtinger(x, uq.ravel()))
-    shape = (system.mesh.n_vertices,) * 2
-    return BoundaryJacobian(cache.mass(shape, Aq), cache.mass(shape, Bq))
+    free = system.free
+    index = np.where(system.dirichlet_mask[cache.nodes], -1,
+                     np.searchsorted(free, cache.nodes))
+    A, B = (cache.mass((len(free),) * 2, z, index, index) for z in (Aq, Bq))
+    if any(np.iscomplexobj(z) for z in (Aq, Bq, system.matrix.data)):
+        return BoundaryJacobian(A, B)
+    return BoundaryJacobian(A + B)
 
 
 def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None,
@@ -548,9 +586,10 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None,
     J_b a 2D system is solved by its cached LU; every other case runs a
     Krylov method preconditioned by the cached setup (the exact LU in 2D, so
     a tangent converges in a few steps).  A real state has conj(x) = x, so
-    its tangent K + A + B is solved by CG when Hermitian and BiCGStab
-    otherwise; a complex one keeps B on conj(x), which is only R-linear, and
-    runs BiCGStab on the split real form [Re x; Im x].  stats, a dict,
+    its tangent K + A + B, with A + B symmetric, is solved by CG when K is
+    Hermitian and BiCGStab otherwise; it needs a real rhs.  A complex state
+    keeps B on conj(x), which is only R-linear, and runs BiCGStab on the
+    split real form [Re x; Im x].  stats, a dict,
     accumulates the Krylov iterations under "iterations".  Raises
     NoConvergenceError when the Krylov method hits maxiter or the residual
     exceeds tol (usually a sign that lam is too close to the solvability
@@ -562,10 +601,9 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None,
     b = np.asarray(rhs)[f]
     J = C = None
     if jacobian is not None:
-        if any(np.iscomplexobj(z) for z in (b, jacobian.A.data, K.data)):
-            J, C = jacobian.A[f][:, f], jacobian.B[f][:, f]
-        else:  # a real state has conj(x) = x: the tangent is K + A + B
-            J = (jacobian.A + jacobian.B)[f][:, f]
+        J, C = jacobian.A, jacobian.B
+        if C is None and np.iscomplexobj(b):
+            raise ValueError("the tangent of a real state needs a real rhs")
     if maxiter is None:
         maxiter = max(500, 20 * int(math.sqrt(K.shape[0])))
     dtype = np.result_type(b, *(m.dtype for m in (K, J, C) if m is not None))
@@ -587,9 +625,8 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None,
     if J is None and backend == "splu":
         x = system.precondition(b)
     elif C is None:
-        hermitian = system.is_hermitian() and (J is None or _is_hermitian(J))
-        x = _krylov(operator, system.precondition, b, dtype, hermitian, tol,
-                    maxiter, stats)
+        x = _krylov(operator, system.precondition, b, dtype,
+                    system.is_hermitian(), tol, maxiter, stats)
     else:
         n = len(b)
 

@@ -377,6 +377,23 @@ def _box(dim):
     return convert
 
 
+def _shape(v):
+    """Config converter to a Shape, from a Shape or its {family, params}."""
+    return v if isinstance(v, Shape) else Shape(**dict(v))
+
+
+def _shapes(n):
+    """Config converter to n Shapes: one shape for all, or a list of n."""
+    def convert(v):
+        if isinstance(v, Shape):
+            return [v] * n
+        shapes = [_shape(s) for s in v]
+        if len(shapes) != n:
+            raise ValueError(f"{len(shapes)} shapes for {n} centers")
+        return shapes
+    return convert
+
+
 def _floats(*shape):
     """Config converter to a float array of the given shape (-1: any
     number of rows); each row must have shape[-1] numbers."""
@@ -425,8 +442,7 @@ def make_layout(kind, params, eps, eta_rule=1.0):
         raise ManifoldOutsideDomainError(
             f"s0={s0} outside normal extent ({lo[dim-1]}, {hi[dim-1]})"
         )
-    shape = value("shape", _default_shape(),
-                  lambda v: v if isinstance(v, Shape) else Shape(**dict(v)))
+    shape = value("shape", _default_shape(), _shape)
 
     if kind == "periodic" or kind == "perturbed-periodic":
         periods = value("periods", (1.0,) * (dim - 1), _floats(dim - 1))
@@ -494,11 +510,7 @@ def make_layout(kind, params, eps, eta_rule=1.0):
         shapes = [shape] * len(centers)
     elif kind == "explicit":
         centers = value("centers", None, _floats(-1, dim))
-        shp = params.get("shapes", shape)
-        if isinstance(shp, Shape):
-            shapes = [shp] * len(centers)
-        else:
-            shapes = [s if isinstance(s, Shape) else Shape(**s) for s in shp]
+        shapes = value("shapes", shape, _shapes(len(centers)))
     else:
         raise ValueError(f"unknown layout kind {kind!r}")
 

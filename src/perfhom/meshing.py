@@ -179,19 +179,57 @@ def _edge_cofactors(vertices, simplices):
     return np.einsum("fn,fn->f", e[:, 0], cof[:, 0]), cof
 
 
+# simplices per block of a per-simplex kernel, at least 2: its temporaries stay
+# this size whatever the mesh size
+SIMPLEX_BLOCK = 4096
+
+
+def blockwise(n, kernel):
+    """Stack kernel(s) over consecutive slices s of range(n), SIMPLEX_BLOCK
+    long, into preallocated arrays of length n.
+
+    kernel returns an array, or a tuple of arrays, whose rows are those of
+    its slice; each row's arithmetic is the kernel's alone, so the result is
+    the one kernel(slice(0, n)) gives, bit for bit.  That needs blocks of at
+    least two rows: numpy multiplies a one-row matrix by the vector path of
+    BLAS, whose complex products round otherwise, so a last block of one row
+    joins the block before it.
+    """
+    starts = list(range(0, n, SIMPLEX_BLOCK)) or [0]
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    out = None
+    for start, stop in zip(starts, starts[1:] + [n]):
+        parts = kernel(slice(start, stop))
+        single = not isinstance(parts, tuple)
+        parts = (parts,) if single else parts
+        if out is None:
+            out = [np.empty((n,) + p.shape[1:], dtype=p.dtype) for p in parts]
+        for i, p in enumerate(parts):
+            if np.result_type(out[i], p) != out[i].dtype:
+                out[i] = out[i].astype(np.result_type(out[i], p))
+            out[i][start:stop] = p
+    return out[0] if single else tuple(out)
+
+
 def _p1_geometry(vertices, simplices):
-    det, cof = _edge_cofactors(vertices, simplices)
-    # a degenerate simplex gets non-finite gradients; Mesh.check rejects it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = cof / det[:, None, None]
-    grads = np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1)
-    return np.abs(det) / math.factorial(vertices.shape[1]), grads
+    factorial = math.factorial(vertices.shape[1])
+
+    def kernel(blk):
+        det, cof = _edge_cofactors(vertices, simplices[blk])
+        # a degenerate simplex gets non-finite gradients; Mesh.check rejects it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = cof / det[:, None, None]
+        grads = np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1)
+        return np.abs(det) / factorial, grads
+
+    return blockwise(len(simplices), kernel)
 
 
-def _orient(vertices, simplices):
-    """Simplices reordered to positive orientation, and their determinants
-    (the swap of two vertices negates det exactly, so that is |det|)."""
-    det = _edge_cofactors(vertices, simplices)[0]
+def _orient(simplices, det):
+    """Simplices reordered to positive orientation, given their edge
+    determinants det, and the determinants after the reordering (the swap of
+    two vertices negates det exactly, so that is |det|)."""
     flip = det < 0
     if flip.any():
         simplices = simplices.copy()
@@ -552,20 +590,22 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
 
     # qhull can emit flat simplices whose vertices are all cocircular points
     # of one box face; they carry no volume and are safe to drop
-    vols = np.abs(_edge_cofactors(pts, simplices)[0])
+    det = blockwise(len(simplices),
+                    lambda blk: _edge_cofactors(pts, simplices[blk])[0])
+    vols = np.abs(det)
     flat = vols <= 1e-10 * np.median(vols)
     if flat.any():
         wall_tol = 1e-9 * float((hi - lo).max())
         if not _on_box_side(pts[simplices[flat]], lo, hi, wall_tol).all():
             raise MeshingError("degenerate simplex away from the box walls")
-        simplices = simplices[~flat]
+        simplices, det = simplices[~flat], det[~flat]
 
     used = np.unique(simplices)
     remap = -np.ones(len(pts), dtype=np.int64)
     remap[used] = np.arange(len(used))
     verts = pts[used]
-    simplices = remap[simplices]
-    simplices, det = _orient(verts, simplices)
+    # renumbering keeps each simplex's coordinates, and so its determinant
+    simplices, det = _orient(remap[simplices], det)
     if not np.all(det > 0):
         raise MeshingError("degenerate simplex after carving")
 

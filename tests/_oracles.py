@@ -9,8 +9,12 @@ agreement is meaningful.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+from perfhom.fem import _cell_points, _eval_field, _scatter, cell_quadrature
+from perfhom.meshing import _edge_cofactors
 
 
 def transmission_shooting(c_sigma, y):
@@ -139,3 +143,75 @@ def fit_slope(eps, err):
     A = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     return float(coef[0])
+
+
+# Unblocked references of the per-simplex kernels.  Unlike the oracles above
+# they repeat the package's arithmetic, over every simplex of the mesh at once
+# instead of block by block, so the blocked kernels must match them bit for
+# bit.
+
+def p1_geometry_unblocked(vertices, simplices):
+    """(volumes, barycentric gradients) from one pass over all simplices."""
+    det, cof = _edge_cofactors(vertices, simplices)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = cof / det[:, None, None]
+    grads = np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1)
+    return np.abs(det) / math.factorial(vertices.shape[1]), grads
+
+
+def matrix_unblocked(mesh, coeffs, lam):
+    """Assembled K of fem.assemble, from all element matrices at once."""
+    dim = mesh.dim
+    simp = mesh.simplices
+    vols, grads = mesh.p1_geometry()
+    bary, wq = cell_quadrature(dim)
+    ns, nq, nloc = len(simp), len(wq), dim + 1
+
+    def at_points(spec, shape):
+        if callable(spec):
+            x = _cell_points(mesh, simp)
+            return _eval_field(spec, x, dim, shape).reshape((ns, nq) + shape)
+        return np.broadcast_to(np.asarray(spec), (ns, nq) + shape)
+
+    A = coeffs.matrix
+    if callable(A):
+        A = np.einsum("q,fqnm->fnm", wq, at_points(A, (dim, dim)))
+    Ag = grads if A is None else grads @ np.swapaxes(np.asarray(A), -1, -2)
+    K_loc = sum(grads[:, :, None, k] * Ag[:, None, :, k] for k in range(dim))
+    if coeffs.drift is not None:
+        Gd = np.einsum("fjn,fqn->fqj", grads, at_points(coeffs.drift, (dim,)))
+        K_loc = K_loc + np.einsum("q,qi,fqj->fij", wq, bary, Gd)
+    reaction = coeffs.reaction
+    if callable(reaction):
+        rq = wq * at_points(reaction, ())
+        K_loc = K_loc + np.einsum("fq,qi,qj->fij", rq, bary, bary)
+        reaction = 0.0
+    K_loc *= vols[:, None, None]
+    M_loc = vols[:, None, None] * np.einsum("q,qi,qj->ij", wq, bary, bary)
+    K_loc = K_loc + (reaction - lam) * M_loc
+    idx = simp.astype(np.int32)
+    rows = np.repeat(idx, nloc, axis=1).ravel()
+    cols = np.tile(idx, (1, nloc)).ravel()
+    nv = mesh.n_vertices
+    return sp.coo_matrix((K_loc.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
+def load_vector_unblocked(mesh, f):
+    """Nodal load (f, phi_i) of fem.load_vector, all simplices at once."""
+    bary, wq = cell_quadrature(mesh.dim)
+    x = _cell_points(mesh, mesh.simplices)
+    fq = np.asarray(f(x) if callable(f) else np.broadcast_to(f, (len(x),)))
+    contrib = (fq.reshape(-1, len(wq)) @ (wq[:, None] * bary)) \
+        * mesh.simplex_volumes()[:, None]
+    return _scatter(mesh.simplices.ravel(), contrib.ravel(), mesh.n_vertices)
+
+
+def l2_of_function_unblocked(mesh, f, region=None):
+    """fem.l2_of_function, all simplices at once."""
+    vols = mesh.simplex_volumes()
+    simp = mesh.simplices
+    if region is not None:
+        simp, vols = simp[region], vols[region]
+    _, wq = cell_quadrature(mesh.dim)
+    fq = np.asarray(f(_cell_points(mesh, simp))).reshape(len(simp), len(wq))
+    return math.sqrt(float(vols @ (np.abs(fq) ** 2 @ wq)))

@@ -177,6 +177,20 @@ def test_config_mistake_is_a_clean_error(tmp_path, capsys, command, doc, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("shapes", [5, [{"family": "ball"}]])
+def test_explicit_shapes_mistake_is_named(tmp_path, capsys, shapes):
+    cfg = _write(tmp_path, {"theorem": "T1a", "layout_kind": "explicit",
+                            "layout_params": {"centers": [[0.5, 0.0]],
+                                              "shapes": shapes}})
+    assert cli.main(["validate", "--config", cfg]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL")]
+    assert fails and all("'shapes'" in line for line in fails)
+    assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'shapes'" in err
+
+
 @pytest.mark.parametrize("command", ["snorm", "corrector"])
 def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     cfg = _write(tmp_path, {"eps_list": [1 / 8, 1 / 16], "eta_rule": "x"})
@@ -213,6 +227,11 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
      "radius"),
     ("snorm", {"layout_params": {"shape": {"family": "ball", "params": {}}}}, "radius"),
     ("snorm", {"layout_params": {"constants": {"R2": "x"}}}, "R2"),
+    ("snorm", {"layout_kind": "explicit",
+               "layout_params": {"centers": [[0.5, 0.0]], "shapes": 5}}, "shapes"),
+    ("snorm", {"layout_kind": "explicit",
+               "layout_params": {"centers": [[0.5, 0.0]],
+                                 "shapes": [{"family": "ball"}]}}, "shapes"),
 ])
 def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
                                                      extra, named):

@@ -102,6 +102,17 @@ def test_config_errors_name_the_key(key, value):
         harness.StudyConfig.from_dict({"theorem": "T1a", key: value})
 
 
+@pytest.mark.parametrize("shapes", [
+    5, [{"family": "ball"}], [{"family": "ball", "params": {"radius": 0.1}}] * 2,
+])
+def test_explicit_layout_shapes_errors_name_the_key(shapes):
+    cfg = harness.StudyConfig(theorem="T1a", layout_kind="explicit",
+                              layout_params={"centers": [[0.5, 0.0]],
+                                             "shapes": shapes})
+    with pytest.raises(harness.ConfigError, match="'shapes'"):
+        cfg.layout(1 / 8)
+
+
 def test_mesh_and_guard_numbers_become_floats():
     # the study's arithmetic on h_factor and guard_tol needs numbers
     cfg = harness.StudyConfig(theorem="T1a", h_factor="0.5", guard_tol=1)

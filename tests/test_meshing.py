@@ -12,6 +12,8 @@ from perfhom.errors import (
     ResolutionTooCoarseError,
 )
 
+from _oracles import p1_geometry_unblocked
+
 
 def test_box_mesh_volume_and_orientation():
     m = meshing.mesh_box((0.0, 0.0), (1.0, 1.0), 0.25)
@@ -399,6 +401,40 @@ def test_interface_facets_match_cell_loop(lo, hi):
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 15, 16])
+def test_blocks_cover_the_range_with_two_rows_or_more(monkeypatch, n):
+    monkeypatch.setattr(meshing, "SIMPLEX_BLOCK", 7)
+    seen = []
+
+    def kernel(blk):
+        seen.append((blk.start, blk.stop))
+        return np.arange(blk.start, blk.stop), np.ones((blk.stop - blk.start, 2))
+
+    idx, ones = meshing.blockwise(n, kernel)
+    np.testing.assert_array_equal(idx, np.arange(n))
+    assert ones.shape == (n, 2) and (ones == 1).all()
+    assert [a for a, _ in seen[1:]] == [b for _, b in seen[:-1]]
+    assert seen[0][0] == 0 and seen[-1][1] == n
+    assert all(b - a >= min(n, 2) for a, b in seen)
+    assert all(b - a <= 8 for a, b in seen)
+    # np.emath.sqrt turns complex on the first block with a negative input
+    want = np.emath.sqrt(6.5 - np.arange(n))
+    got = meshing.blockwise(n, lambda blk: np.emath.sqrt(6.5 - np.arange(n)[blk]))
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim, h", [(2, 1 / 8), (3, 1 / 3)])
+def test_blocked_p1_geometry_matches_unblocked(monkeypatch, dim, h):
+    monkeypatch.setattr(meshing, "SIMPLEX_BLOCK", 7)
+    m = meshing.mesh_box(np.zeros(dim), np.ones(dim), h)
+    rng = np.random.default_rng(2)
+    verts = m.vertices + 0.2 * h * rng.uniform(-1.0, 1.0, m.vertices.shape)
+    got = meshing._p1_geometry(verts, m.simplices)
+    for a, b in zip(got, p1_geometry_unblocked(verts, m.simplices)):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_p1_geometry_matches_lapack(dim):
     rng = np.random.default_rng(11)
@@ -419,7 +455,8 @@ def test_p1_geometry_matches_lapack(dim):
     np.testing.assert_allclose(vols, np.abs(det) / math.factorial(dim), rtol=1e-13, atol=0)
     scale = np.abs(want).max(axis=(1, 2))
     assert (np.abs(grads - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
-    flipped, det_oriented = meshing._orient(verts, simp)
+    flipped, det_oriented = meshing._orient(
+        simp, meshing._edge_cofactors(verts, simp)[0])
     assert (np.linalg.det(verts[flipped][:, 1:] - verts[flipped][:, :1]) > 0).all()
     # the returned determinants are bit-identical to recomputing them
     np.testing.assert_array_equal(
