@@ -11,11 +11,12 @@ with complex L2 products conjugating the test slot.  Cell quadrature is
 degree 2, facet quadrature degree 3; both are exact for every P1 Gram
 quantity used here.
 
-assemble forms K alone, in one sparse pass of the local blocks
+assemble forms the operator K alone, in one sparse pass of the local blocks
 |T| (G A G^T + D + (A_0 - lam) M_ref) of the simplices T, with G the
 barycentric gradients, D the drift term and M_ref the mass matrix of T over
 |T| (a callable A_0 goes through the cell rule).  With A = I, A_0 = 1 and
-lam = 0, K is the H1 Gram matrix (h1_gram).  The local blocks, and the cell
+lam = 0, K is the H1 Gram matrix (h1_gram).  A load is a separate vector
+(load_vector) that each solve takes.  The local blocks, and the cell
 quadrature of loads and L2 norms, are computed meshing.SIMPLEX_BLOCK
 simplices at a time (meshing.blockwise), so their temporaries do not grow
 with the mesh.
@@ -92,7 +93,6 @@ class CoefficientSet:
         must be real symmetric with lowest eigenvalue >= c0.
     drift : None, constant (n,) vector, or callable x -> (m, n); complex ok.
     reaction : scalar, or callable x -> (m,); complex ok.
-    lam : spectral shift subtracted from the form.
     c0 : declared ellipticity constant.
     sup_drift / sup_reaction : declared sup bounds, required when the
         corresponding field is a callable (used by estimate_lambda0).
@@ -102,7 +102,6 @@ class CoefficientSet:
     matrix: object = None
     drift: object = None
     reaction: object = 0.0
-    lam: float = 0.0
     c0: float = 1.0
     sup_drift: float | None = None
     sup_reaction: float | None = None
@@ -153,7 +152,6 @@ class NonlinearBC:
     kind: str = "zero"
     sigma: object = 0.0
     sup_sigma: float | None = None
-    monotone: bool | None = None
 
     def __post_init__(self):
         if self.kind not in ("zero", "linear", "saturating"):
@@ -168,11 +166,9 @@ class NonlinearBC:
         """Whether Re (a(u)-a(v)) conj(u-v) >= 0 holds pointwise.
 
         True for scalar real sigma >= 0 (both kinds: the Wirtinger pair
-        satisfies A - |B| = sigma/(1+|u|)^2 >= 0); callables need an
-        explicit declaration.
+        satisfies A - |B| = sigma/(1+|u|)^2 >= 0); a callable sigma counts
+        as not monotone.
         """
-        if self.monotone is not None:
-            return self.monotone
         if self.is_zero:
             return True
         if callable(self.sigma):
@@ -308,24 +304,26 @@ class BoundaryJacobian:
 
 @dataclass
 class AssembledSystem:
-    """Sparse discrete operator K with its load, Dirichlet bookkeeping and
-    boundary term: nbc on the facets of selector, weighted by weight.
+    """Sparse discrete operator K with its Dirichlet bookkeeping and boundary
+    term: nbc on the facets of selector, weighted by weight.  It holds no
+    load: every solve takes its right-hand side.
 
     The system also owns the linear-solve setup of its reduced matrix, built
     on the first solve and reused by every later one, Newton tangents
     included.  2D meshes use a sparse LU ("splu"), whose fill stays small.
     In 3D the fill of an LU costs far more than the solves it serves, so 3D
     iterates: "cg" with a Jacobi preconditioner for Hermitian matrices,
-    "bicgstab" with an incomplete LU otherwise.
+    "bicgstab" with an incomplete LU otherwise.  krylov_iters counts the
+    Krylov iterations of every solve on the system.
     """
 
     mesh: object
     matrix: sp.csr_matrix
-    load: np.ndarray | None
     dirichlet_mask: np.ndarray
     selector: object = None
     nbc: NonlinearBC = field(default_factory=NonlinearBC)
     weight: object = None
+    krylov_iters: int = field(default=0, init=False)
     _facets: FacetCache | None = field(default=None, repr=False)
     _free: np.ndarray | None = field(default=None, repr=False)
     _reduced: object = field(default=None, repr=False)
@@ -422,9 +420,10 @@ def _cell_points(mesh, simplices):
     return (bary @ mesh.vertices[simplices]).reshape(-1, mesh.dim)
 
 
-def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None, boundary=None,
+def assemble(mesh, coeffs, dirichlet="outer", lam=0.0, boundary=None,
              weight=None):
-    """Assemble the discrete form; see the module docstring for the identity.
+    """Assemble the discrete operator; see the module docstring for the
+    identity.  Loads are built apart, by load_vector.
 
     dirichlet : "outer" constrains every outer-boundary node, None keeps all
         nodes free, a callable(midpoints) keeps only the outer facets for
@@ -432,17 +431,8 @@ def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None, boundary=None,
     boundary : None, or (selector, nbc): nbc on the facets of selector,
         weighted by weight, a constant or a callable of the facet points.
     """
-    nv = mesh.n_vertices
-    lam = float(coeffs.lam if lam is None else lam)
     K = _assemble_matrix(mesh, coeffs, lam)
-
-    F = None
-    if f is not None:
-        F = load_vector(mesh, f)
-        if np.iscomplexobj(F) and not np.iscomplexobj(K.data):
-            K = K.astype(complex)
-
-    mask = np.zeros(nv, dtype=bool)
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
     if dirichlet is not None:
         outer = mesh.facet_mask("outer")
         if callable(dirichlet):
@@ -457,15 +447,15 @@ def assemble(mesh, coeffs, f=None, dirichlet="outer", lam=None, boundary=None,
 
     selector, nbc = boundary or (None, NonlinearBC())
     return AssembledSystem(
-        mesh=mesh, matrix=K, load=F, dirichlet_mask=mask, selector=selector,
-        nbc=nbc, weight=weight,
+        mesh=mesh, matrix=K, dirichlet_mask=mask, selector=selector, nbc=nbc,
+        weight=weight,
     )
 
 
 def _assemble_matrix(mesh, coeffs, lam):
     """CSR matrix K of the form, from element matrices computed block by
     block (meshing.blockwise) and summed in one COO -> CSR pass.  The
-    element arrays are freed on return, before assemble builds the load."""
+    element arrays are freed on return."""
     dim = mesh.dim
     simp = mesh.simplices
     vols, grads = mesh.p1_geometry()                     # (ns,), (ns, d+1, n)
@@ -526,12 +516,10 @@ def load_vector(mesh, f):
                     mesh.n_vertices)
 
 
-def l2_of_function(mesh, f, region=None):
+def l2_of_function(mesh, f):
     """L2 norm of a coefficient function over the mesh, degree-2 quadrature."""
     vols = mesh.simplex_volumes()
     simp = mesh.simplices
-    if region is not None:
-        simp, vols = simp[region], vols[region]
     _, wq = cell_quadrature(mesh.dim)
 
     def squares(blk):
@@ -576,8 +564,7 @@ def boundary_nonlinear(system, u):
     return BoundaryJacobian(A + B)
 
 
-def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None,
-                 stats=None):
+def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None):
     """Solve (K + J_b) x = rhs on the free dofs to relative residual tol,
     where K is the system's reduced matrix and J_b the optional boundary
     Jacobian of a Newton step, J_b x = A x + B conj(x).
@@ -589,11 +576,10 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None,
     its tangent K + A + B, with A + B symmetric, is solved by CG when K is
     Hermitian and BiCGStab otherwise; it needs a real rhs.  A complex state
     keeps B on conj(x), which is only R-linear, and runs BiCGStab on the
-    split real form [Re x; Im x].  stats, a dict,
-    accumulates the Krylov iterations under "iterations".  Raises
-    NoConvergenceError when the Krylov method hits maxiter or the residual
-    exceeds tol (usually a sign that lam is too close to the solvability
-    threshold or the mesh is bad).
+    split real form [Re x; Im x].  The Krylov iterations are added to
+    system.krylov_iters.  Raises NoConvergenceError when the Krylov method
+    hits maxiter or the residual exceeds tol (usually a sign that lam is too
+    close to the solvability threshold or the mesh is bad).
     """
     f = system.free
     backend = system.backend  # the first solve builds the setup, zero rhs too
@@ -625,8 +611,8 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None,
     if J is None and backend == "splu":
         x = system.precondition(b)
     elif C is None:
-        x = _krylov(operator, system.precondition, b, dtype,
-                    system.is_hermitian(), tol, maxiter, stats)
+        x = _krylov(system, operator, system.precondition, b, dtype,
+                    system.is_hermitian(), tol, maxiter)
     else:
         n = len(b)
 
@@ -636,9 +622,9 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None,
         def join(y):
             return y[:n] + 1j * y[n:]
 
-        x = join(_krylov(lambda y: split(operator(join(y))),
+        x = join(_krylov(system, lambda y: split(operator(join(y))),
                          lambda y: split(system.precondition(join(y))),
-                         split(b), float, False, tol, maxiter, stats))
+                         split(b), float, False, tol, maxiter))
     res = np.linalg.norm(operator(x) - b)
     if res > 10.0 * tol * bnorm:
         raise NoConvergenceError(f"linear residual {res:.3e} above {tol:.1e}*|rhs|")
@@ -646,8 +632,9 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None,
     return out
 
 
-def _krylov(matvec, precondition, b, dtype, hermitian, tol, maxiter, stats):
-    """CG (hermitian) or BiCGStab on matvec, preconditioned; raises at the cap."""
+def _krylov(system, matvec, precondition, b, dtype, hermitian, tol, maxiter):
+    """CG (hermitian) or BiCGStab on matvec, preconditioned; adds its
+    iterations to system.krylov_iters and raises at the cap."""
     name, method = ("cg", spla.cg) if hermitian else ("bicgstab", spla.bicgstab)
     shape = (len(b), len(b))
     steps = 0
@@ -660,8 +647,7 @@ def _krylov(matvec, precondition, b, dtype, hermitian, tol, maxiter, stats):
                      rtol=tol, atol=0.1 * tol * np.linalg.norm(b), maxiter=maxiter,
                      M=spla.LinearOperator(shape, matvec=precondition, dtype=dtype),
                      callback=count)
-    if stats is not None:
-        stats["iterations"] = stats.get("iterations", 0) + steps
+    system.krylov_iters += steps
     if info != 0:
         raise NoConvergenceError(f"{name} returned info={info} after {steps} iterations")
     return x
@@ -685,17 +671,11 @@ def estimate_lambda0(coeffs, nbc=None):
     return -C1 - C2 - c0 / 4.0
 
 
-def norms(mesh, u, region=None):
-    """(L2, H1 seminorm, H1) of a P1 field, exactly integrated.
-
-    region: optional boolean mask over simplices (e.g. a neighborhood of the
-    interface); default is the whole mesh.
-    """
+def norms(mesh, u):
+    """(L2, H1 seminorm, H1) of a P1 field over the mesh, exactly integrated."""
     u = np.asarray(u)
     vols, grads = mesh.p1_geometry()
     simp = mesh.simplices
-    if region is not None:
-        simp, vols, grads = simp[region], vols[region], grads[region]
     d = mesh.dim
     ul = u[simp]
     ssum = np.abs(ul.sum(axis=1)) ** 2

@@ -405,6 +405,13 @@ def _floats(*shape):
     return convert
 
 
+def layout_box(params, dim):
+    """(lo, hi) arrays of the domain box of the dim-dimensional layouts that
+    make_layout builds from params."""
+    return _config_value("domain", params.get("domain", _default_domain(dim)),
+                         _box(dim))
+
+
 def make_layout(kind, params, eps, eta_rule=1.0):
     """Build a validated cavity layout.
 
@@ -432,8 +439,7 @@ def make_layout(kind, params, eps, eta_rule=1.0):
     dim = value("dim", 2, _dimension)
     eps = float(eps)
     eta = eval_eta(eta_rule, eps)
-    lo, hi = (tuple(b.tolist()) for b in
-              value("domain", _default_domain(dim), _box(dim)))
+    lo, hi = (tuple(b.tolist()) for b in layout_box(params, dim))
     s0 = value("s0", 0.0, float)
     constants = dict(DEFAULT_CONSTANTS)
     for key, v in value("constants", {}, dict).items():

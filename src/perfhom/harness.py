@@ -160,7 +160,7 @@ class StudyConfig:
         if not self.eps_list:
             self.eps_list = DEFAULT_SWEEP if self.dim == 2 else DEFAULT_SWEEP_3D
         self.eps_list = _config_value("eps_list", self.eps_list,
-                                      lambda v: tuple(float(e) for e in v))
+                                      lambda v: tuple(_positive(e) for e in v))
         self.layout_kind = _config_value("layout_kind", self.layout_kind,
                                          _layout_kind)
         self.eta_rule = _config_value("eta_rule", self.eta_rule, _eta_rule)
@@ -195,7 +195,7 @@ class StudyConfig:
         # the solvers' own threshold rule, so validate rejects what study would
         if self.lam is not None:
             self.lam = _config_value("lam", self.lam, lambda v: solvers._resolve_lambda(
-                coeffs, nbc, solvers.SolveOptions(lam=v)))
+                coeffs, nbc, v))
         self.layout_params = _config_value("layout_params", self.layout_params,
                                            dict)
         if self.layout_params.get("dim", n) != n:
@@ -229,6 +229,14 @@ class StudyConfig:
         return geometry.make_layout(self.layout_kind,
                                     dict(self.layout_params, dim=self.dim),
                                     eps, eta_rule=self.eta_rule)
+
+    def check_ellipticity(self):
+        """Sampled lowest eigenvalue of the principal part at 7 points on the
+        diagonal of the layout box; raises NonEllipticCoefficientsError below
+        c0.  The box is read from the layout params, building no layout."""
+        lo, hi = geometry.layout_box(self.layout_params, self.dim)
+        pts = np.stack([np.linspace(a, b, 7) for a, b in zip(lo, hi)], axis=1)
+        return self.coefficients().validate_ellipticity(pts)
 
     def to_dict(self):
         doc = asdict(self)
@@ -344,7 +352,7 @@ def _study_row(config, eps, kappa_val=None):
     eta = layout.eta
     coeffs = config.coefficients()
     nbc = config.nonlinearity()
-    lam = solvers._resolve_lambda(coeffs, nbc, solvers.SolveOptions(lam=config.lam))
+    lam = solvers._resolve_lambda(coeffs, nbc, config.lam)
     opts = solvers.SolveOptions(lam=lam)
 
     fs = standard_rhs(config.rhs_names, config.vanish_near_s, layout.s0)
@@ -364,8 +372,8 @@ def _study_row(config, eps, kappa_val=None):
     infos = []  # every perforated and homogenized solve of the row
 
     def solve_eps(system, f):
-        u, info = solvers.solve_assembled(system, opts,
-                                          load=fem.load_vector(system.mesh, f))
+        u, info = solvers.solve_assembled(system, fem.load_vector(system.mesh, f),
+                                          opts)
         infos.append(info)
         return u
 
@@ -414,8 +422,8 @@ def _study_row(config, eps, kappa_val=None):
     per_f = {name0: {"l2": e_h[0], "h1": e_h[2], "f_norm": f_omega}}
     for name, f in fs[1:]:
         uh = solve_eps(sys_h, f)
-        u0v, info = solvers.solve_assembled(u0_field.system, opts,
-                                            load=fem.load_vector(u0_mesh, f))
+        u0v, info = solvers.solve_assembled(u0_field.system,
+                                            fem.load_vector(u0_mesh, f), opts)
         infos.append(info)
         err = fem.norms(mesh_h, uh - P_h @ u0v)
         per_f[name] = {"l2": err[0], "h1": err[2],
@@ -460,6 +468,7 @@ def _row_worker(args):
 def run_study(config, jobs=1):
     """Full sweep -> RateReport; see the module docstring for the protocol."""
     norm_key, needs_kappa, _, _ = _THEOREMS[config.theorem]
+    config.check_ellipticity()  # before any row builds a mesh
 
     kappa_map = {}
     kappa_rows = []

@@ -44,9 +44,10 @@ class SolveOptions:
             raise ValueError("picard_tol must be positive")
 
 
-def _resolve_lambda(coeffs, nbc, opts):
+def _resolve_lambda(coeffs, nbc, lam):
+    """lam as a float, lam0_hat - 1 for None; raises unless below lam0_hat."""
     lam0 = fem.estimate_lambda0(coeffs, nbc)
-    lam = lam0 - 1.0 if opts.lam is None else float(opts.lam)
+    lam = lam0 - 1.0 if lam is None else float(lam)
     if lam >= lam0:
         raise ValueError(
             f"lam={lam} is not below the coercivity threshold {lam0:.6g}"
@@ -68,53 +69,47 @@ def solve_homogenized_delta(mesh, coeffs, alpha0, nbc, f, opts=None,
                             dirichlet="outer"):
     """Transmission problem with the weighted nonlinearity on the interface.
 
-    alpha0 may be a constant, a callable of full coordinates on S, or any
-    object with a .tangential method (a surface density).  Continuity across
-    S holds by conformity; the conormal jump condition is natural.
+    alpha0 may be a constant or a callable of full coordinates on S.
+    Continuity across S holds by conformity; the conormal jump condition is
+    natural.
     """
-    weight = alpha0
-    if hasattr(alpha0, "tangential"):
-        weight = lambda x: alpha0.tangential(x[:, :-1])
-    return _solve(mesh, coeffs, nbc, f, opts, dirichlet, "interface", weight)
+    return _solve(mesh, coeffs, nbc, f, opts, dirichlet, "interface", alpha0)
 
 
 def _solve(mesh, coeffs, nbc, f, opts, dirichlet, selector, weight=None):
     """Assemble at the resolved lam with nbc on selector's facets and solve."""
     opts = opts or SolveOptions()
     nbc = nbc or fem.NonlinearBC("zero")
-    lam = _resolve_lambda(coeffs, nbc, opts)
-    system = fem.assemble(mesh, coeffs, f=f, dirichlet=dirichlet, lam=lam,
+    lam = _resolve_lambda(coeffs, nbc, opts.lam)
+    system = fem.assemble(mesh, coeffs, dirichlet=dirichlet, lam=lam,
                           boundary=(selector, nbc), weight=weight)
-    u, info = _nonlinear_solve(system, opts)
+    u, info = _nonlinear_solve(system, fem.load_vector(mesh, f), opts)
     info["lam"] = lam
     return fem.DiscreteField(mesh, u, info, system)
 
 
-def solve_assembled(system, opts=None, load=None):
-    """Nonlinear solve on an already assembled system, with its own boundary
-    term, reusing its caches.
+def solve_assembled(system, load, opts=None):
+    """Nonlinear solve of the assembled system, with its own boundary term,
+    against the nodal load vector load (fem.load_vector), reusing the
+    system's caches.
 
     Sweeping several right-hand sides over one mesh should assemble once and
     call this with each load vector.
     """
-    return _nonlinear_solve(system, opts or SolveOptions(), load=load)
+    return _nonlinear_solve(system, load, opts or SolveOptions())
 
 
-def _nonlinear_solve(system, opts, load=None):
-    F = system.load if load is None else load
-    if F is None:
-        F = np.zeros(system.mesh.n_vertices)
+def _nonlinear_solve(system, F, opts):
     free = system.free
     fscale = max(float(np.linalg.norm(F[free])), 1e-300)
-
+    krylov_start = system.krylov_iters
     contraction = []
-    krylov = {"iterations": 0}  # summed over the Newton steps
 
     def result(u, method, picard_iters, newton_iters, res):
         # read after the first solve, which builds the system's backend
         return u, {"method": method, "backend": system.backend,
                    "picard_iters": picard_iters, "newton_iters": newton_iters,
-                   "linear_iters": krylov["iterations"],
+                   "linear_iters": system.krylov_iters - krylov_start,
                    "residual": res, "contraction": contraction}
 
     if system.nbc.is_zero:
@@ -184,8 +179,7 @@ def _nonlinear_solve(system, opts, load=None):
                           res)
         newton_iters = it
         jac = fem.boundary_nonlinear(system, u)
-        delta = fem.solve_linear(system, -G, tol=1e-12, jacobian=jac,
-                                 stats=krylov)
+        delta = fem.solve_linear(system, -G, tol=1e-12, jacobian=jac)
         # line search guards the global phase Newton inherited from Picard
         scale = 1.0
         for _ in range(6):

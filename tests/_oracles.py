@@ -206,12 +206,10 @@ def load_vector_unblocked(mesh, f):
     return _scatter(mesh.simplices.ravel(), contrib.ravel(), mesh.n_vertices)
 
 
-def l2_of_function_unblocked(mesh, f, region=None):
+def l2_of_function_unblocked(mesh, f):
     """fem.l2_of_function, all simplices at once."""
     vols = mesh.simplex_volumes()
     simp = mesh.simplices
-    if region is not None:
-        simp, vols = simp[region], vols[region]
     _, wq = cell_quadrature(mesh.dim)
     fq = np.asarray(f(_cell_points(mesh, simp))).reshape(len(simp), len(wq))
     return math.sqrt(float(vols @ (np.abs(fq) ** 2 @ wq)))

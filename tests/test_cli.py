@@ -169,12 +169,43 @@ def test_degenerate_study_exits_0(tmp_path, capsys):
     ({"theorem": "T1a", "seed": -1}, "seed"),
     ({"theorem": "T1a", "seed": 1.5}, "seed"),
     ({"theorem": "T1a", "vanish_near_s": "no"}, "vanish_near_s"),
+    # every eps must be > 0, as for snorm and corrector
+    ({"theorem": "T1a", "eps_list": [0.25, 0.125, -0.125]}, "eps_list"),
+    ({"theorem": "T1a", "eps_list": [0.25, 0.125, 0]}, "eps_list"),
 ])
 def test_config_mistake_is_a_clean_error(tmp_path, capsys, command, doc, named):
     cfg = _write(tmp_path, doc)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def test_study_rejects_what_validate_rejects_on_ellipticity(tmp_path, capsys,
+                                                            monkeypatch):
+    cfg = _write(tmp_path, {"theorem": "T1a", "matrix": [[0.5, 0], [0, 0.5]],
+                            "eps_list": [0.25, 0.125, 0.0625]})
+    reason = "sampled ellipticity 0.5 below declared c0=1.0"
+    assert cli.main(["validate", "--config", cfg]) == 1
+    assert f"FAIL coefficients: {reason}" in capsys.readouterr().out
+    meshed = []
+    monkeypatch.setattr(meshing, "mesh_perforated",
+                        lambda *args, **kwargs: meshed.append(args))
+    assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert not meshed
+
+
+@pytest.mark.parametrize("command", ["snorm", "corrector", "mesh", "validate"])
+def test_jobs_is_a_study_option(tmp_path, capsys, command):
+    cfg = _write(tmp_path, {"eps_list": [1 / 8]})
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["study", "--help"])
+    assert exc.value.code == 0 and "--jobs" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("shapes", [5, [{"family": "ball"}]])

@@ -96,28 +96,28 @@ def test_blocked_kernels_match_unblocked_bit_for_bit(monkeypatch, dim, h):
     def f(x):
         return np.exp(x[:, 0]) * (1.0 - 0.4j) + x[:, -1] ** 2
 
-    sysm = fem.assemble(m, coeffs, f=f, lam=-0.75)
+    sysm = fem.assemble(m, coeffs, lam=-0.75)
     _assert_same_csr(sysm.matrix, matrix_unblocked(m, coeffs, -0.75))
-    np.testing.assert_array_equal(sysm.load, load_vector_unblocked(m, f))
-    np.testing.assert_array_equal(fem.load_vector(m, 2.5),
-                                  load_vector_unblocked(m, 2.5))
-    region = np.arange(m.n_simplices) % 3 == 1
-    for r in (None, region):
-        assert fem.l2_of_function(m, f, r) == l2_of_function_unblocked(m, f, r)
+    for load in (f, 2.5):
+        np.testing.assert_array_equal(fem.load_vector(m, load),
+                                      load_vector_unblocked(m, load))
+    assert fem.l2_of_function(m, f) == l2_of_function_unblocked(m, f)
 
 
 def test_assembly_peak_memory_per_simplex():
-    # the tracemalloc peak of a 2D assembly with a load, whose grid mesh built
-    # its P1 geometry already.  One COO -> CSR pass of the 9 entries per
-    # triangle holds about 300 bytes per triangle: the element matrices (72),
-    # their int32 rows and columns (72), the CSR indices and data before (108)
-    # and after (42) summing duplicates.  Measured 309 bytes per triangle with
-    # blocked element kernels, 395 with whole-mesh element arrays.
+    # the tracemalloc peak of a 2D assembly followed by its load vector, whose
+    # grid mesh built its P1 geometry already.  One COO -> CSR pass of the 9
+    # entries per triangle holds about 300 bytes per triangle: the element
+    # matrices (72), their int32 rows and columns (72), the CSR indices and
+    # data before (108) and after (42) summing duplicates.  Measured 309 bytes
+    # per triangle with blocked element kernels, 395 with whole-mesh element
+    # arrays.
     m = meshing.mesh_interface((0.0, -0.5), (1.0, 0.5), 0.0, 1 / 128)
     gc.collect()
     tracemalloc.start()
     try:
-        fem.assemble(m, fem.CoefficientSet(dim=2), f=_exact)
+        sysm = fem.assemble(m, fem.CoefficientSet(dim=2))
+        fem.load_vector(sysm.mesh, _exact)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -162,10 +162,9 @@ def test_dirichlet_poisson_rates():
     errs = []
     for h in (1 / 8, 1 / 16, 1 / 32):
         m = _box(h)
-        sysm = fem.assemble(
-            m, fem.CoefficientSet(dim=2),
-            f=lambda x: 2 * np.pi**2 * _exact(x))
-        u = fem.solve_linear(sysm, sysm.load)
+        sysm = fem.assemble(m, fem.CoefficientSet(dim=2))
+        u = fem.solve_linear(
+            sysm, fem.load_vector(m, lambda x: 2 * np.pi**2 * _exact(x)))
         l2, sem, _ = fem.norms(m, u - _exact(m.vertices))
         errs.append((l2, sem))
     errs = np.asarray(errs)
@@ -188,8 +187,8 @@ def test_drift_reaction_rates_and_nonhermitian():
     errs = []
     for h in (1 / 8, 1 / 16, 1 / 32):
         m = _box(h)
-        sysm = fem.assemble(m, coeffs, f=f)
-        u = fem.solve_linear(sysm, sysm.load)
+        sysm = fem.assemble(m, coeffs)
+        u = fem.solve_linear(sysm, fem.load_vector(m, f))
         errs.append(fem.norms(m, u - _exact(m.vertices))[0])
     assert not fem.assemble(_box(0.25), coeffs).is_hermitian()
     slopes = np.log2(np.asarray(errs[:-1]) / np.asarray(errs[1:]))
@@ -199,8 +198,8 @@ def test_drift_reaction_rates_and_nonhermitian():
 def test_complex_reaction_gives_complex_solution():
     m = _box(1 / 16)
     coeffs = fem.CoefficientSet(dim=2, reaction=2.0 + 1.0j)
-    sysm = fem.assemble(m, coeffs, f=lambda x: 2 * np.pi**2 * _exact(x))
-    u = fem.solve_linear(sysm, sysm.load)
+    sysm = fem.assemble(m, coeffs)
+    u = fem.solve_linear(sysm, fem.load_vector(m, lambda x: 2 * np.pi**2 * _exact(x)))
     assert np.iscomplexobj(u)
     assert np.abs(u.imag).max() > 1e-4
     # separable data: exact solution is a complex multiple of the eigenmode
@@ -216,10 +215,8 @@ def test_nodal_solution_on_membrane_strip():
     worst = []
     for h in (1 / 16, 1 / 32):
         m = meshing.mesh_box((0.0, 0.0), (1.0, 0.25), h)
-        sysm = fem.assemble(
-            m, fem.CoefficientSet(dim=2),
-            f=lambda x: np.ones(len(x)), dirichlet=onlyx)
-        u = fem.solve_linear(sysm, sysm.load)
+        sysm = fem.assemble(m, fem.CoefficientSet(dim=2), dirichlet=onlyx)
+        u = fem.solve_linear(sysm, fem.load_vector(m, 1.0))
         exact = m.vertices[:, 0] * (1.0 - m.vertices[:, 0]) / 2.0
         worst.append(np.abs(u - exact).max())
         assert worst[-1] < h * h
@@ -237,34 +234,34 @@ def test_solve_linear_iteration_cap():
     # the cap binds the Krylov backends, which serve 3D meshes
     m = meshing.mesh_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1 / 6)
     for drift, backend in ((None, "cg"), ([1.0, 0.5, 0.0], "bicgstab")):
-        sysm = fem.assemble(m, fem.CoefficientSet(dim=3, drift=drift),
-                            f=lambda x: np.ones(len(x)))
+        sysm = fem.assemble(m, fem.CoefficientSet(dim=3, drift=drift))
         assert sysm.backend == backend
         with pytest.raises(NoConvergenceError):
-            fem.solve_linear(sysm, sysm.load, tol=1e-14, maxiter=1)
+            fem.solve_linear(sysm, fem.load_vector(m, 1.0), tol=1e-14, maxiter=1)
 
 
 def _facet_jacobian(sigma, u):
-    """A 2D box system, Dirichlet on x = 0 only, and the boundary Jacobian
-    of a saturating nonlinearity on its outer facets at the state u(x)."""
+    """A 2D box system, Dirichlet on x = 0 only, the boundary Jacobian of a
+    saturating nonlinearity on its outer facets at the state u(x), and the
+    load of _exact."""
     m = _box(1 / 16)
-    sysm = fem.assemble(m, fem.CoefficientSet(dim=2), f=_exact,
+    sysm = fem.assemble(m, fem.CoefficientSet(dim=2),
                         dirichlet=lambda mids: mids[:, 0] < 1e-12,
                         boundary=("outer", fem.NonlinearBC("saturating", sigma=sigma)))
-    return sysm, fem.boundary_nonlinear(sysm, u(m.vertices))
+    return sysm, fem.boundary_nonlinear(sysm, u(m.vertices)), fem.load_vector(m, _exact)
 
 
 def test_perturbed_solve_iteration_cap():
     # the tangent is iterated even in 2D, where K itself is factorized
-    sysm, jac = _facet_jacobian(2.0, _exact)
+    sysm, jac, load = _facet_jacobian(2.0, _exact)
     with pytest.raises(NoConvergenceError):
-        fem.solve_linear(sysm, sysm.load, tol=1e-14, maxiter=1, jacobian=jac)
+        fem.solve_linear(sysm, load, tol=1e-14, maxiter=1, jacobian=jac)
 
 
 def test_real_state_tangent_is_the_restricted_symmetric_sum():
     # a real state folds B into A: the free-dof block of the full-size facet
     # masses' sum, bit for bit, and symmetric, so no solve checks for it
-    sysm, jac = _facet_jacobian(2.0, _exact)
+    sysm, jac, load = _facet_jacobian(2.0, _exact)
     assert jac.B is None
     cache, x, uq = fem._facet_state(sysm, _exact(sysm.mesh.vertices))
     Aq, Bq = (z.reshape(uq.shape) for z in sysm.nbc.wirtinger(x, uq.ravel()))
@@ -277,16 +274,15 @@ def test_real_state_tangent_is_the_restricted_symmetric_sum():
         np.testing.assert_array_equal(got.indices, ref.indices)
         np.testing.assert_array_equal(got.data, ref.data)
     with pytest.raises(ValueError, match="real rhs"):
-        fem.solve_linear(sysm, sysm.load * 1j, jacobian=jac)
+        fem.solve_linear(sysm, load * 1j, jacobian=jac)
 
 
 def test_conjugate_term_matches_split_real_direct_solve():
-    sysm, jac = _facet_jacobian(2.0, lambda x: _exact(x) * (1.0 + 0.7j))
+    sysm, jac, load = _facet_jacobian(2.0, lambda x: _exact(x) * (1.0 + 0.7j))
     assert abs(jac.B.data).max() > 0
-    rhs = sysm.load * (1.0 - 0.3j)
-    stats = {}
-    x = fem.solve_linear(sysm, rhs, tol=1e-12, jacobian=jac, stats=stats)
-    assert 0 < stats["iterations"] <= 10
+    rhs = load * (1.0 - 0.3j)
+    x = fem.solve_linear(sysm, rhs, tol=1e-12, jacobian=jac)
+    assert 0 < sysm.krylov_iters <= 10
     # (K + A) x + B conj(x) = b on the free dofs, as a real 2n system
     f = sysm.free
     M = sysm.reduced_matrix() + jac.A

@@ -97,19 +97,20 @@ def test_linear_bc_agrees_with_one_shot_solve():
         # for a(u) = sigma u the problem is linear: fold the boundary mass
         # into K
         system = fem.assemble(
-            m, coeffs, f=_one, dirichlet=_ends, lam=-1.0,
+            m, coeffs, dirichlet=_ends, lam=-1.0,
             boundary=("interface", fem.NonlinearBC("linear", sigma=sigma)), weight=a0)
         jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices))
-        direct = _reduced_spsolve(system, system.reduced_matrix() + jac.A)
+        direct = _reduced_spsolve(system, system.reduced_matrix() + jac.A,
+                                  fem.load_vector(m, _one))
         assert np.abs(u.values - direct).max() < 1e-8
 
 
-def _reduced_spsolve(system, matrix):
+def _reduced_spsolve(system, matrix, load):
     """Direct sparse solve of matrix x = load, matrix given on the free dofs
     (an oracle independent of fem.solve_linear)."""
     f = system.free
-    out = np.zeros(system.mesh.n_vertices, dtype=np.result_type(matrix, system.load))
-    out[f] = spla.spsolve(matrix.tocsc(), system.load[f])
+    out = np.zeros(system.mesh.n_vertices, dtype=np.result_type(matrix, load))
+    out[f] = spla.spsolve(matrix.tocsc(), load[f])
     return out
 
 
@@ -166,12 +167,32 @@ def test_nonhermitian_newton_step_runs_bicgstab(monkeypatch):
     assert u.info["backend"] == "splu" and u.info["newton_iters"] > 0
     assert len(splu) == 1 and not cg
     assert len(bicgstab) == u.info["newton_iters"]
-    system = fem.assemble(m, coeffs, f=_one, dirichlet=_ends, lam=u.info["lam"],
+    system = fem.assemble(m, coeffs, dirichlet=_ends, lam=u.info["lam"],
                           boundary=("interface", nbc), weight=1.0)
     assert not system.is_hermitian()
     jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices))
-    direct = _reduced_spsolve(system, system.reduced_matrix() + jac.A)
+    direct = _reduced_spsolve(system, system.reduced_matrix() + jac.A,
+                              fem.load_vector(m, _one))
     assert np.abs(u.values - direct).max() < 1e-8
+
+
+def test_linear_iters_count_every_krylov_iteration(monkeypatch):
+    # a 3D system iterates every linear solve, the plain solve's and the
+    # Picard sweeps' included, not only the Newton tangents
+    m = _strip3(1 / 8)
+    coeffs = fem.CoefficientSet(dim=3)
+    cg = _spy(monkeypatch, "cg")
+    u = solvers.solve_homogenized_plain(m, coeffs, _one, dirichlet=_ends)
+    assert u.info["backend"] == "cg"
+    assert len(cg) == 1 and cg[0] > 0
+    assert u.info["linear_iters"] == sum(cg)
+    cg.clear()
+    u = solvers.solve_homogenized_delta(
+        m, coeffs, 1.0, fem.NonlinearBC("saturating", sigma=2.0), _one,
+        dirichlet=_ends)
+    assert u.info["picard_iters"] > 1 and u.info["newton_iters"] > 0
+    assert len(cg) > u.info["newton_iters"]
+    assert u.info["linear_iters"] == sum(cg)
 
 
 def test_solution_independent_of_initial_guess():
@@ -241,11 +262,12 @@ def test_complex_sigma_transmission(monkeypatch):
     assert np.abs(u.values.imag).max() > 1e-4
     assert u.info["residual"] <= 1e-9
     system = fem.assemble(
-        m, IDENT, f=_one, dirichlet=_ends, lam=u.info["lam"],
+        m, IDENT, dirichlet=_ends, lam=u.info["lam"],
         boundary=("interface", fem.NonlinearBC("linear", sigma=sigma)), weight=1.0)
     jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices, dtype=complex))
     direct = _reduced_spsolve(system,
-                              system.reduced_matrix().astype(complex) + jac.A)
+                              system.reduced_matrix().astype(complex) + jac.A,
+                              fem.load_vector(m, _one))
     assert np.abs(u.values - direct).max() < 1e-7
 
 
@@ -257,7 +279,7 @@ def test_assembled_reuse_matches_fresh_solves():
                           boundary=("interface", nbc), weight=1.0)
     for f in (_one, lambda x: x[:, 1] ** 2):
         load = fem.load_vector(m, f)
-        u_re, _ = solvers.solve_assembled(system, opts, load=load)
+        u_re, _ = solvers.solve_assembled(system, load, opts)
         u_fr = solvers.solve_homogenized_delta(
             m, IDENT, 1.0, nbc, f, opts=opts, dirichlet=_ends)
         assert np.abs(u_re - u_fr.values).max() < 1e-8
@@ -276,7 +298,7 @@ def test_successive_weights_get_their_own_facets():
         system = fem.assemble(m, IDENT, dirichlet=_ends, lam=-1.0,
                               boundary=("interface", nbc),
                               weight=lambda x: c * np.ones(len(x)))
-        return solvers.solve_assembled(system, opts, load=load)[0]
+        return solvers.solve_assembled(system, load, opts)[0]
 
     for c in range(1, 7):
         fresh = solvers.solve_homogenized_delta(_strip(1 / 16), IDENT, float(c), nbc,
