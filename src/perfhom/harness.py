@@ -337,16 +337,42 @@ class RateReport:
         return _THEOREMS[self.config["theorem"]][0]
 
 
-def _solve_homogenized(layout, kind, coeffs, nbc, alpha0, h0, f, opts):
+def _u0_level(layout, kind, alpha0, h0, rhs_name):
+    """One u0 ladder level: its grid mesh (the layout box, with the interface
+    plane at s0 for the delta limit) and its cache key.  The key holds what
+    the level's solve depends on beyond the study's config: the limit,
+    alpha0, the box and s0 (which also places the rhs cutoff), the rhs, and
+    the grid as node counts per axis with its interface index, not h0."""
+    lo, hi = layout.domain_lo, layout.domain_hi
     if kind == "plain":
-        m0 = meshing.mesh_box(layout.domain_lo, layout.domain_hi, h0)
+        mesh, k = meshing.mesh_box(lo, hi, h0), None
+    else:
+        mesh = meshing.mesh_interface(lo, hi, layout.s0, h0)
+        k = int(np.searchsorted(mesh.grid["axes"][-1], layout.s0))
+    counts = tuple(len(a) for a in mesh.grid["axes"])
+    return mesh, (kind, alpha0, tuple(lo), tuple(hi), layout.s0, counts, k,
+                  rhs_name)
+
+
+def _solve_homogenized(m0, kind, coeffs, nbc, alpha0, f, opts):
+    if kind == "plain":
         return solvers.solve_homogenized_plain(m0, coeffs, f, opts)
-    m0 = meshing.mesh_interface(layout.domain_lo, layout.domain_hi, layout.s0, h0)
     return solvers.solve_homogenized_delta(m0, coeffs, alpha0, nbc, f, opts)
 
 
-def _study_row(config, eps, kappa_val=None):
-    """All solves and measurements for one eps; returns a report row."""
+def _increment_subdominant(e_prev, e_h, idx):
+    """The ladder's Richardson check: the last refinement moved the error by
+    at most a tenth of itself (a zero increment on a zero error passes)."""
+    return abs(e_prev[idx] - e_h[idx]) <= 0.1 * e_h[idx]
+
+
+def _study_row(config, eps, kappa_val=None, u0_cache=None):
+    """All solves and measurements for one eps; returns a report row.
+
+    u0_cache maps the key of a u0 ladder level (_u0_level) to its (h0, f0
+    solution, solve info); run_study shares one across its rows.  Without
+    it every level is solved, and the row is the same but for u0_shared.
+    """
     norm_key, needs_kappa, _, homog_kind = _THEOREMS[config.theorem]
     layout = config.layout(eps)
     eta = layout.eta
@@ -356,58 +382,80 @@ def _study_row(config, eps, kappa_val=None):
     opts = solvers.SolveOptions(lam=lam)
 
     fs = standard_rhs(config.rhs_names, config.vanish_near_s, layout.s0)
+    name0, f0 = fs[0]
 
     h = config.h_factor * eps
     refine = max(config.refine_floor, 2.5 * h / (eps * eta))
-    mesh_h = meshing.mesh_perforated(layout, h, refine)
-    mesh_half = meshing.mesh_perforated(layout, h / 2.0, refine)
-
     alpha0 = alpha_mod.alpha0_mean(layout) if homog_kind == "delta" else None
-
-    sys_h = fem.assemble(mesh_h, coeffs, dirichlet="outer", lam=lam,
-                         boundary=("cavity", nbc))
-    sys_half = fem.assemble(mesh_half, coeffs, dirichlet="outer", lam=lam,
-                            boundary=("cavity", nbc))
+    if u0_cache is not None:
+        # eps decreases along a study, so no later row asks for a level
+        # coarser than this row's first one, h/2
+        for key in [k for k, (h0, *_) in u0_cache.items() if h0 > h / 2.0]:
+            del u0_cache[key]
 
     infos = []  # every perforated and homogenized solve of the row
 
-    def solve_eps(system, f):
-        u, info = solvers.solve_assembled(system, fem.load_vector(system.mesh, f),
-                                          opts)
-        infos.append(info)
-        return u
+    def solve_perforated(mesh, rhs):
+        """Nodal solutions for each (name, f) of rhs; the system and its
+        factorization are freed on return."""
+        system = fem.assemble(mesh, coeffs, dirichlet="outer", lam=lam,
+                              boundary=("cavity", nbc))
+        us = []
+        for _, f in rhs:
+            u, info = solvers.solve_assembled(system, fem.load_vector(mesh, f),
+                                              opts)
+            infos.append(info)
+            us.append(u)
+        return us
 
-    name0, f0 = fs[0]
-    u_h = solve_eps(sys_h, f0)
-    u_half = solve_eps(sys_half, f0)
-    del sys_half  # frees its factorization before the u0 ladder
+    # the perforated phase, one system at a time: every rhs on the h mesh,
+    # f0 alone on the h/2 mesh
+    mesh_h = meshing.mesh_perforated(layout, h, refine)
+    u_h, *u_h_rest = solve_perforated(mesh_h, fs)
+    mesh_half = meshing.mesh_perforated(layout, h / 2.0, refine)
+    (u_half,) = solve_perforated(mesh_half, fs[:1])
 
     # refine u_0's own mesh from h/2 until its Richardson increment is
     # subdominant; each level's error on the h mesh is its check, and the
     # last level's is e_h.  The level that uses up the cap goes unchecked.
     # Each level's transfer P_h onto the h mesh is built once; the final
-    # level's serves the other right-hand sides too
+    # level's serves the other right-hand sides too.  A level found in
+    # u0_cache skips its solve
     h0, e_prev, idx = h, None, 0 if norm_key == "l2" else 2
+    u0_shared = 0
     for u0_solves in range(1, config.u0_refine_cap + 3):
         h0 /= 2.0
         u0_field = None  # frees the previous level's factorization first
-        u0_field = _solve_homogenized(layout, homog_kind, coeffs, nbc, alpha0,
-                                      h0, f0, opts)
-        infos.append(u0_field.info)
-        P_h = meshing.interpolation_matrix(u0_field.mesh, mesh_h.vertices)
-        e_h = fem.norms(mesh_h, u_h - P_h @ u0_field.values)
+        u0_mesh, key = _u0_level(layout, homog_kind, alpha0, h0, name0)
+        hit = None if u0_cache is None else u0_cache.get(key)
+        if hit is None:
+            u0_field = _solve_homogenized(u0_mesh, homog_kind, coeffs, nbc,
+                                          alpha0, f0, opts)
+            u0, info = u0_field.values, u0_field.info
+            if u0_cache is not None:
+                u0_cache[key] = (h0, u0, info)
+        else:
+            _, u0, info = hit
+            u0_shared += 1
+        infos.append(info)
+        P_h = meshing.interpolation_matrix(u0_mesh, mesh_h.vertices)
+        e_h = fem.norms(mesh_h, u_h - P_h @ u0)
         if u0_solves >= config.u0_refine_cap + 2:
             log.warning("u0 refinement at eps=%g used up u0_refine_cap=%d; "
                         "its last level is unchecked", eps, config.u0_refine_cap)
             break
-        # a zero increment on a zero error (zero data) is converged too
-        if e_prev is not None and abs(e_prev[idx] - e_h[idx]) <= 0.1 * e_h[idx]:
+        if e_prev is not None and _increment_subdominant(e_prev, e_h, idx):
             break
         e_prev = e_h
-    u0_mesh = u0_field.mesh
+    if u0_field is None:
+        # the final level came from the cache: solve it again (to the same
+        # values) for a system that the other right-hand sides can run on
+        u0_field = _solve_homogenized(u0_mesh, homog_kind, coeffs, nbc,
+                                      alpha0, f0, opts)
+        u0_shared -= 1
 
     P_half = meshing.interpolation_matrix(u0_mesh, mesh_half.vertices)
-    e_half = fem.norms(mesh_half, u_half - P_half @ u0_field.values)
+    e_half = fem.norms(mesh_half, u_half - P_half @ u0)
 
     guard_l2, guard_h1 = (abs(e_h[i] - e_half[i]) / e_half[i] if e_half[i] else 0.0
                           for i in (0, 2))
@@ -420,8 +468,7 @@ def _study_row(config, eps, kappa_val=None):
     # uniformity across right-hand sides, measured on the h mesh and solved
     # on the final ladder level's system, which already holds its setup
     per_f = {name0: {"l2": e_h[0], "h1": e_h[2], "f_norm": f_omega}}
-    for name, f in fs[1:]:
-        uh = solve_eps(sys_h, f)
+    for (name, f), uh in zip(fs[1:], u_h_rest):
         u0v, info = solvers.solve_assembled(u0_field.system,
                                             fem.load_vector(u0_mesh, f), opts)
         infos.append(info)
@@ -443,8 +490,11 @@ def _study_row(config, eps, kappa_val=None):
         "f_norm_omega": f_omega,
         "f_norm_theta": f_theta,
         "per_f": per_f,
+        "n_vertices_h": mesh_h.n_vertices,
         "n_vertices": mesh_half.n_vertices,
+        "n_vertices_u0": u0_mesh.n_vertices,
         "u0_solves": u0_solves,
+        "u0_shared": u0_shared,
         "u0_converged": u0_solves < config.u0_refine_cap + 2,
         "solver": _solver_record(infos),
     }
@@ -483,7 +533,8 @@ def run_study(config, jobs=1):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_row_worker, args))
     else:
-        rows = [_study_row(config, e, kappa_map.get(e))
+        u0_cache = {}  # this call's u0 ladder levels, shared by its rows
+        rows = [_study_row(config, e, kappa_map.get(e), u0_cache)
                 for e in config.eps_list]
 
     degenerate = all(r["err_l2"] == 0.0 and r["err_h1"] == 0.0 for r in rows)

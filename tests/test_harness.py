@@ -297,9 +297,12 @@ def test_parallel_rows_match_serial(tiny_report):
     cfg = harness.StudyConfig(theorem="T1a", eps_list=(1 / 8, 1 / 12, 1 / 16),
                               h_factor=0.75)
     rep2 = harness.run_study(cfg, jobs=2)
+    # the serial rows share a u0 level, the workers share nothing
+    assert sum(r["u0_shared"] for r in tiny_report.rows) > 0
+    assert all(r["u0_shared"] == 0 for r in rep2.rows)
     for a, b in zip(tiny_report.rows, rep2.rows):
-        assert a["err_h1"] == pytest.approx(b["err_h1"], rel=1e-12)
-        assert a["err_l2"] == pytest.approx(b["err_l2"], rel=1e-12)
+        assert a["err_h1"] == b["err_h1"] and a["err_l2"] == b["err_l2"]
+        assert _without_sharing(a) == _without_sharing(b)
 
 
 def test_zero_data_study_is_degenerate():
@@ -334,3 +337,174 @@ def test_emit_report_empty_is_header_only(tmp_path):
     csv_path, _, _ = harness.emit_report(rep, tmp_path / "empty")
     lines = open(csv_path).read().strip().splitlines()
     assert len(lines) == 1
+
+
+_ROW_TRACE = ("n_vertices_h", "n_vertices", "n_vertices_u0", "u0_solves",
+              "u0_shared")
+
+
+def _t2_config(eps_list):
+    return harness.StudyConfig(theorem="T2", nbc_kind="saturating",
+                               nbc_sigma=2.0, eps_list=eps_list)
+
+
+def _without_sharing(row):
+    return {k: v for k, v in row.items() if k != "u0_shared"}
+
+
+@pytest.fixture(scope="module")
+def shared_t2():
+    """One T2 sweep run twice through run_study, then row by row without a
+    cache, counting the homogenized solves of each and keeping every ladder
+    level's key with its mesh."""
+    from perfhom import solvers
+
+    cfg = _t2_config((1 / 8, 1 / 12, 1 / 16))
+    solves, levels = [], []
+    solve, level = solvers.solve_homogenized_delta, harness._u0_level
+
+    def spy_solve(mesh, *args, **kwargs):
+        solves.append(mesh.n_vertices)
+        return solve(mesh, *args, **kwargs)
+
+    def spy_level(*args):
+        levels.append(level(*args))
+        return levels[-1]
+
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "solve_homogenized_delta", spy_solve)
+        mp.setattr(harness, "_u0_level", spy_level)
+        first = harness.run_study(cfg)
+        counts.append(len(solves))
+        first_levels = list(levels)
+        second = harness.run_study(cfg)
+        counts.append(len(solves) - sum(counts))
+        kappa = {r["eps"]: r["kappa"] for r in first.kappa_rows}
+        alone = [harness._study_row(cfg, e, kappa[e]) for e in cfg.eps_list]
+        counts.append(len(solves) - sum(counts))
+    return first, second, alone, counts, first_levels
+
+
+def test_study_rows_equal_their_cache_free_rows(shared_t2):
+    first, second, alone, (n_first, n_second, n_alone), _ = shared_t2
+    for shared, own in zip(first.rows, alone):
+        assert _without_sharing(shared) == _without_sharing(own)
+        assert own["u0_shared"] == 0
+    # the eps = 1/16 row's first level, h/2 = 3/128, is the 1/8 row's second
+    assert (n_first, n_alone) == (5, 6)
+    assert sum(r["u0_shared"] for r in first.rows) == n_alone - n_first
+    # the cache lives for one call: the second sweep solves as much again
+    assert n_second == 5 and second.rows == first.rows
+
+
+def test_row_trace_records_mesh_sizes_and_shared_levels(shared_t2, tmp_path):
+    report = shared_t2[0]
+    for row in report.rows:
+        assert all(type(row[k]) is int for k in _ROW_TRACE)
+        assert row["n_vertices_h"] < row["n_vertices"]
+        assert 0 <= row["u0_shared"] <= row["u0_solves"]
+    _, json_path, _ = harness.emit_report(report, tmp_path)
+    loaded = json.load(open(json_path))
+    back = harness.RateReport.from_dict(loaded)
+    assert back.to_dict() == loaded
+    assert [{k: r[k] for k in _ROW_TRACE} for r in back.rows] == \
+        [{k: r[k] for k in _ROW_TRACE} for r in report.rows]
+
+
+def test_shared_levels_rebuild_the_producing_mesh(shared_t2):
+    by_key = {}
+    for mesh, key in shared_t2[4]:
+        by_key.setdefault(key, []).append(mesh)
+    shared = [meshes for meshes in by_key.values() if len(meshes) > 1]
+    assert shared
+    for first, *rest in shared:
+        for mesh in rest:
+            assert np.array_equal(mesh.vertices, first.vertices)
+            assert np.array_equal(mesh.simplices, first.simplices)
+
+
+def test_u0_key_separates_exactly_the_distinct_grids():
+    from perfhom import geometry
+
+    # node counts fall with h0, so two sizes share a key only on one grid
+    layout = geometry.make_layout("periodic", {"s0": 0.2}, 1 / 8)
+    for kind in ("plain", "delta"):
+        keys, grids = set(), set()
+        for h0 in np.linspace(0.03, 0.2, 60):
+            mesh, key = harness._u0_level(layout, kind, 0.5, h0, "trig")
+            keys.add(key)
+            grids.add((mesh.vertices.tobytes(), mesh.simplices.tobytes(),
+                       mesh.facets.tobytes(), mesh.facet_tags.tobytes()))
+        assert len(keys) == len(grids) < 60
+    # equal node counts, interface at a different index
+    keys = [harness._u0_level(geometry.make_layout("periodic", {"s0": s0}, 1 / 8),
+                              "delta", 0.5, 0.1, "trig")[1] for s0 in (0.0, 0.1)]
+    assert keys[0][5] == keys[1][5] and keys[0][6] != keys[1][6]
+    variants = {harness._u0_level(layout, "delta", a, 0.1, r)[1]
+                for a, r in ((0.5, "trig"), (0.25, "trig"), (0.5, "gauss"))}
+    assert len(variants) == 3
+
+
+def test_perforated_systems_are_freed_before_the_u0_ladder(monkeypatch):
+    import weakref
+
+    from perfhom import fem, solvers
+
+    refs, alive_at_ladder = [], []
+    assemble, solve = fem.assemble, solvers.solve_homogenized_delta
+
+    def spy_assemble(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        refs.append(weakref.ref(system))
+        return system
+
+    def spy_solve(*args, **kwargs):
+        if not alive_at_ladder:
+            alive_at_ladder.append([r() is not None for r in refs])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "assemble", spy_assemble)
+    monkeypatch.setattr(solvers, "solve_homogenized_delta", spy_solve)
+    harness._study_row(_t2_config((1 / 8,)), 1 / 8, kappa_val=0.3)
+    # the h and h/2 systems, both gone when the first u0 solve starts
+    assert alive_at_ladder == [[False, False]]
+
+
+def test_final_level_from_the_cache_is_solved_again(monkeypatch):
+    from perfhom import solvers
+
+    cfg = _t2_config((1 / 8, 1 / 32))
+    solved, u0_rhs = [], []
+    solve, assembled = solvers.solve_homogenized_delta, solvers.solve_assembled
+
+    def spy_solve(mesh, *args, **kwargs):
+        solved.append(mesh.n_vertices)
+        return solve(mesh, *args, **kwargs)
+
+    def spy_assembled(system, load, opts=None):
+        if system.selector == "interface":
+            u0_rhs.append(system.mesh.n_vertices)
+        return assembled(system, load, opts)
+
+    monkeypatch.setattr(solvers, "solve_homogenized_delta", spy_solve)
+    monkeypatch.setattr(solvers, "solve_assembled", spy_assembled)
+    # the 1/8 row runs all 4 levels, h/2 .. h/16; the 1/32 row stops at its
+    # second level, h/4 = 3/512, which is the 1/8 row's last
+    script = iter([False, False, True])
+    monkeypatch.setattr(harness, "_increment_subdominant",
+                        lambda *_: next(script))
+    report = harness.run_study(cfg)
+    first, last = report.rows
+    assert (first["u0_solves"], last["u0_solves"]) == (4, 2)
+    assert last["n_vertices_u0"] == first["n_vertices_u0"]
+    # both of the last row's levels were hits, and its final one is solved
+    # again, so the other right-hand sides have a system to run on
+    assert last["u0_shared"] == 1
+    assert solved[4:] == [last["n_vertices_u0"]]
+    assert u0_rhs[2:] == [last["n_vertices_u0"]] * 2
+    assert set(last["per_f"]) == set(cfg.rhs_names)
+
+    script = iter([True])
+    alone = harness._study_row(cfg, 1 / 32, last["kappa"])
+    assert _without_sharing(alone) == _without_sharing(last)
