@@ -337,21 +337,14 @@ class RateReport:
         return _THEOREMS[self.config["theorem"]][0]
 
 
-def _u0_level(layout, kind, alpha0, h0, rhs_name):
+def _u0_level(layout, kind, h0):
     """One u0 ladder level: its grid mesh (the layout box, with the interface
-    plane at s0 for the delta limit) and its cache key.  The key holds what
-    the level's solve depends on beyond the study's config: the limit,
-    alpha0, the box and s0 (which also places the rhs cutoff), the rhs, and
-    the grid as node counts per axis with its interface index, not h0."""
-    lo, hi = layout.domain_lo, layout.domain_hi
-    if kind == "plain":
-        mesh, k = meshing.mesh_box(lo, hi, h0), None
-    else:
-        mesh = meshing.mesh_interface(lo, hi, layout.s0, h0)
-        k = int(np.searchsorted(mesh.grid["axes"][-1], layout.s0))
-    counts = tuple(len(a) for a in mesh.grid["axes"])
-    return mesh, (kind, alpha0, tuple(lo), tuple(hi), layout.s0, counts, k,
-                  rhs_name)
+    plane at s0 for the delta limit) and the grid's node counts per axis.
+    The box and s0 are a study's own, and each axis segment's count falls as
+    h0 grows, so within a study equal counts mean the same grid."""
+    s0 = None if kind == "plain" else layout.s0
+    mesh = meshing.mesh_interface(layout.domain_lo, layout.domain_hi, s0, h0)
+    return mesh, tuple(len(a) for a in mesh.grid["axes"])
 
 
 def _solve_homogenized(m0, kind, coeffs, nbc, alpha0, f, opts):
@@ -369,10 +362,12 @@ def _increment_subdominant(e_prev, e_h, idx):
 def _study_row(config, eps, kappa_val=None, u0_cache=None):
     """All solves and measurements for one eps; returns a report row.
 
-    u0_cache maps the key of a u0 ladder level (_u0_level) to its (h0, f0
-    solution, solve info); run_study shares one across its rows.  Without
-    it every level is solved, and the row is the same but for u0_shared.
+    u0_cache maps a u0 ladder level, keyed on (alpha0, its grid's node
+    counts), to its f0 solution and solve info.  run_study shares one dict
+    across its rows; a row given none starts an empty one of its own, and
+    is the same but for u0_shared.
     """
+    u0_cache = {} if u0_cache is None else u0_cache
     norm_key, needs_kappa, _, homog_kind = _THEOREMS[config.theorem]
     layout = config.layout(eps)
     eta = layout.eta
@@ -387,11 +382,6 @@ def _study_row(config, eps, kappa_val=None, u0_cache=None):
     h = config.h_factor * eps
     refine = max(config.refine_floor, 2.5 * h / (eps * eta))
     alpha0 = alpha_mod.alpha0_mean(layout) if homog_kind == "delta" else None
-    if u0_cache is not None:
-        # eps decreases along a study, so no later row asks for a level
-        # coarser than this row's first one, h/2
-        for key in [k for k, (h0, *_) in u0_cache.items() if h0 > h / 2.0]:
-            del u0_cache[key]
 
     infos = []  # every perforated and homogenized solve of the row
 
@@ -426,17 +416,15 @@ def _study_row(config, eps, kappa_val=None, u0_cache=None):
     for u0_solves in range(1, config.u0_refine_cap + 3):
         h0 /= 2.0
         u0_field = None  # frees the previous level's factorization first
-        u0_mesh, key = _u0_level(layout, homog_kind, alpha0, h0, name0)
-        hit = None if u0_cache is None else u0_cache.get(key)
-        if hit is None:
+        u0_mesh, counts = _u0_level(layout, homog_kind, h0)
+        key = (alpha0, counts)
+        if key in u0_cache:
+            u0, info = u0_cache[key]
+            u0_shared += 1
+        else:
             u0_field = _solve_homogenized(u0_mesh, homog_kind, coeffs, nbc,
                                           alpha0, f0, opts)
-            u0, info = u0_field.values, u0_field.info
-            if u0_cache is not None:
-                u0_cache[key] = (h0, u0, info)
-        else:
-            _, u0, info = hit
-            u0_shared += 1
+            u0, info = u0_cache[key] = u0_field.values, u0_field.info
         infos.append(info)
         P_h = meshing.interpolation_matrix(u0_mesh, mesh_h.vertices)
         e_h = fem.norms(mesh_h, u_h - P_h @ u0)
