@@ -100,6 +100,7 @@ class Corrector:
     """Truncated Fourier representation of the half-space corrector."""
 
     gamma: np.ndarray        # coefficients, zero mode removed (set to 0)
+    mvecs: np.ndarray        # (M, tdim) integer modes m of gamma
     kvecs: np.ndarray        # (M, tdim) dual-lattice vectors
     kabs: np.ndarray         # |k_m|
     cell: tuple
@@ -122,16 +123,17 @@ class Corrector:
         return np.real((phase * decay) @ (self.gamma * self.kabs))
 
     def sup_boundary(self, samples=4096):
-        """sup |Psi|; by the maximum principle it is attained at xi_n = 0."""
-        if self.kvecs.shape[1] == 1:
-            t = np.linspace(0.0, self.cell[0], samples, endpoint=False)[:, None]
-        else:
-            m = int(math.sqrt(samples))
-            a = np.linspace(0.0, self.cell[0], m, endpoint=False)
-            b = np.linspace(0.0, self.cell[1], m, endpoint=False)
-            g = np.meshgrid(a, b, indexing="ij")
-            t = np.column_stack([g[0].ravel(), g[1].ravel()])
-        return float(np.abs(self.evaluate(t, 0.0)).max())
+        """sup |Psi|; by the maximum principle it is attained at xi_n = 0.
+
+        Psi(., 0) is sampled on the periodic grid of `samples` points of the
+        cell (m x m, m = isqrt(samples), for a 2D cell) by one inverse FFT of
+        gamma placed at its integer modes; modes past the grid's Nyquist
+        order alias onto it and are summed there.
+        """
+        m = samples if self.mvecs.shape[1] == 1 else math.isqrt(samples)
+        spec = np.zeros((m,) * self.mvecs.shape[1], dtype=complex)
+        np.add.at(spec, tuple((self.mvecs % m).T), self.gamma)
+        return float(np.abs(np.fft.ifftn(spec, norm="forward").real).max())
 
     def harmonic_defect(self):
         """sup |Laplacian Psi|, which is exactly 0.0.
@@ -163,9 +165,10 @@ def fourier_corrector(beta, modes=64):
         raise ValueError("modes must stay below the grid Nyquist order")
     mm, vhat = _fourier_modes(beta)
     keep = (np.abs(mm) <= modes).all(axis=1) & mm.any(axis=1)
-    kvecs = 2.0 * math.pi * mm[keep] / np.asarray(beta.cell)[None, :]
+    mvecs = mm[keep]
+    kvecs = 2.0 * math.pi * mvecs / np.asarray(beta.cell)[None, :]
     kabs = np.linalg.norm(kvecs, axis=1)
-    return Corrector(vhat[keep] / kabs, kvecs, kabs, beta.cell, modes)
+    return Corrector(vhat[keep] / kabs, mvecs, kvecs, kabs, beta.cell, modes)
 
 
 def spectral_tail(beta, modes):

@@ -56,7 +56,8 @@ class BandCholesky:
         upper = K.indices >= row
         row, col = row[upper], K.indices[upper]
         u = int((col - row).max())
-        ab = np.zeros((u + 1, n))
+        # in LAPACK's own column-major order pbtrf factors ab in place
+        ab = np.zeros((u + 1, n), order="F")
         ab[u + row - col, col] = K.data[upper]
         return cls(la.cholesky_banded(ab, overwrite_ab=True, check_finite=False))
 

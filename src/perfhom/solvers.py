@@ -172,8 +172,9 @@ def _nonlinear_solve(system, F, opts):
         return result(u, "picard", picard_iters, 0, res)
 
     newton_iters = 0
+    accepted = None  # the residual of the line-search trial that became u
     for it in range(1, NEWTON_MAX_ITER + 1):
-        res, G, _ = residual(u)
+        res, G, _ = accepted or residual(u)
         if res <= opts.picard_tol:
             return result(u, "picard+newton", picard_iters, newton_iters,
                           res)
@@ -181,13 +182,15 @@ def _nonlinear_solve(system, F, opts):
         jac = fem.boundary_nonlinear(system, u)
         delta = fem.solve_linear(system, -G, tol=1e-12, jacobian=jac)
         # line search guards the global phase Newton inherited from Picard
-        scale = 1.0
+        scale, accepted = 1.0, None
         for _ in range(6):
-            if residual(u + scale * delta)[0] < res:
+            trial = residual(u + scale * delta)
+            if trial[0] < res:
+                accepted = trial
                 break
             scale *= 0.5
         u = u + scale * delta
-    res = residual(u)[0]
+    res = (accepted or residual(u))[0]
     if res <= opts.picard_tol:
         return result(u, "picard+newton", picard_iters, newton_iters, res)
     raise NoConvergenceError(

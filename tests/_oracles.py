@@ -213,3 +213,14 @@ def l2_of_function_unblocked(mesh, f):
     _, wq = cell_quadrature(mesh.dim)
     fq = np.asarray(f(_cell_points(mesh, simp))).reshape(len(simp), len(wq))
     return math.sqrt(float(vols @ (np.abs(fq) ** 2 @ wq)))
+
+
+def sup_boundary_dense(corr, samples=4096):
+    """Corrector.sup_boundary by a dense sum over every mode at every sample
+    point: samples points of a 1D cell, or an m x m grid of a 2D cell with
+    m = isqrt(samples)."""
+    axes = [np.linspace(0.0, c, samples if len(corr.cell) == 1
+                        else math.isqrt(samples), endpoint=False)
+            for c in corr.cell]
+    t = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    return float(np.abs(corr.evaluate(t, 0.0)).max())

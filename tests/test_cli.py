@@ -109,6 +109,28 @@ def test_corrector_subcommand_with_calibration(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_corrector_on_a_3d_layout(tmp_path, capsys):
+    doc = {"eps_list": [1 / 8, 1 / 16], "layout_params": {"dim": 3},
+           "modes": 16}
+    out = tmp_path / "c"
+    assert cli.main(["corrector", "--config", _write(tmp_path, doc),
+                     "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    lines = (out / "mu.csv").read_text().strip().splitlines()
+    assert lines[0] == "eps,psi_sup,lap_sup,outer_flux,s_mismatch,mu"
+    rows = [[float(t) for t in line.split(",")] for line in lines[1:]]
+    assert [r[0] for r in rows] == [0.125, 0.0625]
+    # psi_sup = eps sup|Psi| halves with eps; the spectral tail does not move
+    assert rows[1][1] == pytest.approx(rows[0][1] / 2, rel=1e-14)
+    assert rows[0][4] == rows[1][4] > 0
+    assert printed == [f"eps={r[0]:.6g}  mu={r[5]:.6e}" for r in rows]
+    # a 64-point grid cannot resolve the 2D cell's bump to the mean check
+    doc["grid"] = 64
+    assert cli.main(["corrector", "--config", _write(tmp_path, doc),
+                     "--out", str(out)]) == 1
+    assert "grid too coarse" in capsys.readouterr().err
+
+
 def test_corrector_requires_constant_eta(tmp_path):
     cfg = _write(tmp_path, {"eps_list": [1 / 8], "eta_rule": ["power", 0.5]})
     with pytest.raises(SystemExit):

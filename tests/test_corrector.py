@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from perfhom import corrector, geometry
 from perfhom.errors import NonzeroMeanError
 
-from _oracles import fit_slope
+from _oracles import fit_slope, sup_boundary_dense
 
 
 def _single_mode(n=256):
@@ -164,3 +165,41 @@ def test_two_tangential_dimensions():
     flux = corr.normal_flux(pts, 0.0).reshape(128, 128)
     scale = np.abs(b.values).max()
     assert np.abs(flux - b.values).max() < 0.05 * scale
+
+
+def _cell_corrector(dim, modes):
+    lay = geometry.make_layout("periodic", {"dim": dim}, 1 / 8)
+    return corrector.fourier_corrector(
+        corrector.cell_beta_from_layout(lay, n=256), modes=modes)
+
+
+@pytest.mark.parametrize("dim, modes", [(2, 8), (2, 64), (3, 16)])
+def test_sup_boundary_matches_the_dense_sum(dim, modes):
+    corr = _cell_corrector(dim, modes)
+    assert corr.sup_boundary() == pytest.approx(sup_boundary_dense(corr),
+                                                rel=1e-13)
+
+
+@pytest.mark.parametrize("samples", [64, 16])
+def test_sup_boundary_aliases_modes_past_the_sample_grid(samples):
+    # 64 sample points of a 1D cell (4 x 4 of a 2D cell) carry no mode past
+    # 32 (2); the kept modes above that fold onto the grid
+    dim, modes = (2, 64) if samples == 64 else (3, 16)
+    corr = _cell_corrector(dim, modes)
+    assert corr.sup_boundary(samples) == pytest.approx(
+        sup_boundary_dense(corr, samples), rel=1e-13)
+
+
+@pytest.mark.parametrize("modes", [16, 32])
+def test_sup_boundary_on_a_2d_cell_holds_no_dense_mode_array(modes):
+    # one 64 x 64 complex spectrum and its inverse FFT (64 kB each); a dense
+    # sum over the 4096 points and 1088 (modes 16) or 4224 (modes 32) modes
+    # peaked at 179 and 692 MB
+    corr = _cell_corrector(3, modes)
+    tracemalloc.start()
+    try:
+        corr.sup_boundary()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

@@ -230,6 +230,24 @@ def test_solve_linear_zero_rhs_is_zero():
     assert np.all(u == 0.0)
 
 
+def test_2d_systems_factor_without_relaxed_supernodes(monkeypatch):
+    lay = geometry.make_layout("periodic", {}, 1 / 32)
+    sysm = fem.assemble(meshing.mesh_perforated(lay, 0.02),
+                        fem.CoefficientSet(dim=2))
+    K, b = sysm.reduced_matrix(), np.ones(len(sysm.free))
+    relaxed = fem.sparse_lu(K, True)
+    seen, real = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: seen.append(
+        (kw["relax"], kw["panel_size"])) or real(*a, **kw))
+    assert sysm.backend == "splu"
+    # one column per supernode and panel: no explicit zeros padded in
+    assert seen == [(1, 1)]
+    tight = fem.sparse_lu(K, True, relax=1, panel_size=1)
+    assert tight.nnz < relaxed.nnz
+    want = relaxed.solve(b)
+    assert np.abs(sysm.precondition(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_solve_linear_iteration_cap():
     # the cap binds the Krylov backends, which serve 3D meshes
     m = meshing.mesh_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1 / 6)

@@ -1,8 +1,10 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -130,12 +132,38 @@ def test_slab_lu_matches_dense_solve(slab):
     assert band.factor.size < shared.L.nnz + shared.U.nnz
 
 
-def test_3d_slab_keeps_the_sparse_lu():
+def test_band_is_factored_in_place():
+    # the eps = 1/64 slab of the periodic layout: a (23, 26901) band
+    K = snorm.slab_for_layout(geometry.make_layout("periodic", {}, 1 / 64)).matrix
+    tracemalloc.start()
+    try:
+        factor = snorm.BandCholesky.of(K).factor
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.flags.f_contiguous
+    # the same band built row-major, which pbtrf copies to column-major first
+    upper = sp.triu(K).tocoo()
+    band = np.zeros_like(factor, order="C")
+    band[factor.shape[0] - 1 + upper.row - upper.col, upper.col] = upper.data
+    want = la.cholesky_banded(band, check_finite=False)
+    assert np.array_equal(factor, want)
+    # the band and the index work on three nnz-long 8-byte arrays; a
+    # row-major band adds its column-major copy (11.3 against 8.1 MB)
+    assert peak < factor.nbytes + 3 * K.data.nbytes
+
+
+def test_3d_slab_keeps_the_sparse_lu(monkeypatch):
     slab3 = snorm.build_slab((0.0, 0.0), (1.0, 1.0), 0.2)
     assert slab3.mesh.n_vertices == 324
+    seen, real = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: seen.append(
+        (kw["relax"], kw["panel_size"])) or real(*a, **kw))
     w = lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
     assert snorm.s_norm(slab3, w) == pytest.approx(snorm_dense(slab3, w), rel=1e-9)
     assert not isinstance(slab3.lu(), snorm.BandCholesky)
+    # SuperLU's own relaxed supernodes and panels: a 3D band is wide
+    assert seen == [(None, None)]
 
 
 @pytest.mark.parametrize("lo, hi, h", [((0.25,), (1.25,), 0.05),

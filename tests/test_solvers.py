@@ -156,6 +156,24 @@ def test_one_factorization_per_system(monkeypatch):
     assert sum(cg) == u.info["linear_iters"]
 
 
+def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    m = meshing.mesh_perforated(lay, 0.06)
+    states, original = [], fem.boundary_residual
+
+    def spy(system, u):
+        states.append(u.copy())
+        return original(system, u)
+
+    monkeypatch.setattr(fem, "boundary_residual", spy)
+    u = solvers.solve_perforated(
+        m, IDENT, fem.NonlinearBC("saturating", sigma=2.0), _one)
+    assert u.info["newton_iters"] > 0
+    # the line search's accepted trial is the next state, and its residual
+    # is not evaluated a second time
+    assert not any(np.array_equal(a, b) for a, b in zip(states, states[1:]))
+
+
 def test_nonhermitian_newton_step_runs_bicgstab(monkeypatch):
     m = _strip(1 / 32)
     coeffs = fem.CoefficientSet(dim=2, drift=[1.0, 0.5])
