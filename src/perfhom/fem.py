@@ -360,10 +360,10 @@ class AssembledSystem:
         if self._setup is None:
             K = self.reduced_matrix()
             if self.mesh.dim == 2:
-                # without SuperLU's relaxed supernodes and panels a 2D LU
-                # is sparser and faster (3.8 against 4.9 ms at 4444 dofs);
-                # a 3D slab's is slower (2.8 against 1.8 s at 40931 dofs)
-                lu = sparse_lu(K, self.is_hermitian(), relax=1, panel_size=1)
+                # an unblocked LU factors every 2D system measured faster
+                # (0.49 against 0.63 s at 249,001 dofs); a 3D slab's is
+                # slower (0.34 against 0.29 s at 16,810 dofs)
+                lu = sparse_lu(K, self.is_hermitian(), blocked=False)
                 self._setup = ("splu", lu.solve)
             elif self.is_hermitian():
                 # CG needs an SPD preconditioner; an incomplete LU of an SPD
@@ -397,15 +397,18 @@ def _is_hermitian(K):
     return d.nnz == 0 or abs(d.data).max() <= 1e-12 * scale
 
 
-def sparse_lu(K, hermitian, relax=None, panel_size=None):
+def sparse_lu(K, hermitian, blocked=True):
     """SuperLU factorization of the square sparse K; the one LU recipe.
 
     Minimum degree on A^T + A halves the fill of COLAMD; without
     SymmetricMode it is slow (89 s against 0.2 s for a 38k-dof drift system
     on one core, SciPy 1.17).  Hermitian matrices are coercive here and need
     no pivoting; others pivot off the diagonal below a tenth of the column
-    max.  relax and panel_size go to splu (None: SuperLU's defaults).
+    max.  blocked=False factors column by column: no relaxed supernodes,
+    which store explicit zeros in the factor, and no column panels, whose
+    dense block updates pay on the wide separators of a 3D mesh.
     """
+    relax, panel_size = (None, None) if blocked else (1, 1)
     return spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      options=dict(SymmetricMode=True),
                      diag_pivot_thresh=0.0 if hermitian else 0.1,

@@ -230,21 +230,21 @@ def test_solve_linear_zero_rhs_is_zero():
     assert np.all(u == 0.0)
 
 
-def test_2d_systems_factor_without_relaxed_supernodes(monkeypatch):
+def test_2d_systems_factor_unblocked(monkeypatch):
     lay = geometry.make_layout("periodic", {}, 1 / 32)
     sysm = fem.assemble(meshing.mesh_perforated(lay, 0.02),
                         fem.CoefficientSet(dim=2))
     K, b = sysm.reduced_matrix(), np.ones(len(sysm.free))
-    relaxed = fem.sparse_lu(K, True)
+    blocked = fem.sparse_lu(K, True)
     seen, real = [], spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: seen.append(
         (kw["relax"], kw["panel_size"])) or real(*a, **kw))
     assert sysm.backend == "splu"
-    # one column per supernode and panel: no explicit zeros padded in
+    # no relaxed supernodes (relax=1) and no column panels (panel_size=1)
     assert seen == [(1, 1)]
-    tight = fem.sparse_lu(K, True, relax=1, panel_size=1)
-    assert tight.nnz < relaxed.nnz
-    want = relaxed.solve(b)
+    # a relaxed supernode stores explicit zeros in the factor
+    assert fem.sparse_lu(K, True, blocked=False).nnz < blocked.nnz
+    want = blocked.solve(b)
     assert np.abs(sysm.precondition(b) - want).max() <= 1e-12 * np.abs(want).max()
 
 

@@ -162,7 +162,7 @@ def test_3d_slab_keeps_the_sparse_lu(monkeypatch):
     w = lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
     assert snorm.s_norm(slab3, w) == pytest.approx(snorm_dense(slab3, w), rel=1e-9)
     assert not isinstance(slab3.lu(), snorm.BandCholesky)
-    # SuperLU's own relaxed supernodes and panels: a 3D band is wide
+    # a blocked LU, SuperLU's defaults: a 3D slab's separators are wide
     assert seen == [(None, None)]
 
 
