@@ -31,7 +31,13 @@ import numpy as np
 from . import corrector as corrector_mod
 from . import snorm as snorm_mod
 from . import fem, geometry, harness, meshing
-from .errors import PerfhomError, _config_value
+from .errors import PerfhomError, _config_value, _known_keys
+
+
+# the keys of a snorm, corrector or layout-only validate config; one file
+# serves all three
+_LAYOUT_KEYS = ("eps_list", "layout_kind", "layout_params", "eta_rule", "seed",
+                "alpha0", "points_per_bump", "grid", "modes", "calibrate")
 
 
 def _load_config(path):
@@ -60,7 +66,7 @@ def _eps_list(doc):
     if not eps:
         raise SystemExit("config must supply a non-empty eps_list")
     return _config_value("eps_list", eps,
-                         lambda v: [harness._positive(e) for e in v])
+                         lambda v: [geometry._positive(e) for e in v])
 
 
 def _int_in(lo, hi):
@@ -90,6 +96,14 @@ def _lengths(v):
 
 def _finite_or_none(x):
     return None if x is None else _inside(-math.inf, math.inf)(x)
+
+
+def _periodic(kind):
+    """corrector's layout_kind: its cell is read off the center gaps of a
+    lattice, which only a periodic layout is."""
+    if harness._layout_kind(kind) != "periodic":
+        raise ValueError("corrector tables need a periodic layout")
+    return kind
 
 
 def _kappa_rows(doc, args, out_csv=None):
@@ -137,6 +151,7 @@ def cmd_study(args):
 
 def cmd_snorm(args):
     doc = _load_config(args.config)
+    _known_keys(doc, _LAYOUT_KEYS, "config")
     os.makedirs(args.out, exist_ok=True)
     rows = _kappa_rows(doc, args, out_csv=os.path.join(args.out, "kappa.csv"))
     for r in rows:
@@ -148,6 +163,8 @@ def cmd_snorm(args):
 
 def cmd_corrector(args):
     doc = _load_config(args.config)
+    _known_keys(doc, _LAYOUT_KEYS, "config")
+    _value(doc, "layout_kind", "periodic", _periodic)
     os.makedirs(args.out, exist_ok=True)
     rule = _value(doc, "eta_rule", 1.0, harness._eta_rule)
     if not isinstance(rule, float):
@@ -157,14 +174,13 @@ def cmd_corrector(args):
     grid = _value(doc, "grid", 256, _int_in(1, math.inf))
     # fourier_corrector keeps modes below the grid's Nyquist order
     modes = _value(doc, "modes", 64, _int_in(1, grid // 2))
-    tau0 = _value(doc, "tau0", 1.0, harness._positive)
-    beta = corrector_mod.cell_beta_from_layout(_layout_fn(doc)(eps_list[0]),
-                                               n=grid)
+    layout = _layout_fn(doc)(eps_list[0])
+    beta = corrector_mod.cell_beta_from_layout(layout, n=grid)
     kappas = None
     if doc.get("calibrate"):
         kappas = [r["kappa"] for r in _kappa_rows(doc, args)]
     table, calibration = corrector_mod.mu_table(
-        eps_list, beta, modes=modes, tau0=tau0, kappas=kappas,
+        eps_list, beta, modes=modes, tau0=layout.constants["tau0"], kappas=kappas,
         out_csv=os.path.join(args.out, "mu.csv"))
     for r in table:
         line = f"eps={r['eps']:.6g}  mu={r['mu']:.6e}"
@@ -185,7 +201,7 @@ def cmd_mesh(args):
 
     def positive(key, default=None):
         # mesh_slab would add rows forever for h <= 0
-        return _value(doc, key, default, harness._positive)
+        return _value(doc, key, default, geometry._positive)
 
     if kind == "perforated":
         eps = positive("eps")
@@ -245,6 +261,7 @@ def cmd_validate(args):
             check(f"layout at eps={eps:.6g}",
                   lambda e=eps: f"{config.layout(e).n_cavities} cavities")
     else:
+        _known_keys(doc, _LAYOUT_KEYS, "config")
         layout_fn = _layout_fn(doc)
         for eps in _eps_list(doc):
             check(f"layout at eps={eps:.6g}",

@@ -17,6 +17,12 @@ def _config_value(key, value, convert):
         raise ConfigError(f"bad value for {key!r}: {value!r}{reason}") from None
 
 
+def _known_keys(doc, keys, what):
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): " + ", ".join(map(repr, unknown)))
+
+
 class InfeasibleSpacingError(PerfhomError):
     """Requested layout violates the cavity disjointness condition."""
 

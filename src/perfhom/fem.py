@@ -85,6 +85,13 @@ def _eval_field(spec, x, dim, shape):
     return np.broadcast_to(arr, (m,) + shape)
 
 
+def _sup(spec, name):
+    """sup |spec| of a constant coefficient; a callable declares none."""
+    if callable(spec):
+        raise ValueError(f"a callable {name} has no sup bound")
+    return float(np.max(np.abs(spec)))
+
+
 @dataclass
 class CoefficientSet:
     """Coefficients of the second-order operator.
@@ -94,8 +101,8 @@ class CoefficientSet:
     drift : None, constant (n,) vector, or callable x -> (m, n); complex ok.
     reaction : scalar, or callable x -> (m,); complex ok.
     c0 : declared ellipticity constant.
-    sup_drift / sup_reaction : declared sup bounds, required when the
-        corresponding field is a callable (used by estimate_lambda0).
+    estimate_lambda0 needs sup |drift| and sup |reaction|, so a callable
+    drift or reaction has no threshold estimate.
     """
 
     dim: int = 2
@@ -103,24 +110,12 @@ class CoefficientSet:
     drift: object = None
     reaction: object = 0.0
     c0: float = 1.0
-    sup_drift: float | None = None
-    sup_reaction: float | None = None
 
     def drift_bound(self):
-        if self.drift is None:
-            return 0.0
-        if callable(self.drift):
-            if self.sup_drift is None:
-                raise ValueError("sup_drift must be declared for callable drift")
-            return float(self.sup_drift)
-        return float(np.max(np.abs(self.drift)))
+        return 0.0 if self.drift is None else _sup(self.drift, "drift")
 
     def reaction_bound(self):
-        if callable(self.reaction):
-            if self.sup_reaction is None:
-                raise ValueError("sup_reaction must be declared for callable reaction")
-            return float(self.sup_reaction)
-        return float(np.max(np.abs(self.reaction)))
+        return _sup(self.reaction, "reaction")
 
     def validate_ellipticity(self, sample_points):
         """Check min eigenvalue of the matrix >= c0 on sample points."""
@@ -151,7 +146,6 @@ class NonlinearBC:
 
     kind: str = "zero"
     sigma: object = 0.0
-    sup_sigma: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("zero", "linear", "saturating"):
@@ -181,16 +175,9 @@ class NonlinearBC:
             return np.asarray(self.sigma(x))
         return np.broadcast_to(np.asarray(self.sigma), (len(x),))
 
-    def sigma_bound(self):
-        if callable(self.sigma):
-            if self.sup_sigma is None:
-                raise ValueError("sup_sigma must be declared for callable sigma")
-            return float(self.sup_sigma)
-        return float(np.max(np.abs(self.sigma)))
-
     def lip_bound(self):
         """Upper bound for |da/dRe u| + |da/dIm u| (the paper-style a0)."""
-        return 0.0 if self.is_zero else 2.0 * self.sigma_bound()
+        return 0.0 if self.is_zero else 2.0 * _sup(self.sigma, "sigma")
 
     def value(self, x, u):
         if self.is_zero:

@@ -38,6 +38,12 @@ def _count(n):
     return int(n)
 
 
+def _positive(x):
+    if isinstance(x, bool) or not (math.isfinite(float(x)) and float(x) > 0):
+        raise ValueError("must be a finite number > 0")
+    return float(x)
+
+
 # converters of the shape params that are not a number
 _SHAPE_PARAMS = {"semi_axes": lambda v: tuple(float(a) for a in v), "wings": _count}
 # the params each shape family cannot do without
@@ -405,13 +411,6 @@ def _floats(*shape):
     return convert
 
 
-def layout_box(params, dim):
-    """(lo, hi) arrays of the domain box of the dim-dimensional layouts that
-    make_layout builds from params."""
-    return _config_value("domain", params.get("domain", _default_domain(dim)),
-                         _box(dim))
-
-
 def make_layout(kind, params, eps, eta_rule=1.0):
     """Build a validated cavity layout.
 
@@ -439,11 +438,13 @@ def make_layout(kind, params, eps, eta_rule=1.0):
     dim = value("dim", 2, _dimension)
     eps = float(eps)
     eta = eval_eta(eta_rule, eps)
-    lo, hi = (tuple(b.tolist()) for b in layout_box(params, dim))
+    lo, hi = (tuple(b.tolist()) for b in value("domain", _default_domain(dim),
+                                               _box(dim)))
     s0 = value("s0", 0.0, float)
     constants = dict(DEFAULT_CONSTANTS)
     for key, v in value("constants", {}, dict).items():
-        constants[key] = _config_value(key, v, float)
+        # tau0 sets the slab height of every kappa and mu table
+        constants[key] = _config_value(key, v, _positive if key == "tau0" else float)
     if not lo[dim - 1] < s0 < hi[dim - 1]:
         raise ManifoldOutsideDomainError(
             f"s0={s0} outside normal extent ({lo[dim-1]}, {hi[dim-1]})"

@@ -14,12 +14,14 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
 from . import alpha as alpha_mod
 from . import fem, geometry, meshing, snorm, solvers
-from .errors import ConfigError, _config_value
+from .errors import ConfigError, _config_value, _known_keys
+from .geometry import _positive
 
 log = logging.getLogger(__name__)
 
@@ -176,26 +178,17 @@ class StudyConfig:
         self.vanish_near_s = _config_value("vanish_near_s", self.vanish_near_s,
                                            _bool)
         n = self.dim
-        # shapes a constant may take (None: may be None); dtype kinds allowed
-        for key, shapes, kinds in (("matrix", [None, (n, n)], "iuf"),
-                                   ("drift", [None, (), (n,)], "iufc"),
-                                   ("reaction", [()], "iufc"),
-                                   ("nbc_sigma", [()], "iufc")):
+        # the shapes each coefficient's real numbers may take (None: may be None)
+        for key, shapes in (("matrix", [None, (n, n)]), ("drift", [None, (), (n,)]),
+                            ("reaction", [()]), ("nbc_sigma", [()])):
             setattr(self, key, _config_value(
-                key, getattr(self, key), lambda v: _coefficient(v, shapes, kinds)))
+                key, getattr(self, key), lambda v: _coefficient(v, shapes)))
         self.nbc_kind = _config_value("nbc_kind", self.nbc_kind,
                                       lambda k: fem.NonlinearBC(k).kind)
-        # the sup bounds of every row's fem.estimate_lambda0; a config cannot
-        # declare them, so a callable that needs one is rejected here
-        coeffs, nbc = self.coefficients(), self.nonlinearity()
-        for key, bound in (("drift", coeffs.drift_bound),
-                           ("reaction", coeffs.reaction_bound),
-                           ("nbc_sigma", nbc.lip_bound)):
-            _config_value(key, getattr(self, key), lambda _: bound())
         # the solvers' own threshold rule, so validate rejects what study would
         if self.lam is not None:
             self.lam = _config_value("lam", self.lam, lambda v: solvers._resolve_lambda(
-                coeffs, nbc, v))
+                self.coefficients(), self.nonlinearity(), v))
         self.layout_params = _config_value("layout_params", self.layout_params,
                                            dict)
         if self.layout_params.get("dim", n) != n:
@@ -231,43 +224,22 @@ class StudyConfig:
                                     eps, eta_rule=self.eta_rule)
 
     def check_ellipticity(self):
-        """Sampled lowest eigenvalue of the principal part at 7 points on the
-        diagonal of the layout box; raises NonEllipticCoefficientsError below
-        c0.  The box is read from the layout params, building no layout."""
-        lo, hi = geometry.layout_box(self.layout_params, self.dim)
-        pts = np.stack([np.linspace(a, b, 7) for a, b in zip(lo, hi)], axis=1)
-        return self.coefficients().validate_ellipticity(pts)
+        """Lowest eigenvalue of the principal part; raises
+        NonEllipticCoefficientsError below c0.  A config's matrix is
+        constant, so one point gives it."""
+        return self.coefficients().validate_ellipticity(np.zeros((1, self.dim)))
 
     def to_dict(self):
-        doc = asdict(self)
-        for key in ("drift", "reaction", "matrix", "nbc_sigma"):
-            v = doc[key]
-            if callable(v) or np.iscomplexobj(v):
-                raise ValueError(f"{key} must be plain real data in configs")
-            if isinstance(v, np.ndarray):
-                doc[key] = v.tolist()
-        doc["eta_rule"] = list(self.eta_rule) if isinstance(self.eta_rule, tuple) \
-            else self.eta_rule
-        doc["eps_list"] = list(self.eps_list)
-        doc["rhs_names"] = list(self.rhs_names)
-        return doc
+        return {key: v.tolist() if isinstance(v, np.ndarray) else
+                list(v) if isinstance(v, tuple) else v
+                for key, v in asdict(self).items()}
 
     @staticmethod
     def from_dict(doc):
-        doc = dict(doc)
-        unknown = sorted(set(doc) - {f.name for f in fields(StudyConfig)})
-        if unknown:
-            raise ConfigError("unknown study config key(s): "
-                              + ", ".join(map(repr, unknown)))
+        _known_keys(doc, [f.name for f in fields(StudyConfig)], "study config")
         if "theorem" not in doc:
             raise ConfigError("study config needs a 'theorem' key")
         return StudyConfig(**doc)
-
-
-def _positive(x):
-    if isinstance(x, bool) or not (math.isfinite(float(x)) and float(x) > 0):
-        raise ValueError("must be a finite number > 0")
-    return float(x)
 
 
 def _bool(x):
@@ -283,8 +255,6 @@ def _layout_kind(kind):
 
 
 def _eta_rule(rule):
-    if callable(rule):
-        return rule
     if not isinstance(rule, (list, tuple)):
         return float(rule)
     kind, gamma = rule
@@ -293,14 +263,15 @@ def _eta_rule(rule):
     return kind, float(gamma)
 
 
-def _coefficient(value, shapes, kinds):
-    """A callable, or numbers of one of the given dtype kinds and shapes;
-    None passes where shapes lists it."""
-    if callable(value) or (value is None and None in shapes):
+def _coefficient(value, shapes):
+    """Real numbers of one of the given shapes; None passes where shapes
+    lists it."""
+    if value is None and None in shapes:
         return value
     arr = np.asarray(value)
-    if arr.dtype.kind not in kinds or arr.shape not in shapes:
-        raise ValueError
+    if arr.dtype.kind not in "iuf" or arr.shape not in shapes:
+        raise ValueError("must be real numbers of shape " + " or ".join(
+            str(s) for s in shapes if s is not None))
     return arr.item() if arr.ndim == 0 else arr
 
 
@@ -498,11 +469,6 @@ def _solver_record(infos):
     return record
 
 
-def _row_worker(args):
-    doc, eps, kappa_val = args
-    return _study_row(StudyConfig.from_dict(doc), eps, kappa_val)
-
-
 def run_study(config, jobs=1):
     """Full sweep -> RateReport; see the module docstring for the protocol."""
     norm_key, needs_kappa, _, _ = _THEOREMS[config.theorem]
@@ -516,10 +482,9 @@ def run_study(config, jobs=1):
         kappa_map = {r["eps"]: r["kappa"] for r in kappa_rows}
 
     if jobs > 1:
-        doc = config.to_dict()
-        args = [(doc, e, kappa_map.get(e)) for e in config.eps_list]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_row_worker, args))
+            rows = list(pool.map(_study_row, repeat(config), config.eps_list,
+                                 map(kappa_map.get, config.eps_list)))
     else:
         u0_cache = {}  # this call's u0 ladder levels, shared by its rows
         rows = [_study_row(config, e, kappa_map.get(e), u0_cache)

@@ -258,7 +258,7 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     ("snorm", {"layout_kind": "bogus"}, "layout_kind"),
     ("corrector", {"modes": 200}, "modes"),
     ("corrector", {"grid": 0}, "grid"),
-    ("corrector", {"tau0": -1}, "tau0"),
+    ("corrector", {"layout_params": {"constants": {"tau0": -1}}}, "tau0"),
     ("corrector", {"calibrate": True, "points_per_bump": 0}, "points_per_bump"),
     ("corrector", {"calibrate": True, "alpha0": "x"}, "alpha0"),
     ("mesh", {"mesh_kind": "slab", "h": 0.0}, "h"),
@@ -285,6 +285,22 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     ("snorm", {"layout_kind": "explicit",
                "layout_params": {"centers": [[0.5, 0.0]],
                                  "shapes": [{"family": "ball"}]}}, "shapes"),
+    # the slab of every kappa and mu table is tau0/2 high
+    ("snorm", {"layout_params": {"constants": {"tau0": -1}}}, "tau0"),
+    ("snorm", {"layout_params": {"constants": {"tau0": 0}}}, "tau0"),
+    ("corrector", {"layout_params": {"constants": {"tau0": 0}}}, "tau0"),
+    ("snorm", {"layout_params": {"constants": {"tau0": float("inf")}}}, "tau0"),
+    # corrector reads its cell off a lattice
+    ("corrector", {"layout_kind": "clustered"}, "layout_kind"),
+    ("corrector", {"layout_kind": "perturbed-periodic",
+                   "layout_params": {"mu": 0.05}}, "layout_kind"),
+    # one key set, shared by the three commands that read a layout config
+    ("snorm", {"points_per_bmp": 2}, "points_per_bmp"),
+    ("corrector", {"points_per_bmp": 2}, "points_per_bmp"),
+    ("validate", {"points_per_bmp": 2}, "points_per_bmp"),
+    # the error lists every unknown key; corrector takes tau0 from the layout
+    ("corrector", {"tau0": 1.0, "grd": 64}, "grd"),
+    ("corrector", {"tau0": 1.0, "grd": 64}, "tau0"),
 ])
 def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
                                                      extra, named):
@@ -293,6 +309,20 @@ def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(named) in err
     assert "Traceback" not in err
+
+
+def test_corrector_reads_tau0_from_the_layout(tmp_path, capsys):
+    # the outer-flux term decays with the slab height tau0/2
+    outer = {}
+    for tau0 in (1.0, 2.0):
+        cfg = _write(tmp_path, {"eps_list": [1 / 8], "modes": 16,
+                                "layout_params": {"constants": {"tau0": tau0}}})
+        assert cli.main(["corrector", "--config", cfg,
+                         "--out", str(tmp_path / "c")]) == 0
+        capsys.readouterr()
+        cols = (tmp_path / "c" / "mu.csv").read_text().splitlines()
+        outer[tau0] = float(cols[1].split(",")[3])
+    assert 0.0 < outer[2.0] < outer[1.0]
 
 
 def test_corrector_calibrates_on_the_snorm_kappas(tmp_path, capsys):
@@ -305,26 +335,6 @@ def test_corrector_calibrates_on_the_snorm_kappas(tmp_path, capsys):
                            if tok.startswith("kappa=")]
     assert len(kappas["snorm"]) == 2
     assert kappas["corrector"] == kappas["snorm"]
-
-
-def test_validate_samples_coefficients_on_the_layout_box(tmp_path, monkeypatch):
-    from perfhom import fem
-
-    seen = []
-    original = fem.CoefficientSet.validate_ellipticity
-
-    def spy(self, pts):
-        seen.append(pts)
-        return original(self, pts)
-
-    monkeypatch.setattr(fem.CoefficientSet, "validate_ellipticity", spy)
-    cfg = _write(tmp_path, {
-        "theorem": "T1a", "eps_list": [1 / 4, 1 / 8, 1 / 16],
-        "layout_params": {"domain": [[0, -1], [2, 1]]}})
-    assert cli.main(["validate", "--config", cfg]) == 0
-    (pts,) = seen
-    assert pts.min(axis=0).tolist() == [0.0, -1.0]
-    assert pts.max(axis=0).tolist() == [2.0, 1.0]
 
 
 @pytest.fixture

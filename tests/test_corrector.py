@@ -77,6 +77,19 @@ def test_cell_beta_coarse_grid_rejected():
         corrector.cell_beta_from_layout(lay, n=64)
 
 
+def test_cell_mean_check_is_relative_to_alpha0():
+    # the 3D cell's sampled mean is off by 5.04e-8 of alpha0 at n = 128
+    # whatever eta scales the bump by, so the grid gets one verdict
+    shape = geometry.Shape("ball", {"radius": 0.15})
+    betas = [corrector.cell_beta(shape, eta, dim=3, cell=(1.0, 1.0), n=128)
+             for eta in (1.0, 0.5, 0.1)]
+    rel = [b.raw_mean / b.alpha0 for b in betas]
+    assert max(rel) == pytest.approx(min(rel), rel=1e-6)
+    for eta in (1.0, 0.5, 0.1):
+        with pytest.raises(NonzeroMeanError):
+            corrector.cell_beta(shape, eta, dim=3, cell=(1.0, 1.0), n=64)
+
+
 def test_modes_above_nyquist_rejected():
     with pytest.raises(ValueError):
         corrector.fourier_corrector(_single_mode(64), modes=40)

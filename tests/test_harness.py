@@ -75,10 +75,6 @@ def test_config_dict_roundtrip():
     back = harness.StudyConfig.from_dict(doc)
     assert back.to_dict() == doc
 
-    with pytest.raises(ValueError):
-        harness.StudyConfig(
-            theorem="T2", nbc_sigma=lambda x: x[:, 0]).to_dict()
-
 
 @pytest.mark.parametrize("key, value", [
     ("eps_lst", [0.125]), ("eps_list", 0.125), ("eps_list", ["a"]),
@@ -119,28 +115,56 @@ def test_mesh_and_guard_numbers_become_floats():
     assert cfg.h_factor == 0.5 and type(cfg.guard_tol) is float
 
 
-def test_coefficient_configs_keep_plain_data_and_callables():
+def test_coefficient_configs_keep_plain_data():
     cfg = harness.StudyConfig(theorem="T1a", matrix=[[2.0, 0.0], [0.0, 1.0]],
                               drift=[0.1, 0.0], reaction=1, lam=-3.0)
     assert cfg.matrix.shape == (2, 2) and cfg.drift.shape == (2,)
     assert cfg.reaction == 1 and cfg.lam == -3.0
     back = harness.StudyConfig.from_dict(cfg.to_dict())
     assert back.to_dict() == cfg.to_dict()
-    sigma = lambda x: np.ones(len(x))  # noqa: E731
-    assert harness.StudyConfig(theorem="T2", nbc_sigma=sigma).nbc_sigma is sigma
+
+
+_CALLABLES = {
+    "matrix": lambda x: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
+    "drift": lambda x: np.ones((len(x), 2)),
+    "reaction": lambda x: np.ones(len(x)),
+    "nbc_sigma": lambda x: np.ones(len(x)),
+    "eta_rule": lambda eps: 0.5,
+}
 
 
 @pytest.mark.parametrize("key, extra", [
     ("drift", {}), ("reaction", {}),
     ("nbc_sigma", {"nbc_kind": "linear"}), ("nbc_sigma", {"nbc_kind": "saturating"}),
+    ("matrix", {}), ("eta_rule", {}),
+    ("drift", {"drift": [0.1j, 0.0]}), ("reaction", {"reaction": 1.0 + 0.5j}),
+    ("nbc_sigma", {"nbc_kind": "linear", "nbc_sigma": 2.0j}),
 ])
 def test_callable_coefficients_needing_a_sup_bound_are_rejected(key, extra):
-    # every row's solvability estimate needs sup|.| of these, which a config
-    # cannot declare
-    value = (lambda x: np.ones((len(x), 2))) if key == "drift" \
-        else (lambda x: np.ones(len(x)))
+    # a config holds only what its report can: the key's callable, or the
+    # complex value that extra puts in its place, is rejected up front
     with pytest.raises(harness.ConfigError, match=key):
-        harness.StudyConfig(theorem="T2", **{key: value}, **extra)
+        harness.StudyConfig(theorem="T2", **{key: _CALLABLES[key], **extra})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"theorem": "T1a"},
+    {"theorem": "T1b", "eta_rule": ("power", 0.5), "matrix": np.diag([2.0, 1.5]),
+     "drift": 0.25, "reaction": np.float64(-0.5), "lam": -5},
+    {"theorem": "T2", "nbc_kind": "saturating", "nbc_sigma": 2, "eta_rule": 0.5,
+     "drift": np.array([0.1, -0.2]), "eps_list": [np.float64(1 / 8), 1 / 16],
+     "rhs_names": ["poly", "trig", "zero"], "seed": np.int64(3)},
+    {"theorem": "T3a", "dim": 3, "matrix": [[1, 0, 0], [0, 2, 0], [0, 0, 1]],
+     "layout_params": {"s0": 0.1}, "vanish_near_s": True, "u0_refine_cap": 0},
+])
+def test_accepted_configs_round_trip_through_the_report(kwargs, tmp_path):
+    cfg = harness.StudyConfig(**kwargs)
+    doc = cfg.to_dict()
+    assert json.loads(json.dumps(doc)) == doc
+    assert harness.StudyConfig.from_dict(doc).to_dict() == doc
+    report = harness.RateReport(doc, [], {}, None, None, {})
+    _, json_path, _ = harness.emit_report(report, tmp_path)
+    assert json.load(open(json_path))["config"] == doc
 
 
 def test_study_config_owns_dim():
