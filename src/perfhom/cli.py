@@ -200,7 +200,6 @@ def cmd_mesh(args):
     path = os.path.join(args.out, "mesh.txt")
 
     def positive(key, default=None):
-        # mesh_slab would add rows forever for h <= 0
         return _value(doc, key, default, geometry._positive)
 
     if kind == "perforated":

@@ -37,7 +37,7 @@ from .errors import (
     NoConvergenceError,
     NonEllipticCoefficientsError,
 )
-from .meshing import blockwise
+from .meshing import _facet_measures, blockwise
 
 log = logging.getLogger(__name__)
 
@@ -230,7 +230,6 @@ class DiscreteField:
 class FacetCache:
     """Quadrature data for a facet set, reused across nonlinear iterations."""
 
-    facet_idx: np.ndarray
     nodes: np.ndarray          # (F, d) vertex indices
     qp: np.ndarray             # (F, q, n) global quadrature points
     w: np.ndarray              # (F, q) weights including measure and weight field
@@ -258,18 +257,21 @@ def build_facet_cache(mesh, selector, weight=None):
     mask = mesh.facet_mask(selector)
     if not mask.any():
         raise MissingFacetTagsError(f"no facets match {selector!r}")
-    idx = np.where(mask)[0]
-    nodes = mesh.facets[idx]
-    bary, wq = facet_quadrature(mesh.dim)
-    verts = mesh.vertices[nodes]                      # (F, d, n)
+    nodes = mesh.facets[mask]
+    return facet_cache(nodes, mesh.vertices[nodes], weight)
+
+
+def facet_cache(nodes, verts, weight=None):
+    """FacetCache of the facets with vertex indices nodes (F, d) and vertex
+    coordinates verts (F, d, n)."""
+    bary, wq = facet_quadrature(verts.shape[2])
     qp = np.einsum("qk,fkn->fqn", bary, verts)
-    meas = mesh.facet_measures(mask)
-    w = meas[:, None] * wq[None, :]
+    w = _facet_measures(verts)[:, None] * wq[None, :]
     if weight is not None:
-        flat = qp.reshape(-1, mesh.dim)
+        flat = qp.reshape(-1, verts.shape[2])
         wvals = weight(flat) if callable(weight) else np.broadcast_to(weight, (len(flat),))
         w = w * np.asarray(wvals).reshape(qp.shape[:2])
-    return FacetCache(idx, nodes, qp, w, bary)
+    return FacetCache(nodes, qp, w, bary)
 
 
 @dataclass

@@ -159,10 +159,10 @@ class StudyConfig:
 
     def __post_init__(self):
         self.dim = _config_value("dim", self.dim, geometry._dimension)
-        if not self.eps_list:
-            self.eps_list = DEFAULT_SWEEP if self.dim == 2 else DEFAULT_SWEEP_3D
         self.eps_list = _config_value("eps_list", self.eps_list,
                                       lambda v: tuple(_positive(e) for e in v))
+        if not self.eps_list:
+            self.eps_list = DEFAULT_SWEEP if self.dim == 2 else DEFAULT_SWEEP_3D
         self.layout_kind = _config_value("layout_kind", self.layout_kind,
                                          _layout_kind)
         self.eta_rule = _config_value("eta_rule", self.eta_rule, _eta_rule)
@@ -190,7 +190,7 @@ class StudyConfig:
             self.lam = _config_value("lam", self.lam, lambda v: solvers._resolve_lambda(
                 self.coefficients(), self.nonlinearity(), v))
         self.layout_params = _config_value("layout_params", self.layout_params,
-                                           dict)
+                                           _json_dict)
         if self.layout_params.get("dim", n) != n:
             raise ConfigError(f"layout_params dim {self.layout_params['dim']!r} "
                               f"conflicts with dim {n}")
@@ -240,6 +240,16 @@ class StudyConfig:
         if "theorem" not in doc:
             raise ConfigError("study config needs a 'theorem' key")
         return StudyConfig(**doc)
+
+
+def _json_dict(v):
+    """v as a dict of plain JSON data: numpy arrays and numbers become lists
+    and Python numbers; anything else that JSON cannot hold is refused."""
+    def plain(x):
+        if isinstance(x, (np.ndarray, np.generic)):
+            return x.tolist()
+        raise TypeError(f"{type(x).__name__} is not JSON data")
+    return dict(json.loads(json.dumps(v, default=plain)))
 
 
 def _bool(x):

@@ -109,12 +109,7 @@ class Mesh:
 
     def facet_measures(self, mask=None):
         f = self.facets if mask is None else self.facets[mask]
-        v = self.vertices[f]
-        if self.dim == 2:
-            return np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
-        a = v[:, 1] - v[:, 0]
-        b = v[:, 2] - v[:, 0]
-        return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+        return _facet_measures(self.vertices[f])
 
     def check(self):
         """Structural sanity; raises InconsistentMeshError on failure."""
@@ -158,6 +153,15 @@ class Mesh:
         mesh = Mesh(verts, simp, rows[:, :dim], rows[:, dim], h=0.0)
         mesh.check()
         return mesh
+
+
+def _facet_measures(v):
+    """Measures of the facets with vertex coordinates v (F, dim, dim)."""
+    if v.shape[2] == 2:
+        return np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
+    a = v[:, 1] - v[:, 0]
+    b = v[:, 2] - v[:, 0]
+    return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
 
 
 def _edge_cofactors(vertices, simplices):
@@ -396,11 +400,31 @@ def mesh_interface(domain_lo, domain_hi, s0, h):
 _SLAB_GROW = 1.35        # ratio of consecutive slab row gaps
 
 
-def mesh_slab(tangential_lo, tangential_hi, height, h_bottom):
-    """Graded slab (tangential box) x (0, height): rows of height h_bottom at
-    the bottom (the interface), coarsening geometrically upward up to
-    height / 8.  Bottom facets are tagged INTERFACE_TAG.
+def _finite_positive(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def slab_axes(tangential_lo, tangential_hi, height, h_bottom):
+    """Grid axes of the graded slab (tangential box) x (0, height): each
+    tangential axis a uniform segment of step about h_bottom, then the rows,
+    of height h_bottom at the bottom (the interface) and coarsening
+    geometrically upward up to height / 8.
+
+    Raises ValueError for a size outside its domain, and MeshingError unless
+    every axis is strictly increasing, so that every cell, and each of its
+    simplices, has positive volume.
     """
+    lo = np.atleast_1d(np.asarray(tangential_lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(tangential_hi, dtype=float))
+    if lo.ndim != 1 or lo.shape != hi.shape or len(lo) not in (1, 2):
+        raise ValueError("tangential_lo and tangential_hi must give the same "
+                         "1 or 2 tangential coordinates")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
+        raise ValueError(f"tangential extent from tangential_lo {lo.tolist()} to "
+                         f"tangential_hi {hi.tolist()} must be finite and nonempty")
+    _finite_positive("height", height)
+    _finite_positive("h_bottom", h_bottom)
     h_cap = height / 8.0
     rows = [0.0]
     step = h_bottom
@@ -411,10 +435,18 @@ def mesh_slab(tangential_lo, tangential_hi, height, h_bottom):
             nxt = height
         rows.append(nxt)
         step *= _SLAB_GROW
-    axes = [_segment(a, b, h_bottom) for a, b in
-            zip(np.atleast_1d(tangential_lo), np.atleast_1d(tangential_hi))]
+    axes = [_segment(a, b, h_bottom) for a, b in zip(lo, hi)]
     axes.append(np.asarray(rows))
-    return _grid_mesh(axes, h_bottom, k=0)
+    if not all(len(a) > 1 and (np.diff(a) > 0).all() for a in axes):
+        raise MeshingError("slab axes must be strictly increasing, with a cell each")
+    return axes
+
+
+def mesh_slab(tangential_lo, tangential_hi, height, h_bottom):
+    """Mesh of the graded slab on slab_axes; bottom facets are tagged
+    INTERFACE_TAG."""
+    return _grid_mesh(slab_axes(tangential_lo, tangential_hi, height, h_bottom),
+                      h_bottom, k=0)
 
 
 # ---------------------------------------------------------------------------

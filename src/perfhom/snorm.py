@@ -1,7 +1,7 @@
 """Trace norms on the interface measured through a graded slab.
 
-The slab is the box (tangential extent of S) x (0, tau0/2), meshed in place
-by meshing.mesh_slab: fine at the bottom and geometrically coarsened
+The slab is the box (tangential extent of S) x (0, tau0/2) on the tensor
+grid of meshing.slab_axes: fine at the bottom and geometrically coarsened
 upward.  Its energy form is the H1 Gram matrix K,
 
     ||V||_K^2 = ||grad V||^2 + ||V||^2        (no essential conditions).
@@ -20,15 +20,23 @@ eigenvalue max mu^2; no code here needs S_c.)  The symmetric-definite
 pencil (M_w, K) is solved by ARPACK's Lanczos method in mode 2 (Lehoucq,
 Sorensen & Yang, ARPACK Users' Guide, SIAM 1998): each step applies K^{-1}
 once, through the slab's one cached factorization of K, and M_w and K by
-sparse products.  In 2D that factorization is LAPACK's banded Cholesky
-pbtrf/pbtrs (Anderson et al., LAPACK Users' Guide, SIAM 1999) in the grid's
-own vertex order; in 3D it is the sparse LU fem.sparse_lu.
+sparse products.
+
+A 2D slab needs no mesh: the grid's triangles are right-angled, so K has a
+closed form per cell, written from the cell sizes straight into LAPACK's
+upper band storage in the grid's own vertex order and factored there by the
+banded Cholesky pbtrf/pbtrs (Anderson et al., LAPACK Users' Guide, SIAM
+1999).  A 3D slab assembles K on its mesh and factors it by the sparse LU
+fem.sparse_lu.  The trace nodes are the grid's bottom layer in both; a
+slab's mesh is built only when asked for.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -42,53 +50,99 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class BandCholesky:
-    """Cholesky factor of a sparse symmetric positive definite matrix, kept
-    in LAPACK's upper band storage; the half-bandwidth is read off the
-    matrix's nonzeros, so the matrix's own order must keep it narrow."""
+    """Cholesky factor of a symmetric positive definite band matrix in
+    LAPACK's upper band storage."""
 
     factor: np.ndarray       # (u + 1, n): row u + i - j holds entry (i, j)
-
-    @classmethod
-    def of(cls, K):
-        """Factor the CSR matrix K, reading its upper band off K's arrays."""
-        n = K.shape[0]
-        row = np.repeat(np.arange(n), np.diff(K.indptr))
-        upper = K.indices >= row
-        row, col = row[upper], K.indices[upper]
-        u = int((col - row).max())
-        # in LAPACK's own column-major order pbtrf factors ab in place
-        ab = np.zeros((u + 1, n), order="F")
-        ab[u + row - col, col] = K.data[upper]
-        return cls(la.cholesky_banded(ab, overwrite_ab=True, check_finite=False))
 
     def solve(self, rhs):
         return la.cho_solve_banded((self.factor, False), rhs, check_finite=False)
 
 
+def _gram_2d(xs, ys):
+    """P1 H1 Gram matrix K of meshing._tri_grid(xs, ys), from its cell sizes.
+
+    Every triangle is right-angled with its legs on grid lines, so a leg of
+    length h couples its two ends in the stiffness by -h'/(2h), h' the
+    cell's other side, and the hypotenuse by 0; the mass is |T|/12 (1 +
+    delta_ij) on each triangle.  Node (i, j) is vertex i (ny + 1) + j, so K
+    has the upper diagonals 0, 1 (legs along y), ny + 1 (legs along x), and
+    ny + 2 and ny (the hypotenuses of even and odd cells).  Returns K as a
+    sparse matrix and its upper band (ny + 3, n) in LAPACK's storage and
+    column-major order, for pbtrf to factor in place.
+    """
+    hx, hy = np.diff(xs), np.diff(ys)
+    nx, ny = len(hx), len(hy)
+    n = (nx + 1) * (ny + 1)
+
+    def node_sums(v):  # per node: the sum of v over its one or two cells
+        return np.r_[v, 0.0] + np.r_[0.0, v]
+
+    wx, wy = node_sums(hx), node_sums(hy)
+    sx, sy = node_sums(0.5 / hx), node_sums(0.5 / hy)
+    # node (i, j) lies on the diagonal of all four of its cells when i + j
+    # is even, and of none otherwise
+    even = np.add.outer(np.arange(nx + 1), np.arange(ny + 1)) % 2 == 0
+    d = np.array([0, 1, ny, ny + 1, ny + 2])
+    # dia rows: K[q - d, q] at node q for d = ny + 2, ..., 0, then
+    # K[p + d, p] = K[p, p + d] at node p for d = 1, ..., ny + 2
+    data = np.zeros((9, nx + 1, ny + 1))
+    lower = data[4:]
+    # the diagonal: h'/(2h) of each leg at the node, and the mass of its
+    # cells, doubled where the node lies in both triangles of each
+    lower[0] = (np.outer(wx, sy) + np.outer(sx, wy)
+                + (1.0 + even) * np.outer(wx, wy) / 12.0)
+    lower[1, :, :-1] = np.outer(wx, hy / 24.0 - 0.5 / hy)     # (i, j) - (i, j + 1)
+    lower[3, :-1] = np.outer(hx / 24.0 - 0.5 / hx, wy)        # (i, j) - (i + 1, j)
+    cell = np.outer(hx, hy) / 12.0
+    lower[4, :-1, :-1] = np.where(even[:-1, :-1], cell, 0.0)   # v00 - v11
+    lower[2, :-1, 1:] = np.where(even[:-1, :-1], 0.0, cell)    # v01 - v10
+    data = data.reshape(9, n)
+    for k in range(1, 5):
+        data[4 - k, d[k]:] = data[4 + k, :n - d[k]]
+    u = ny + 2
+    band = np.zeros((u + 1, n), order="F")
+    band[u - d[::-1]] = data[:5]
+    return sp.dia_array((data, np.r_[d[::-1], -d[1:]]), shape=(n, n)), band
+
+
 @dataclass
 class SlabSpace:
-    """Graded slab mesh, its energy matrix K (the H1 Gram matrix), the
-    bottom (trace) nodes and one cached factorization of K."""
+    """Graded slab on its grid axes (tangential axes, then the rows): the
+    energy matrix K (the H1 Gram matrix), the bottom (trace) nodes of the
+    grid's bottom layer and one cached factorization of K.  The mesh is
+    built only when asked for."""
 
-    mesh: object
-    matrix: sp.csr_matrix
-    bottom: np.ndarray
+    axes: list
+    h: float
+    matrix: object
     _lu: object = field(default=None, repr=False)
+    bottom_facets: np.ndarray = field(init=False, repr=False)
+    bottom: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        shape = [len(a) for a in self.axes]
+        self.bottom_facets = meshing._grid_layer(shape, len(shape) - 1, 0)
+        self.bottom = np.unique(self.bottom_facets)
 
     @property
     def n_trace(self):
         return len(self.bottom)
 
+    @property
+    def n_vertices(self):
+        return math.prod(len(a) for a in self.axes)
+
+    @cached_property
+    def mesh(self):
+        return meshing._grid_mesh(self.axes, self.h, k=0)
+
     def lu(self):
-        """Cached factorization of K.  In 2D the slab's vertices run x-major
-        with each column's rows contiguous, so K is a band of half-width the
-        row count + 1 and a banded Cholesky factors it; a 3D band spans a
-        whole tangential axis of rows, so 3D slabs use fem.sparse_lu."""
+        """Cached factorization of K.  A 2D slab comes with the banded
+        Cholesky of its Gram band; a 3D band spans a whole tangential axis
+        of rows, so 3D slabs use fem.sparse_lu."""
         if self._lu is None:
-            if self.mesh.dim == 2:
-                self._lu = BandCholesky.of(self.matrix)
-            else:
-                self._lu = fem.sparse_lu(self.matrix, hermitian=True)
+            self._lu = fem.sparse_lu(self.matrix, hermitian=True)
         return self._lu
 
     def solve(self, rhs):
@@ -96,10 +150,12 @@ class SlabSpace:
 
     def trace_matrix(self, weight):
         """Sparse B_w with (B_w Phi)_i = int_S w Phi_h phi_i, Phi on bottom nodes."""
-        cache = fem.build_facet_cache(self.mesh, "interface", weight)
+        index = np.unravel_index(self.bottom_facets, [len(a) for a in self.axes])
+        verts = np.stack([a[i] for a, i in zip(self.axes, index)], axis=-1)
+        cache = fem.facet_cache(self.bottom_facets, verts, weight)
         # column of a facet node: its position in the sorted bottom nodes
-        return cache.mass((self.mesh.n_vertices, self.n_trace),
-                          columns=np.searchsorted(self.bottom, cache.nodes))
+        return cache.mass((self.n_vertices, self.n_trace),
+                          columns=np.searchsorted(self.bottom, self.bottom_facets))
 
     def lift(self, weight, phi):
         """Neumann lift U = K^{-1} B_w phi of bottom nodal data phi."""
@@ -115,10 +171,19 @@ class SlabSpace:
 
 
 def build_slab(tangential_lo, tangential_hi, h_bottom, tau0=1.0):
-    """Slab (tangential box) x (0, tau0/2) with bottom rows of height h_bottom."""
-    mesh = meshing.mesh_slab(tangential_lo, tangential_hi, tau0 / 2.0, h_bottom)
-    bottom = np.unique(mesh.facets[mesh.facet_mask("interface")])
-    return SlabSpace(mesh, fem.h1_gram(mesh), bottom)
+    """Slab (tangential box) x (0, tau0/2) with bottom rows of height h_bottom.
+
+    A 2D slab's Gram band is written from its axes and factored in place; a
+    3D slab assembles its Gram matrix on the mesh.
+    """
+    meshing._finite_positive("tau0", tau0)
+    axes = meshing.slab_axes(tangential_lo, tangential_hi, tau0 / 2.0, h_bottom)
+    if len(axes) == 2:
+        K, band = _gram_2d(*axes)
+        factor = la.cholesky_banded(band, overwrite_ab=True, check_finite=False)
+        return SlabSpace(axes, h_bottom, K, _lu=BandCholesky(factor))
+    return SlabSpace(axes, h_bottom,
+                     fem.h1_gram(meshing._grid_mesh(axes, h_bottom, k=0)))
 
 
 def slab_for_layout(layout, points_per_bump=8):
@@ -153,7 +218,7 @@ def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
     info = {"iterations": [0], "stalled": False}
     if B.count_nonzero() == 0:
         return (0.0, info) if return_info else 0.0
-    K, bottom, n = slab.matrix, slab.bottom, slab.mesh.n_vertices
+    K, bottom, n = slab.matrix, slab.bottom, slab.n_vertices
     B_bottom = B[bottom]  # the bottom block of M_w
     best = 0.0  # the largest |Rayleigh quotient| among the vectors seen
 

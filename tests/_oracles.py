@@ -9,10 +9,12 @@ agreement is meaningful.
 import math
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from perfhom import fem, meshing
 from perfhom.fem import _cell_points, _eval_field, _scatter, cell_quadrature
 from perfhom.meshing import _edge_cofactors
 
@@ -56,12 +58,49 @@ def plain_profile(y):
     return 1.0 - np.cosh(np.asarray(y, dtype=float)) / math.cosh(1.0)
 
 
+def csr_band(K):
+    """Upper band (u + 1, n) of the CSR matrix K in LAPACK's storage and
+    column-major order, u read off K's nonzeros."""
+    n = K.shape[0]
+    row = np.repeat(np.arange(n), np.diff(K.indptr))
+    upper = K.indices >= row
+    row, col = row[upper], K.indices[upper]
+    u = int((col - row).max())
+    ab = np.zeros((u + 1, n), order="F")
+    ab[u + row - col, col] = K.data[upper]
+    return ab
+
+
+class AssembledSlab:
+    """A 2D slab built the generic way: meshing.mesh_slab, the assembled H1
+    Gram matrix fem.h1_gram, the banded Cholesky of the band read off its
+    CSR arrays, and the trace matrix from the mesh's interface facets.  It
+    has what snorm.s_norm reads of a slab."""
+
+    def __init__(self, tangential_lo, tangential_hi, h_bottom, tau0=1.0):
+        self.mesh = meshing.mesh_slab(tangential_lo, tangential_hi, tau0 / 2.0,
+                                      h_bottom)
+        self.matrix = fem.h1_gram(self.mesh)
+        self.bottom = np.unique(self.mesh.facets[self.mesh.facet_mask("interface")])
+        self.factor = la.cholesky_banded(csr_band(self.matrix), check_finite=False)
+        self.n_trace = len(self.bottom)
+        self.n_vertices = self.mesh.n_vertices
+
+    def solve(self, rhs):
+        return la.cho_solve_banded((self.factor, False), rhs, check_finite=False)
+
+    def trace_matrix(self, weight):
+        cache = fem.build_facet_cache(self.mesh, "interface", weight)
+        return cache.mass((self.n_vertices, self.n_trace),
+                          columns=np.searchsorted(self.bottom, cache.nodes))
+
+
 def schur_bottom(slab):
     """Dense Schur complement S_c of the slab's K on its bottom nodes: the
     energy matrix of minimal-energy extensions of bottom data."""
     K = np.asarray(slab.matrix.todense())
     ib = slab.bottom
-    ii = np.setdiff1d(np.arange(slab.mesh.n_vertices), ib)
+    ii = np.setdiff1d(np.arange(slab.n_vertices), ib)
     return K[np.ix_(ib, ib)] - K[np.ix_(ib, ii)] @ np.linalg.solve(
         K[np.ix_(ii, ii)], K[np.ix_(ii, ib)])
 

@@ -167,6 +167,34 @@ def test_accepted_configs_round_trip_through_the_report(kwargs, tmp_path):
     assert json.load(open(json_path))["config"] == doc
 
 
+def test_eps_list_may_be_an_array():
+    cfg = harness.StudyConfig(theorem="T1a", eps_list=np.array([0.25, 0.125, 0.0625]))
+    assert cfg.eps_list == (0.25, 0.125, 0.0625)
+    assert all(type(e) is float for e in cfg.eps_list)
+    with pytest.raises(harness.ConfigError, match="eps_list"):
+        harness.StudyConfig(theorem="T1a", eps_list=np.array([0.25, -0.125]))
+
+
+def test_layout_params_become_json_data(tmp_path):
+    cfg = harness.StudyConfig(theorem="T1a", layout_kind="explicit",
+                              layout_params={"centers": np.array([[0.5, 0.0]]),
+                                             "R2": np.float64(0.4)})
+    assert cfg.layout_params == {"centers": [[0.5, 0.0]], "R2": 0.4}
+    doc = cfg.to_dict()
+    report = harness.RateReport(doc, [], {}, None, None, {})
+    _, json_path, _ = harness.emit_report(report, tmp_path)
+    assert json.load(open(json_path))["config"]["layout_params"] == cfg.layout_params
+
+
+@pytest.mark.parametrize("value", [{"centers": np.array([[0.5j, 0.0]])},
+                                   {"mollifier": lambda r: 1.0 - r},
+                                   {"shapes": {object()}}],
+                         ids=["complex", "callable", "set"])
+def test_layout_params_that_are_not_json_data_are_rejected(value):
+    with pytest.raises(harness.ConfigError, match="layout_params"):
+        harness.StudyConfig(theorem="T1a", layout_params=value)
+
+
 def test_study_config_owns_dim():
     assert harness.StudyConfig(theorem="T1a", dim=3).layout(0.25).dim == 3
     params = {"dim": 3}

@@ -226,6 +226,26 @@ def test_slab_bottom_tags_and_grading():
     assert gaps[-2] > 2 * gaps[0]
 
 
+@pytest.mark.parametrize("args, name", [
+    (((0.0,), (1.0,), 0.5, 0.0), "h_bottom"),
+    (((0.0,), (1.0,), 0.5, -0.05), "h_bottom"),
+    (((0.0,), (1.0,), 0.5, math.inf), "h_bottom"),
+    (((0.0,), (1.0,), 0.0, 0.05), "height"),
+    (((0.0,), (1.0,), -0.5, 0.05), "height"),
+    (((0.0,), (1.0,), math.nan, 0.05), "height"),
+    (((0.0,), (0.0,), 0.5, 0.05), "tangential"),
+    (((0.0, 1.0), (1.0, 0.5), 0.5, 0.1), "tangential"),
+    (((0.0,), (math.inf,), 0.5, 0.05), "tangential"),
+    (((), (), 0.5, 0.05), "tangential"),
+], ids=["h-zero", "h-negative", "h-inf", "height-zero", "height-negative",
+        "height-nan", "extent-empty", "extent-reversed", "extent-infinite",
+        "no-tangential-axis"])
+def test_mesh_slab_rejects_sizes_outside_their_domain(args, name):
+    # h_bottom = 0 used to add slab rows forever
+    with pytest.raises(ValueError, match=name):
+        meshing.mesh_slab(*args)
+
+
 def test_perforated_3d_smoke():
     lay = geometry.make_layout(
         "periodic", {"dim": 3, "domain": ((0.0, 0.0, -0.5), (0.5, 0.5, 0.5))},

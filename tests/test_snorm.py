@@ -8,9 +8,10 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from perfhom import alpha, fem, geometry, snorm
+from perfhom import alpha, fem, geometry, meshing, snorm
+from perfhom.errors import MeshingError
 
-from _oracles import extension_energy, snorm_dense
+from _oracles import AssembledSlab, csr_band, extension_energy, snorm_dense
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +70,20 @@ def test_small_lanczos_basis_matches_dense_pencil(any_slab, w):
 
 def test_trace_matrix_shape_and_total(any_slab):
     B = any_slab.trace_matrix(_const(1.0))
-    assert B.shape == (any_slab.mesh.n_vertices, any_slab.n_trace)
+    assert B.shape == (any_slab.n_vertices, any_slab.n_trace)
     # 1^T B_1 1 = int_S 1: the unit interface measure
     assert B.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_trace_matrix_matches_the_mesh_interface(any_slab):
+    # the slab's bottom grid layer is its mesh's interface facet set
+    w = lambda x: 1.0 + np.cos(2 * np.pi * x[:, 0]) * x[:, -2]
+    mesh = any_slab.mesh
+    cache = fem.build_facet_cache(mesh, "interface", w)
+    assert np.array_equal(any_slab.bottom, np.unique(cache.nodes))
+    want = cache.mass((mesh.n_vertices, any_slab.n_trace),
+                      columns=np.searchsorted(any_slab.bottom, cache.nodes))
+    assert (any_slab.trace_matrix(w) != want).nnz == 0
 
 
 def test_complex_weight_is_rejected(slab):
@@ -102,7 +114,7 @@ def test_extension_energy_is_minimal(slab):
     for _ in range(20):
         phi = rng.standard_normal(slab.n_trace)
         e_min = extension_energy(slab, phi)
-        v = rng.standard_normal(slab.mesh.n_vertices)
+        v = rng.standard_normal(slab.n_vertices)
         v[slab.bottom] = phi
         assert e_min <= np.vdot(v, K @ v).real + 1e-12
 
@@ -117,7 +129,7 @@ def test_constant_extension_and_lift_energies(slab):
 def test_slab_lu_matches_dense_solve(slab):
     rng = np.random.default_rng(5)
     K = slab.matrix.toarray()
-    b = rng.standard_normal(slab.mesh.n_vertices)
+    b = rng.standard_normal(slab.n_vertices)
     want = np.linalg.solve(K, b)
     assert np.linalg.norm(slab.lu().solve(b) - want) <= 1e-12 * np.linalg.norm(want)
     # the shared sparse LU recipe fills less than SuperLU's COLAMD default
@@ -134,28 +146,91 @@ def test_slab_lu_matches_dense_solve(slab):
 
 def test_band_is_factored_in_place():
     # the eps = 1/64 slab of the periodic layout: a (23, 26901) band
-    K = snorm.slab_for_layout(geometry.make_layout("periodic", {}, 1 / 64)).matrix
+    layout = geometry.make_layout("periodic", {}, 1 / 64)
     tracemalloc.start()
     try:
-        factor = snorm.BandCholesky.of(K).factor
+        slab = snorm.slab_for_layout(layout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert factor.flags.f_contiguous
-    # the same band built row-major, which pbtrf copies to column-major first
-    upper = sp.triu(K).tocoo()
-    band = np.zeros_like(factor, order="C")
-    band[factor.shape[0] - 1 + upper.row - upper.col, upper.col] = upper.data
-    want = la.cholesky_banded(band, check_finite=False)
-    assert np.array_equal(factor, want)
-    # the band and the index work on three nnz-long 8-byte arrays; a
-    # row-major band adds its column-major copy (11.3 against 8.1 MB)
-    assert peak < factor.nbytes + 3 * K.data.nbytes
+    factor = slab.lu().factor
+    assert factor.shape == (23, 26901) and factor.flags.f_contiguous
+    # the same band read off K's CSR arrays and built row-major, which pbtrf
+    # copies to column-major first
+    band = np.ascontiguousarray(csr_band(slab.matrix.tocsr()))
+    assert np.array_equal(factor, la.cholesky_banded(band, check_finite=False))
+    # the band, K's 9 diagonals and a few node-sized temporaries: 33 node
+    # vectors; a copy of the band would add 23
+    assert peak < factor.nbytes + 2 * slab.matrix.data.nbytes
+
+
+# even and odd column counts put both parities of the cell diagonals at the
+# slab's right edge; h 1/16 makes the rows uniform (the cap tau0/16)
+_ORACLE_SLABS = [((0.0,), (1.0,), 1 / 16), ((0.0,), (17 / 16,), 1 / 16),
+                 ((0.0,), (1.0,), 0.02), ((0.25,), (1.27,), 0.02)]
+_ORACLE_IDS = ["uniform-even", "uniform-odd", "graded-even", "graded-odd"]
+
+
+@pytest.mark.parametrize("lo, hi, h", _ORACLE_SLABS, ids=_ORACLE_IDS)
+def test_stencil_gram_matches_the_assembled_gram(lo, hi, h):
+    slab, ref = snorm.build_slab(lo, hi, h), AssembledSlab(lo, hi, h)
+    assert len(slab.axes[0]) - 1 == round((hi[0] - lo[0]) / h)
+    K, G = slab.matrix.toarray(), ref.matrix.toarray()
+    assert np.abs(K - G).max() <= 1e-14 * np.abs(G).max()
+    assert np.array_equal(slab.bottom, ref.bottom) and slab.n_trace == ref.n_trace
+    w = lambda x: np.cos(2 * np.pi * x[:, 0]) + x[:, 0]
+    assert (slab.trace_matrix(w) != ref.trace_matrix(w)).nnz == 0
+
+
+@pytest.mark.parametrize("w", [_const(1.0), lambda x: np.cos(3 * np.pi * x[:, 0])],
+                         ids=["constant", "sign-changing"])
+@pytest.mark.parametrize("lo, hi, h", _ORACLE_SLABS[::3], ids=_ORACLE_IDS[::3])
+def test_stencil_slab_s_norm_matches_the_assembled_slab(lo, hi, h, w):
+    got = snorm.s_norm(snorm.build_slab(lo, hi, h), w)
+    assert got == pytest.approx(snorm.s_norm(AssembledSlab(lo, hi, h), w), rel=1e-10)
+
+
+def test_2d_kappa_needs_no_mesh_or_assembly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 2D certificate path built a mesh or assembled")
+
+    monkeypatch.setattr(fem, "assemble", refuse)
+    monkeypatch.setattr(meshing, "_grid_mesh", refuse)
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    slab_l = snorm.slab_for_layout(lay)
+    val, info = snorm.kappa(slab_l, alpha.surface_density(lay), return_info=True)
+    assert val > 0 and not info["stalled"]
+
+
+@pytest.mark.parametrize("args, name", [
+    (((0.0,), (1.0,), 0.0), "h_bottom"),
+    (((0.0,), (1.0,), -0.05), "h_bottom"),
+    (((0.0,), (1.0,), math.nan), "h_bottom"),
+    (((0.0,), (1.0,), 0.05, -1.0), "tau0"),
+    (((0.0,), (1.0,), 0.05, 0.0), "tau0"),
+    (((0.0,), (1.0,), 0.05, math.inf), "tau0"),
+    (((0.5,), (0.5,), 0.05), "tangential"),
+    (((1.0,), (0.0,), 0.05), "tangential"),
+    (((0.0, 0.0), (1.0, math.inf), 0.2), "tangential"),
+    (((math.nan,), (1.0,), 0.05), "tangential"),
+    (((0.0,), (1.0, 1.0), 0.05), "tangential"),
+], ids=["h-zero", "h-negative", "h-nan", "tau0-negative", "tau0-zero",
+        "tau0-inf", "extent-empty", "extent-reversed", "extent-infinite",
+        "extent-nan", "extent-mismatched"])
+def test_build_slab_rejects_sizes_outside_their_domain(args, name):
+    with pytest.raises(ValueError, match=name):
+        snorm.build_slab(*args)
+
+
+def test_slab_axes_must_increase_strictly():
+    # a one-ulp extent cut into 22 cells repeats its grid values
+    with pytest.raises(MeshingError, match="strictly increasing"):
+        snorm.build_slab((1.0,), (np.nextafter(1.0, 2.0),), 1e-17)
 
 
 def test_3d_slab_keeps_the_sparse_lu(monkeypatch):
     slab3 = snorm.build_slab((0.0, 0.0), (1.0, 1.0), 0.2)
-    assert slab3.mesh.n_vertices == 324
+    assert slab3.n_vertices == 324
     seen, real = [], spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: seen.append(
         (kw["relax"], kw["panel_size"])) or real(*a, **kw))
@@ -197,7 +272,7 @@ def test_weighted_pairing_bounded_by_snorm(slab):
     rng = np.random.default_rng(12)
     for _ in range(20):
         phi = rng.standard_normal(slab.n_trace)
-        v = rng.standard_normal(slab.mesh.n_vertices)
+        v = rng.standard_normal(slab.n_vertices)
         lhs = abs(np.vdot(v, B @ phi))
         rhs = s * math.sqrt(extension_energy(slab, phi)) * math.sqrt(
             np.vdot(v, K @ v).real)
@@ -233,7 +308,7 @@ def test_stall_flag_and_warning(slab, caplog):
     assert any("stalled" in r.message for r in caplog.records)
     # one step applies M_w to the start vector v0; the bound is the Rayleigh
     # quotient of y = K^-1 M_w v0, below the converged s-norm
-    v0 = np.random.default_rng(0).standard_normal(slab.mesh.n_vertices)
+    v0 = np.random.default_rng(0).standard_normal(slab.n_vertices)
     B = slab.trace_matrix(w)
     y = slab.solve(B @ v0[slab.bottom])
     rayleigh = abs(y @ (B @ y[slab.bottom])) / (y @ (slab.matrix @ y))
