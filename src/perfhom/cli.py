@@ -157,7 +157,8 @@ def cmd_snorm(args):
     for r in rows:
         note = "  [stalled]" if r.get("stalled") else ""
         print(f"eps={r['eps']:.6g}  kappa={r['kappa']:.6e}  "
-              f"cavities={r['n_cavities']}  trace_dofs={r['trace_dofs']}{note}")
+              f"cavities={r['n_cavities']}  trace_dofs={r['trace_dofs']}  "
+              f"solves={r['solves']}{note}")
     return 0
 
 

@@ -16,11 +16,12 @@ where M_w is the weighted facet mass of S on the whole slab, (M_w U)_i =
 int_S w U phi_i.  (Restricting U to minimal-energy extensions of its bottom
 data gives the equivalent form sup_Phi Phi^T B_w^T K^{-1} B_w Phi /
 Phi^T S_c Phi, S_c the Schur complement of K on the bottom nodes, with top
-eigenvalue max mu^2; no code here needs S_c.)  The symmetric-definite
-pencil (M_w, K) is solved by ARPACK's Lanczos method in mode 2 (Lehoucq,
-Sorensen & Yang, ARPACK Users' Guide, SIAM 1998): each step applies K^{-1}
-once, through the slab's one cached factorization of K, and M_w and K by
-sparse products.
+eigenvalue max mu^2; no code here needs S_c.)  M_w is nonzero only on the
+bottom nodes, so the pencil reduces to the trace space: its nonzero mu are
+the eigenvalues of B R, B the bottom block of M_w and R the bottom block of
+K^{-1}.  s_norm runs Lanczos on B R with trace-sized vectors; each step
+applies R by one full-slab solve through the slab's one cached
+factorization of K, and B by a trace-sized sparse product.
 
 A 2D slab needs no mesh: the grid's triangles are right-angled, so K has a
 closed form per cell, written from the cell sizes straight into LAPACK's
@@ -35,13 +36,13 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem, meshing
 
@@ -193,65 +194,81 @@ def slab_for_layout(layout, points_per_bump=8):
     return build_slab(lo, hi, h, tau0=layout.constants.get("tau0", 1.0))
 
 
-class _StepCap(Exception):
-    """Raised inside the M_w operator when s_norm's maxiter is used up."""
-
-
 def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
     """max |mu| over the pencil M_w v = mu K v on the whole slab.
 
-    One ARPACK Lanczos solve in mode 2 with a basis of 8 vectors (implicitly
-    restarted until it converges), from a start vector seeded by seed;
-    which="LM" resolves both ends +-mu of a sign-changing weight, and tol is
-    ARPACK's relative residual tolerance on the Ritz pair.  maxiter caps the
-    applications of M_w, one per Lanczos step next to one full-slab solve;
-    info records their count in info["iterations"] (one entry).  A weight
-    whose M_w has no nonzero entry gives exactly 0; a complex weight raises
-    ValueError.  When the cap is hit or ARPACK does not converge,
-    info["stalled"] is set, a warning is logged and the value is a lower
-    bound: the largest |partial Ritz value| or |y.M_w y| / y.K y over the
-    vectors y = K^-1 M_w x of the Lanczos steps.
+    M_w = E_b B E_b^T lives on the bottom nodes (B the bottom block of the
+    trace matrix, E_b the injection of bottom values), so the nonzero mu are
+    the eigenvalues of B R with R = E_b^T K^-1 E_b, which is self-adjoint in
+    <x, y>_R = x.R y.  A Lanczos run on B R in that inner product, with full
+    reorthogonalization, needs trace-sized vectors only: it stores the basis
+    Q and P = R Q, and each step's one slab solve is p = R w (Parlett, The
+    Symmetric Eigenvalue Problem, SIAM 1998, ch. 13).  The start vector is
+    seeded by seed.  The run stops when the largest-|theta| Ritz pair of
+    the tridiagonal has residual beta |s_k| <= tol |theta|, or when the
+    Krylov space is invariant; the value is that |theta|, so both ends +-mu
+    of a sign-changing weight are resolved.
+
+    maxiter caps the slab solves; info["iterations"] (one entry) records
+    their count.  A run that hits the cap sets info["stalled"], logs a
+    warning and returns the largest |Ritz value| so far, a lower bound since
+    Ritz values lie inside the spectrum.  A weight whose M_w has no nonzero
+    entry gives exactly 0.  ValueError names a maxiter that is not an
+    integer >= 1, a tol that is not finite and > 0, and a weight that is
+    complex or not finite.
     """
+    if isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral) \
+            or maxiter < 1:
+        raise ValueError(f"s_norm needs an integer maxiter >= 1, got {maxiter!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"s_norm needs a finite tol > 0, got {tol!r}")
     B = slab.trace_matrix(weight)
     if np.iscomplexobj(B.data):
         raise ValueError("s_norm needs a real weight")
+    if not np.isfinite(B.data).all():
+        raise ValueError("s_norm needs a weight with finite values")
     info = {"iterations": [0], "stalled": False}
     if B.count_nonzero() == 0:
         return (0.0, info) if return_info else 0.0
-    K, bottom, n = slab.matrix, slab.bottom, slab.n_vertices
-    B_bottom = B[bottom]  # the bottom block of M_w
-    best = 0.0  # the largest |Rayleigh quotient| among the vectors seen
+    bottom, n_trace = slab.bottom, slab.n_trace
+    B = B[bottom]
+    rhs = np.zeros(slab.n_vertices)  # E_b x: zero off the bottom nodes
 
-    def apply_mw(x):
-        if info["iterations"][0] == maxiter:
-            raise _StepCap
+    def apply_r(x):  # R x = E_b^T K^-1 E_b x: one slab solve
         info["iterations"][0] += 1
-        return B @ x[bottom]  # M_w x: only the bottom rows and columns are nonzero
+        rhs[bottom] = x
+        return slab.solve(rhs)[bottom]
 
-    def apply_kinv(z):
-        # ARPACK applies K^-1 only to z = M_w x, so y = K^-1 z has K y = z
-        # and its Rayleigh quotient y.M_w y / y.K y costs a trace-sized product
-        nonlocal best
-        y = slab.solve(z)
-        y_b = y[bottom]
-        best = max(best, abs(y_b @ (B_bottom @ y_b)) / (y @ z))
-        return y
-
-    def operator(matvec):
-        return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    # ARPACK checks convergence only once its basis is full, so its default
-    # of 20 vectors takes 21 steps; with 8 these solves take 13-21
-    try:
-        mu = spla.eigsh(operator(apply_mw), k=1, M=operator(K.dot),
-                        Minv=operator(apply_kinv), which="LM", v0=v0,
-                        ncv=min(n, 8), tol=tol, return_eigenvectors=False)[0]
-    except (_StepCap, spla.ArpackNoConvergence) as exc:
-        info["stalled"] = True
-        log.warning("s-norm Lanczos solve stalled; value is a lower bound")
-        mu = max([best, *np.abs(getattr(exc, "eigenvalues", ()))])
-    val = abs(float(mu))
+    size = min(maxiter, n_trace)
+    Q, P = np.empty((size, n_trace)), np.empty((size, n_trace))
+    alpha, beta = np.empty(size), np.zeros(size)
+    q = np.random.default_rng(seed).standard_normal(n_trace)
+    p = apply_r(q)
+    scale = math.sqrt(q @ p)
+    Q[0], P[0] = q / scale, p / scale
+    for j in range(size):
+        w = B @ P[j]
+        if j:
+            w -= beta[j] * Q[j - 1]
+        alpha[j] = P[j] @ w
+        w -= alpha[j] * Q[j]
+        w -= Q[:j + 1].T @ (P[:j + 1] @ w)
+        ritz, S = la.eigh_tridiagonal(alpha[:j + 1], beta[1:j + 1])
+        k = np.argmax(np.abs(ritz))  # the largest-|theta| Ritz pair
+        theta, s_k = ritz[k], S[-1, k]
+        if j + 1 == n_trace:
+            break  # the Krylov space is the whole trace space
+        if j + 1 == size:
+            info["stalled"] = True
+            log.warning("s-norm Lanczos solve stalled; value is a lower bound")
+            break
+        p = apply_r(w)
+        b = math.sqrt(max(w @ p, 0.0))
+        if b * abs(s_k) <= tol * abs(theta):
+            break  # converged, or b = 0: the Krylov space is invariant
+        beta[j + 1] = b
+        Q[j + 1], P[j + 1] = w / b, p / b
+    val = abs(float(theta))
     return (val, info) if return_info else val
 
 
@@ -285,6 +302,7 @@ def kappa_table(eps_values, layout_fn, alpha0=None, points_per_bump=8,
             "n_cavities": layout.n_cavities,
             "trace_dofs": slab.n_trace,
             "stalled": info["stalled"],
+            "solves": info["iterations"][0],
         })
         log.info("kappa(eps=%g) = %g", eps, val)
         del slab  # frees its factorization before the next eps builds its slab

@@ -90,7 +90,10 @@ def test_snorm_subcommand(tmp_path, capsys):
     cfg = _write(tmp_path, {"eps_list": [1 / 8, 1 / 16]})
     out = tmp_path / "s"
     assert cli.main(["snorm", "--config", cfg, "--out", str(out)]) == 0
-    assert "kappa=" in capsys.readouterr().out
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2 and all("kappa=" in ln for ln in printed)
+    # each row names its slab solves, the Lanczos steps of its kappa
+    assert all(int(ln.split("solves=")[1]) > 0 for ln in printed)
     lines = (out / "kappa.csv").read_text().strip().splitlines()
     assert lines[0] == "eps,kappa"
     assert len(lines) == 3

@@ -464,6 +464,14 @@ def test_row_trace_records_mesh_sizes_and_shared_levels(shared_t2, tmp_path):
         [{k: r[k] for k in _ROW_TRACE} for r in report.rows]
 
 
+def test_summary_kappa_rows_record_their_solve_count(shared_t2, tmp_path):
+    report = shared_t2[0]
+    _, json_path, _ = harness.emit_report(report, tmp_path)
+    rows = json.load(open(json_path))["kappa_rows"]
+    assert [r["eps"] for r in rows] == list(report.config["eps_list"])
+    assert all(type(r["solves"]) is int and r["solves"] > 0 for r in rows)
+
+
 def test_shared_levels_rebuild_the_producing_mesh(shared_t2):
     by_counts = {}
     for mesh, counts in shared_t2[4]:

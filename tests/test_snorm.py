@@ -61,8 +61,6 @@ def any_slab(request):
     lambda x: np.sin(6 * np.pi * x[:, 0]) * (1 + 0.3 * x[:, 0]),
 ], ids=["cos2pix", "sin6pix"])
 def test_small_lanczos_basis_matches_dense_pencil(any_slab, w):
-    # sign-changing weights are the slow case of the 8-vector basis: the
-    # Ritz value of +-mu converges after a restart
     val, info = snorm.s_norm(any_slab, w, return_info=True)
     assert not info["stalled"] and info["iterations"][0] <= 21
     assert val == pytest.approx(snorm_dense(any_slab, w), rel=1e-9)
@@ -306,11 +304,14 @@ def test_stall_flag_and_warning(slab, caplog):
         val, info = snorm.s_norm(slab, w, maxiter=1, seed=0, return_info=True)
     assert info["stalled"]
     assert any("stalled" in r.message for r in caplog.records)
-    # one step applies M_w to the start vector v0; the bound is the Rayleigh
-    # quotient of y = K^-1 M_w v0, below the converged s-norm
-    v0 = np.random.default_rng(0).standard_normal(slab.n_vertices)
+    # one solve lifts the trace start vector q0 to y = K^-1 E_b q0; the bound
+    # is the pencil's Rayleigh quotient of y, below the converged s-norm
+    assert info["iterations"] == [1]
+    q0 = np.random.default_rng(0).standard_normal(slab.n_trace)
+    rhs = np.zeros(slab.n_vertices)
+    rhs[slab.bottom] = q0
+    y = slab.solve(rhs)
     B = slab.trace_matrix(w)
-    y = slab.solve(B @ v0[slab.bottom])
     rayleigh = abs(y @ (B @ y[slab.bottom])) / (y @ (slab.matrix @ y))
     assert val == pytest.approx(rayleigh, rel=1e-12)
     assert 0 < val < snorm.s_norm(slab, w)
@@ -323,7 +324,8 @@ def test_kappa_table_csv(tmp_path):
         lambda eps: geometry.make_layout("periodic", {}, eps),
         out_csv=out)
     assert len(rows) == 2
-    assert {"eps", "kappa", "n_cavities", "trace_dofs", "stalled"} <= rows[0].keys()
+    assert {"eps", "kappa", "n_cavities", "trace_dofs", "stalled",
+            "solves"} <= rows[0].keys()
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "eps,kappa"
     got = [tuple(float(t) for t in ln.split(",")) for ln in lines[1:]]
@@ -358,12 +360,10 @@ def test_stalled_value_grows_with_the_vectors_seen(periodic_eighth):
     assert 0 < vals[0] < vals[1] <= snorm_dense(slab_l, weight)
 
 
-def test_one_slab_solve_per_step_and_no_interior_lu(monkeypatch):
-    lay = geometry.make_layout("periodic", {}, 1 / 8)
+def _solves_and_steps(lay):
+    """The slab solves that a kappa of the layout makes, and its step count."""
     slab_l = snorm.slab_for_layout(lay)
     solve, calls = slab_l.solve, []
-    # the 2D slab is factored as a band, never by the sparse LU
-    monkeypatch.setattr(fem, "sparse_lu", None)
 
     def spy(rhs):
         calls.append(1)
@@ -372,7 +372,32 @@ def test_one_slab_solve_per_step_and_no_interior_lu(monkeypatch):
     slab_l.solve = spy
     _, info = snorm.kappa(slab_l, alpha.surface_density(lay), return_info=True)
     assert not info["stalled"]
-    assert 0 < len(calls) <= info["iterations"][0] + 1
+    return len(calls), info["iterations"][0]
+
+
+def test_one_slab_solve_per_step_and_no_interior_lu(monkeypatch):
+    # the 2D slab is factored as a band, never by the sparse LU
+    monkeypatch.setattr(fem, "sparse_lu", None)
+    calls, steps = _solves_and_steps(geometry.make_layout("periodic", {}, 1 / 8))
+    assert 0 < calls == steps
+
+
+def test_one_slab_solve_per_step_in_3d():
+    lay = geometry.make_layout("periodic", {"dim": 3}, 1 / 4)
+    calls, steps = _solves_and_steps(lay)
+    assert 0 < calls == steps
+
+
+def test_s_norm_never_reads_the_slab_matrix(periodic_eighth):
+    slab_l, dens, _ = periodic_eighth
+
+    class NoMatrix:
+        def __getattr__(self, name):
+            if name == "matrix":
+                raise AssertionError("s_norm read slab.matrix")
+            return getattr(slab_l, name)
+
+    assert snorm.kappa(NoMatrix(), dens) == snorm.kappa(slab_l, dens)
 
 
 def test_lanczos_step_count(periodic_eighth):
@@ -381,3 +406,52 @@ def test_lanczos_step_count(periodic_eighth):
     _, info = snorm.kappa(slab_l, dens, return_info=True)
     assert not info["stalled"]
     assert sum(info["iterations"]) <= 40
+
+
+def test_capped_kappa_is_a_tight_lower_bound(periodic_eighth):
+    # kappa is 0.276926 after 15 solves; 5 solves hold its Ritz value to 1%
+    slab_l, dens, weight = periodic_eighth
+    exact = snorm_dense(slab_l, weight)
+    assert exact == pytest.approx(0.276926, abs=1e-6)
+    val, info = snorm.kappa(slab_l, dens, maxiter=5, return_info=True)
+    assert info["stalled"] and info["iterations"] == [5]
+    assert 0.99 * exact < val <= exact
+
+
+def test_capped_kappa_never_decreases_with_the_cap(periodic_eighth):
+    # Ritz values interlace: the largest |theta| of a longer run is no smaller
+    slab_l, dens, weight = periodic_eighth
+    vals = [snorm.kappa(slab_l, dens, maxiter=m) for m in range(1, 9)]
+    assert all(a <= b for a, b in zip(vals, vals[1:]))
+    assert vals[-1] <= snorm_dense(slab_l, weight) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("kw, name", [
+    ({"maxiter": -3}, "maxiter"),
+    ({"maxiter": 2.5}, "maxiter"),
+    ({"maxiter": 0}, "maxiter"),
+    ({"maxiter": True}, "maxiter"),
+    ({"tol": 0.0}, "tol"),
+    ({"tol": -1.0}, "tol"),
+    ({"tol": math.nan}, "tol"),
+    ({"tol": math.inf}, "tol"),
+], ids=["maxiter-negative", "maxiter-fractional", "maxiter-zero",
+        "maxiter-bool", "tol-zero", "tol-negative", "tol-nan", "tol-inf"])
+def test_s_norm_rejects_arguments_outside_their_domain(slab, kw, name):
+    with pytest.raises(ValueError, match=name):
+        snorm.s_norm(slab, _const(1.0), **kw)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_s_norm_rejects_a_weight_that_is_not_finite(slab, bad):
+    w = lambda x: np.where(x[:, 0] < 0.5, 1.0, bad)
+    with pytest.raises(ValueError, match="weight"):
+        snorm.s_norm(slab, w)
+
+
+def test_kappa_rows_record_their_solve_count():
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    (row,) = snorm.kappa_table((1 / 8,), lambda eps: lay)
+    _, info = snorm.kappa(snorm.slab_for_layout(lay), alpha.surface_density(lay),
+                          return_info=True)
+    assert row["solves"] == info["iterations"][0] > 0
