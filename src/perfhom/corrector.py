@@ -65,7 +65,7 @@ def cell_beta(shape, eta, dim=2, cell=(1.0,), constants=None, n=256):
         g = np.meshgrid(*axes, indexing="ij")
         r = np.hypot(g[0] - cell[0] / 2.0, g[1] - cell[1] / 2.0)
     vals = coef * moll(r / R2)
-    a0 = eta ** (dim - 1) * shape.boundary_measure(dim) / float(np.prod(cell))
+    a0 = alpha_mod.alpha0_lattice(shape, eta, cell, dim)
     beta = vals - a0
     raw = float(beta.mean())
     if abs(raw) > 1e-7 * a0:

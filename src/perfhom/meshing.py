@@ -565,13 +565,13 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
     else:
         w_band = 2 * h_band
     rows = _graded_rows(lo[dim - 1], hi[dim - 1], layout.s0, h_band, w_band, h)
+    # rows holds lo < hi, so each row has one or two adjacent gaps; its
+    # local gap is the smaller
     gaps = np.diff(rows)
+    local_gaps = np.minimum(np.r_[gaps[0], gaps], np.r_[gaps, gaps[-1]])
     rng = np.random.default_rng(20240817)
     bg_blocks = []
-    for i, r in enumerate(rows):
-        local = gaps[min(i, len(gaps) - 1)] if len(gaps) else h
-        if i > 0:
-            local = min(local, gaps[i - 1]) if i - 1 < len(gaps) else local
+    for r, local in zip(rows, local_gaps):
         dx = min(h, max(h_band, 0.9 * local))
         if dim == 2:
             xs = _segment(lo[0], hi[0], dx)

@@ -20,16 +20,17 @@ eigenvalue max mu^2; no code here needs S_c.)  M_w is nonzero only on the
 bottom nodes, so the pencil reduces to the trace space: its nonzero mu are
 the eigenvalues of B R, B the bottom block of M_w and R the bottom block of
 K^{-1}.  s_norm runs Lanczos on B R with trace-sized vectors; each step
-applies R by one full-slab solve through the slab's one cached
-factorization of K, and B by a trace-sized sparse product.
+applies R by one full-slab solve through the slab's factorization of K,
+and B by a trace-sized sparse product.
 
-A 2D slab needs no mesh: the grid's triangles are right-angled, so K has a
-closed form per cell, written from the cell sizes straight into LAPACK's
-upper band storage in the grid's own vertex order and factored there by the
-banded Cholesky pbtrf/pbtrs (Anderson et al., LAPACK Users' Guide, SIAM
-1999).  A 3D slab assembles K on its mesh and factors it by the sparse LU
-fem.sparse_lu.  The trace nodes are the grid's bottom layer in both; a
-slab's mesh is built only when asked for.
+A slab is its factorization: build_slab factors K once and keeps only the
+factor, never K.  A 2D slab needs no mesh: the grid's triangles are
+right-angled, so K has a closed form per cell, written from the cell sizes
+straight into LAPACK's upper band storage in the grid's own vertex order
+and factored there by the banded Cholesky pbtrf/pbtrs (Anderson et al.,
+LAPACK Users' Guide, SIAM 1999).  A 3D slab assembles K on its mesh and
+factors it by the sparse LU fem.sparse_lu.  The trace nodes are the grid's
+bottom layer in both; a slab's mesh is built only when asked for.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 
 from . import fem, meshing
 
@@ -61,20 +61,30 @@ class BandCholesky:
 
 
 def _gram_2d(xs, ys):
-    """P1 H1 Gram matrix K of meshing._tri_grid(xs, ys), from its cell sizes.
+    """Upper band of the P1 H1 Gram matrix K of meshing._tri_grid(xs, ys),
+    from its cell sizes.
 
     Every triangle is right-angled with its legs on grid lines, so a leg of
     length h couples its two ends in the stiffness by -h'/(2h), h' the
     cell's other side, and the hypotenuse by 0; the mass is |T|/12 (1 +
     delta_ij) on each triangle.  Node (i, j) is vertex i (ny + 1) + j, so K
     has the upper diagonals 0, 1 (legs along y), ny + 1 (legs along x), and
-    ny + 2 and ny (the hypotenuses of even and odd cells).  Returns K as a
-    sparse matrix and its upper band (ny + 3, n) in LAPACK's storage and
-    column-major order, for pbtrf to factor in place.
+    ny + 2 and ny (the hypotenuses of even and odd cells).  Returns the band
+    (ny + 3, n) in LAPACK's upper band storage and column-major order, for
+    pbtrf to factor in place.
     """
     hx, hy = np.diff(xs), np.diff(ys)
     nx, ny = len(hx), len(hy)
     n = (nx + 1) * (ny + 1)
+    u = ny + 2
+    band = np.zeros((u + 1, n), order="F")
+
+    def put(d, values, nodes=np.s_[:]):
+        # K[p, p + d] at the nodes p = (i, j) picked by nodes, 0 at the rest;
+        # row u - d of the band holds it at column p + d
+        lower = np.zeros((nx + 1, ny + 1))
+        lower[nodes] = values
+        band[u - d, d:] = lower.ravel()[:n - d]
 
     def node_sums(v):  # per node: the sum of v over its one or two cells
         return np.r_[v, 0.0] + np.r_[0.0, v]
@@ -84,40 +94,28 @@ def _gram_2d(xs, ys):
     # node (i, j) lies on the diagonal of all four of its cells when i + j
     # is even, and of none otherwise
     even = np.add.outer(np.arange(nx + 1), np.arange(ny + 1)) % 2 == 0
-    d = np.array([0, 1, ny, ny + 1, ny + 2])
-    # dia rows: K[q - d, q] at node q for d = ny + 2, ..., 0, then
-    # K[p + d, p] = K[p, p + d] at node p for d = 1, ..., ny + 2
-    data = np.zeros((9, nx + 1, ny + 1))
-    lower = data[4:]
     # the diagonal: h'/(2h) of each leg at the node, and the mass of its
     # cells, doubled where the node lies in both triangles of each
-    lower[0] = (np.outer(wx, sy) + np.outer(sx, wy)
-                + (1.0 + even) * np.outer(wx, wy) / 12.0)
-    lower[1, :, :-1] = np.outer(wx, hy / 24.0 - 0.5 / hy)     # (i, j) - (i, j + 1)
-    lower[3, :-1] = np.outer(hx / 24.0 - 0.5 / hx, wy)        # (i, j) - (i + 1, j)
+    put(0, np.outer(wx, sy) + np.outer(sx, wy)
+        + (1.0 + even) * np.outer(wx, wy) / 12.0)
+    put(1, np.outer(wx, hy / 24.0 - 0.5 / hy), np.s_[:, :-1])     # (i, j) - (i, j + 1)
+    put(ny + 1, np.outer(hx / 24.0 - 0.5 / hx, wy), np.s_[:-1])   # (i, j) - (i + 1, j)
     cell = np.outer(hx, hy) / 12.0
-    lower[4, :-1, :-1] = np.where(even[:-1, :-1], cell, 0.0)   # v00 - v11
-    lower[2, :-1, 1:] = np.where(even[:-1, :-1], 0.0, cell)    # v01 - v10
-    data = data.reshape(9, n)
-    for k in range(1, 5):
-        data[4 - k, d[k]:] = data[4 + k, :n - d[k]]
-    u = ny + 2
-    band = np.zeros((u + 1, n), order="F")
-    band[u - d[::-1]] = data[:5]
-    return sp.dia_array((data, np.r_[d[::-1], -d[1:]]), shape=(n, n)), band
+    put(ny + 2, np.where(even[:-1, :-1], cell, 0.0), np.s_[:-1, :-1])  # v00 - v11
+    put(ny, np.where(even[:-1, :-1], 0.0, cell), np.s_[:-1, 1:])       # v01 - v10
+    return band
 
 
 @dataclass
 class SlabSpace:
     """Graded slab on its grid axes (tangential axes, then the rows): the
-    energy matrix K (the H1 Gram matrix), the bottom (trace) nodes of the
-    grid's bottom layer and one cached factorization of K.  The mesh is
+    bottom (trace) nodes of the grid's bottom layer and one factorization
+    of the slab's H1 Gram matrix K (anything with .solve).  The mesh is
     built only when asked for."""
 
     axes: list
     h: float
-    matrix: object
-    _lu: object = field(default=None, repr=False)
+    factor: object = field(repr=False)
     bottom_facets: np.ndarray = field(init=False, repr=False)
     bottom: np.ndarray = field(init=False)
 
@@ -138,16 +136,8 @@ class SlabSpace:
     def mesh(self):
         return meshing._grid_mesh(self.axes, self.h, k=0)
 
-    def lu(self):
-        """Cached factorization of K.  A 2D slab comes with the banded
-        Cholesky of its Gram band; a 3D band spans a whole tangential axis
-        of rows, so 3D slabs use fem.sparse_lu."""
-        if self._lu is None:
-            self._lu = fem.sparse_lu(self.matrix, hermitian=True)
-        return self._lu
-
     def solve(self, rhs):
-        return self.lu().solve(rhs)
+        return self.factor.solve(rhs)
 
     def trace_matrix(self, weight):
         """Sparse B_w with (B_w Phi)_i = int_S w Phi_h phi_i, Phi on bottom nodes."""
@@ -174,17 +164,19 @@ class SlabSpace:
 def build_slab(tangential_lo, tangential_hi, h_bottom, tau0=1.0):
     """Slab (tangential box) x (0, tau0/2) with bottom rows of height h_bottom.
 
-    A 2D slab's Gram band is written from its axes and factored in place; a
-    3D slab assembles its Gram matrix on the mesh.
+    A 2D slab's Gram band is written from its axes and factored in place by
+    the banded Cholesky; a 3D band spans a whole tangential axis of rows, so
+    a 3D slab assembles its Gram matrix on the mesh and keeps only its
+    sparse LU fem.sparse_lu.
     """
     meshing._finite_positive("tau0", tau0)
     axes = meshing.slab_axes(tangential_lo, tangential_hi, tau0 / 2.0, h_bottom)
     if len(axes) == 2:
-        K, band = _gram_2d(*axes)
-        factor = la.cholesky_banded(band, overwrite_ab=True, check_finite=False)
-        return SlabSpace(axes, h_bottom, K, _lu=BandCholesky(factor))
-    return SlabSpace(axes, h_bottom,
-                     fem.h1_gram(meshing._grid_mesh(axes, h_bottom, k=0)))
+        band = la.cholesky_banded(_gram_2d(*axes), overwrite_ab=True,
+                                  check_finite=False)
+        return SlabSpace(axes, h_bottom, BandCholesky(band))
+    K = fem.h1_gram(meshing._grid_mesh(axes, h_bottom, k=0))
+    return SlabSpace(axes, h_bottom, fem.sparse_lu(K, hermitian=True))
 
 
 def slab_for_layout(layout, points_per_bump=8):
@@ -273,14 +265,10 @@ def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
 
 
 def kappa(slab, density, alpha0=None, **kw):
-    """s-norm distance between the layout density and its homogenized mean."""
-    if alpha0 is None:
-        alpha0 = density.mean()
-    if callable(alpha0):
-        diff = lambda x: density.tangential(x[:, :-1]) - alpha0(x[:, :-1])
-    else:
-        diff = lambda x: density.tangential(x[:, :-1]) - float(alpha0)
-    return s_norm(slab, diff, **kw)
+    """s-norm distance between the layout density and its homogenized mean
+    alpha0, a number (density.mean() when None)."""
+    alpha0 = float(density.mean() if alpha0 is None else alpha0)
+    return s_norm(slab, lambda x: density.tangential(x[:, :-1]) - alpha0, **kw)
 
 
 def kappa_table(eps_values, layout_fn, alpha0=None, points_per_bump=8,

@@ -95,10 +95,18 @@ class AssembledSlab:
                           columns=np.searchsorted(self.bottom, cache.nodes))
 
 
+def band_matrix(ab):
+    """Symmetric sparse matrix whose upper band ab is in LAPACK's storage:
+    row r of ab holds the diagonal u - r, as in a dia_array."""
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    upper = sp.dia_array((ab, u - np.arange(u + 1)), shape=(n, n)).tocsr()
+    return (upper + sp.triu(upper, 1).T).tocsr()
+
+
 def schur_bottom(slab):
     """Dense Schur complement S_c of the slab's K on its bottom nodes: the
     energy matrix of minimal-energy extensions of bottom data."""
-    K = np.asarray(slab.matrix.todense())
+    K = fem.h1_gram(slab.mesh).toarray()
     ib = slab.bottom
     ii = np.setdiff1d(np.arange(slab.n_vertices), ib)
     return K[np.ix_(ib, ib)] - K[np.ix_(ib, ii)] @ np.linalg.solve(
@@ -119,7 +127,7 @@ def snorm_dense(slab, weight):
     """
     from scipy.linalg import eigh
 
-    K = np.asarray(slab.matrix.todense())
+    K = fem.h1_gram(slab.mesh).toarray()
     B = np.asarray(slab.trace_matrix(weight).todense())
     A = B.conj().T @ np.linalg.solve(K, B)
     vals = eigh(A.real, schur_bottom(slab).real, eigvals_only=True)

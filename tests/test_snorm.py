@@ -11,7 +11,8 @@ import scipy.sparse.linalg as spla
 from perfhom import alpha, fem, geometry, meshing, snorm
 from perfhom.errors import MeshingError
 
-from _oracles import AssembledSlab, csr_band, extension_energy, snorm_dense
+from _oracles import (AssembledSlab, band_matrix, csr_band, extension_energy,
+                      snorm_dense)
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,7 @@ def test_homogeneity_and_triangle(slab):
 
 def test_extension_energy_is_minimal(slab):
     rng = np.random.default_rng(9)
-    K = slab.matrix
+    K = fem.h1_gram(slab.mesh)
     for _ in range(20):
         phi = rng.standard_normal(slab.n_trace)
         e_min = extension_energy(slab, phi)
@@ -126,17 +127,17 @@ def test_constant_extension_and_lift_energies(slab):
 
 def test_slab_lu_matches_dense_solve(slab):
     rng = np.random.default_rng(5)
-    K = slab.matrix.toarray()
+    K = fem.h1_gram(slab.mesh)
     b = rng.standard_normal(slab.n_vertices)
-    want = np.linalg.solve(K, b)
-    assert np.linalg.norm(slab.lu().solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+    want = np.linalg.solve(K.toarray(), b)
+    assert np.linalg.norm(slab.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
     # the shared sparse LU recipe fills less than SuperLU's COLAMD default
-    shared = fem.sparse_lu(slab.matrix, True)
+    shared = fem.sparse_lu(K, True)
     default = spla.splu(sp.csc_matrix(K))
     assert shared.L.nnz + shared.U.nnz < default.L.nnz + default.U.nnz
     # the 2D slab is a band of half-width the row count + 1, and its banded
     # Cholesky stores fewer entries than that LU's L + U
-    band = slab.lu()
+    band = slab.factor
     assert isinstance(band, snorm.BandCholesky)
     assert band.factor.shape[0] - 1 == len(slab.mesh.grid["axes"][-1]) + 1
     assert band.factor.size < shared.L.nnz + shared.U.nnz
@@ -151,15 +152,26 @@ def test_band_is_factored_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    factor = slab.lu().factor
+    factor = slab.factor.factor
+    n = factor.shape[1]
     assert factor.shape == (23, 26901) and factor.flags.f_contiguous
-    # the same band read off K's CSR arrays and built row-major, which pbtrf
-    # copies to column-major first
-    band = np.ascontiguousarray(csr_band(slab.matrix.tocsr()))
+    # the same band read back off the CSR arrays of its matrix and built
+    # row-major, which pbtrf copies to column-major first
+    K = band_matrix(snorm._gram_2d(*slab.axes))
+    band = np.ascontiguousarray(csr_band(K))
     assert np.array_equal(factor, la.cholesky_banded(band, check_finite=False))
-    # the band, K's 9 diagonals and a few node-sized temporaries: 33 node
-    # vectors; a copy of the band would add 23
-    assert peak < factor.nbytes + 2 * slab.matrix.data.nbytes
+    # the band and a few node-sized temporaries: under 31 node vectors; a
+    # copy of the band would add 23
+    assert peak < factor.nbytes + 8 * 8 * n
+
+
+@pytest.mark.parametrize("lo, hi, h", [((0.0,), (1.0,), 0.05),
+                                        ((0.0, 0.0), (1.0, 1.0), 0.2)],
+                         ids=["2d", "3d"])
+def test_a_built_slab_keeps_its_factor_and_no_matrix(lo, hi, h):
+    slab = snorm.build_slab(lo, hi, h)
+    assert not any(sp.issparse(v) for v in vars(slab).values())
+    assert set(vars(slab)) == {"axes", "h", "factor", "bottom_facets", "bottom"}
 
 
 # even and odd column counts put both parities of the cell diagonals at the
@@ -173,8 +185,9 @@ _ORACLE_IDS = ["uniform-even", "uniform-odd", "graded-even", "graded-odd"]
 def test_stencil_gram_matches_the_assembled_gram(lo, hi, h):
     slab, ref = snorm.build_slab(lo, hi, h), AssembledSlab(lo, hi, h)
     assert len(slab.axes[0]) - 1 == round((hi[0] - lo[0]) / h)
-    K, G = slab.matrix.toarray(), ref.matrix.toarray()
-    assert np.abs(K - G).max() <= 1e-14 * np.abs(G).max()
+    band, G = snorm._gram_2d(*slab.axes), csr_band(ref.matrix)
+    assert band.shape == G.shape and band.flags.f_contiguous
+    assert np.abs(band - G).max() <= 1e-14 * np.abs(G).max()
     assert np.array_equal(slab.bottom, ref.bottom) and slab.n_trace == ref.n_trace
     w = lambda x: np.cos(2 * np.pi * x[:, 0]) + x[:, 0]
     assert (slab.trace_matrix(w) != ref.trace_matrix(w)).nnz == 0
@@ -227,15 +240,16 @@ def test_slab_axes_must_increase_strictly():
 
 
 def test_3d_slab_keeps_the_sparse_lu(monkeypatch):
-    slab3 = snorm.build_slab((0.0, 0.0), (1.0, 1.0), 0.2)
-    assert slab3.n_vertices == 324
     seen, real = [], spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: seen.append(
         (kw["relax"], kw["panel_size"])) or real(*a, **kw))
+    slab3 = snorm.build_slab((0.0, 0.0), (1.0, 1.0), 0.2)
+    assert slab3.n_vertices == 324
+    assert not isinstance(slab3.factor, snorm.BandCholesky)
     w = lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
     assert snorm.s_norm(slab3, w) == pytest.approx(snorm_dense(slab3, w), rel=1e-9)
-    assert not isinstance(slab3.lu(), snorm.BandCholesky)
-    # a blocked LU, SuperLU's defaults: a 3D slab's separators are wide
+    # one LU, built with the slab, blocked as SuperLU's defaults have it: a
+    # 3D slab's separators are wide
     assert seen == [(None, None)]
 
 
@@ -258,7 +272,7 @@ def test_lift_energy_identity(slab):
     w = lambda x: 1.0 + np.sin(2 * np.pi * x[:, 0])
     phi = np.cos(np.pi * slab.mesh.vertices[slab.bottom, 0])
     U = slab.lift(w, phi)
-    direct = np.vdot(U, slab.matrix @ U).real
+    direct = np.vdot(U, fem.h1_gram(slab.mesh) @ U).real
     assert abs(direct - slab.lift_energy(w, phi)) <= 1e-8 * direct
 
 
@@ -266,7 +280,7 @@ def test_weighted_pairing_bounded_by_snorm(slab):
     w = lambda x: np.cos(2 * np.pi * x[:, 0])
     s = snorm.s_norm(slab, w)
     B = slab.trace_matrix(w)
-    K = slab.matrix
+    K = fem.h1_gram(slab.mesh)
     rng = np.random.default_rng(12)
     for _ in range(20):
         phi = rng.standard_normal(slab.n_trace)
@@ -312,7 +326,8 @@ def test_stall_flag_and_warning(slab, caplog):
     rhs[slab.bottom] = q0
     y = slab.solve(rhs)
     B = slab.trace_matrix(w)
-    rayleigh = abs(y @ (B @ y[slab.bottom])) / (y @ (slab.matrix @ y))
+    K = band_matrix(snorm._gram_2d(*slab.axes))
+    rayleigh = abs(y @ (B @ y[slab.bottom])) / (y @ (K @ y))
     assert val == pytest.approx(rayleigh, rel=1e-12)
     assert 0 < val < snorm.s_norm(slab, w)
 
@@ -386,18 +401,6 @@ def test_one_slab_solve_per_step_in_3d():
     lay = geometry.make_layout("periodic", {"dim": 3}, 1 / 4)
     calls, steps = _solves_and_steps(lay)
     assert 0 < calls == steps
-
-
-def test_s_norm_never_reads_the_slab_matrix(periodic_eighth):
-    slab_l, dens, _ = periodic_eighth
-
-    class NoMatrix:
-        def __getattr__(self, name):
-            if name == "matrix":
-                raise AssertionError("s_norm read slab.matrix")
-            return getattr(slab_l, name)
-
-    assert snorm.kappa(NoMatrix(), dens) == snorm.kappa(slab_l, dens)
 
 
 def test_lanczos_step_count(periodic_eighth):
