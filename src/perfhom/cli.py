@@ -69,15 +69,6 @@ def _eps_list(doc):
                          lambda v: [geometry._positive(e) for e in v])
 
 
-def _int_in(lo, hi):
-    """Config converter to an integer n with lo <= n < hi."""
-    def convert(n):
-        if not lo <= geometry._count(n) < hi:
-            raise ValueError(f"must be an integer in [{lo}, {hi})")
-        return int(n)
-    return convert
-
-
 def _inside(lo, hi):
     """Config converter to a number strictly between lo and hi."""
     def convert(x):
@@ -98,14 +89,6 @@ def _finite_or_none(x):
     return None if x is None else _inside(-math.inf, math.inf)(x)
 
 
-def _periodic(kind):
-    """corrector's layout_kind: its cell is read off the center gaps of a
-    lattice, which only a periodic layout is."""
-    if harness._layout_kind(kind) != "periodic":
-        raise ValueError("corrector tables need a periodic layout")
-    return kind
-
-
 def _kappa_rows(doc, args, out_csv=None):
     """kappa(eps) of a snorm config; corrector calibrates on the same rows."""
     seed = args.seed if args.seed is not None else \
@@ -113,7 +96,8 @@ def _kappa_rows(doc, args, out_csv=None):
     return snorm_mod.kappa_table(
         _eps_list(doc), _layout_fn(doc),
         alpha0=_value(doc, "alpha0", None, _finite_or_none),
-        points_per_bump=_value(doc, "points_per_bump", 8, _int_in(1, math.inf)),
+        points_per_bump=_value(doc, "points_per_bump", 8,
+                               harness._int_in(1, math.inf)),
         out_csv=out_csv, seed=seed)
 
 
@@ -165,20 +149,22 @@ def cmd_snorm(args):
 def cmd_corrector(args):
     doc = _load_config(args.config)
     _known_keys(doc, _LAYOUT_KEYS, "config")
-    _value(doc, "layout_kind", "periodic", _periodic)
+    # the cell is read off the center gaps of a lattice: a periodic layout
+    _value(doc, "layout_kind", "periodic", harness._one_of(("periodic",)))
     os.makedirs(args.out, exist_ok=True)
     rule = _value(doc, "eta_rule", 1.0, harness._eta_rule)
     if not isinstance(rule, float):
         raise SystemExit("corrector tables assume a fixed cell: eta_rule "
                          "must be a constant")
     eps_list = _eps_list(doc)
-    grid = _value(doc, "grid", 256, _int_in(1, math.inf))
+    grid = _value(doc, "grid", 256, harness._int_in(1, math.inf))
     # fourier_corrector keeps modes below the grid's Nyquist order
-    modes = _value(doc, "modes", 64, _int_in(1, grid // 2))
+    modes = _value(doc, "modes", 64, harness._int_in(1, grid // 2))
+    calibrate = _value(doc, "calibrate", False, harness._bool)
     layout = _layout_fn(doc)(eps_list[0])
     beta = corrector_mod.cell_beta_from_layout(layout, n=grid)
     kappas = None
-    if doc.get("calibrate"):
+    if calibrate:
         kappas = [r["kappa"] for r in _kappa_rows(doc, args)]
     table, calibration = corrector_mod.mu_table(
         eps_list, beta, modes=modes, tau0=layout.constants["tau0"], kappas=kappas,
@@ -194,9 +180,20 @@ def cmd_corrector(args):
     return 0
 
 
+# the keys each mesh_kind reads
+_MESH_KEYS = {
+    "perforated": ("eps", "h", "refine", "layout_kind", "layout_params",
+                   "eta_rule"),
+    "box": ("h", "domain", "dim"),
+    "interface": ("h", "domain", "dim", "s0"),
+    "slab": ("h", "lengths", "height"),
+}
+
+
 def cmd_mesh(args):
     doc = _load_config(args.config)
-    kind = doc.get("mesh_kind", "perforated")
+    kind = _value(doc, "mesh_kind", "perforated", harness._one_of(_MESH_KEYS))
+    _known_keys(doc, ("mesh_kind",) + _MESH_KEYS[kind], f"{kind} mesh config")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "mesh.txt")
 
@@ -219,12 +216,10 @@ def cmd_mesh(args):
         else:
             s0 = _value(doc, "s0", 0.0, _inside(lo[-1], hi[-1]))
             mesh = meshing.mesh_interface(lo, hi, s0, h)
-    elif kind == "slab":
+    else:
         lengths = _value(doc, "lengths", [1.0], _lengths)
         mesh = meshing.mesh_slab(np.zeros_like(lengths), lengths,
                                  positive("height", 0.5), positive("h"))
-    else:
-        raise SystemExit(f"unknown mesh_kind {kind!r}")
     mesh.check()
     mesh.to_text(path)
     vols = mesh.simplex_volumes()

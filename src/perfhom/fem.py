@@ -206,12 +206,12 @@ class NonlinearBC:
 
 @dataclass
 class DiscreteField:
-    """Nodal P1 field on a mesh, with the AssembledSystem it was solved on."""
+    """Nodal P1 field on a mesh, with the info of the solve that made it;
+    the system it was solved on, and that system's setup, are not kept."""
 
     mesh: object
     values: np.ndarray
     info: dict = field(default_factory=dict)
-    system: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values)

@@ -258,10 +258,25 @@ def _bool(x):
     return x
 
 
-def _layout_kind(kind):
-    if kind not in geometry.LAYOUT_KINDS:
-        raise ValueError(f"must be one of {', '.join(geometry.LAYOUT_KINDS)}")
-    return kind
+def _int_in(lo, hi):
+    """Config converter to an integer n with lo <= n < hi."""
+    def convert(n):
+        if not lo <= geometry._count(n) < hi:
+            raise ValueError(f"must be an integer in [{lo}, {hi})")
+        return int(n)
+    return convert
+
+
+def _one_of(choices):
+    """Config converter that passes only a member of choices."""
+    def convert(v):
+        if v not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}")
+        return v
+    return convert
+
+
+_layout_kind = _one_of(geometry.LAYOUT_KINDS)
 
 
 def _eta_rule(rule):
@@ -328,12 +343,6 @@ def _u0_level(layout, kind, h0):
     return mesh, tuple(len(a) for a in mesh.grid["axes"])
 
 
-def _solve_homogenized(m0, kind, coeffs, nbc, alpha0, f, opts):
-    if kind == "plain":
-        return solvers.solve_homogenized_plain(m0, coeffs, f, opts)
-    return solvers.solve_homogenized_delta(m0, coeffs, alpha0, nbc, f, opts)
-
-
 def _increment_subdominant(e_prev, e_h, idx):
     """The ladder's Richardson check: the last refinement moved the error by
     at most a tenth of itself (a zero increment on a zero error passes)."""
@@ -344,9 +353,9 @@ def _study_row(config, eps, kappa_val=None, u0_cache=None):
     """All solves and measurements for one eps; returns a report row.
 
     u0_cache maps a u0 ladder level, keyed on (alpha0, its grid's node
-    counts), to its f0 solution and solve info.  run_study shares one dict
-    across its rows; a row given none starts an empty one of its own, and
-    is the same but for u0_shared.
+    counts), to every right-hand side's solution there with its solve info.
+    run_study shares one dict across its rows; a row given none starts an
+    empty one of its own, and is the same but for u0_shared.
     """
     u0_cache = {} if u0_cache is None else u0_cache
     norm_key, needs_kappa, _, homog_kind = _THEOREMS[config.theorem]
@@ -364,51 +373,45 @@ def _study_row(config, eps, kappa_val=None, u0_cache=None):
     refine = max(config.refine_floor, 2.5 * h / (eps * eta))
     alpha0 = alpha_mod.alpha0_mean(layout) if homog_kind == "delta" else None
 
-    infos = []  # every perforated and homogenized solve of the row
-
-    def solve_perforated(mesh, rhs):
-        """Nodal solutions for each (name, f) of rhs; the system and its
-        factorization are freed on return."""
+    def solve_all(mesh, rhs, boundary, weight=None):
+        """(nodal solution, info) for each (name, f) of rhs: the mesh is
+        assembled once and its system, with its factorization, freed on
+        return."""
         system = fem.assemble(mesh, coeffs, dirichlet="outer", lam=lam,
-                              boundary=("cavity", nbc))
-        us = []
-        for _, f in rhs:
-            u, info = solvers.solve_assembled(system, fem.load_vector(mesh, f),
-                                              opts)
-            infos.append(info)
-            us.append(u)
-        return us
+                              boundary=boundary, weight=weight)
+        return [solvers.solve_assembled(system, fem.load_vector(mesh, f), opts)
+                for _, f in rhs]
 
     # the perforated phase, one system at a time: every rhs on the h mesh,
     # f0 alone on the h/2 mesh
     mesh_h = meshing.mesh_perforated(layout, h, refine)
-    u_h, *u_h_rest = solve_perforated(mesh_h, fs)
+    solved_h = solve_all(mesh_h, fs, ("cavity", nbc))
     mesh_half = meshing.mesh_perforated(layout, h / 2.0, refine)
-    (u_half,) = solve_perforated(mesh_half, fs[:1])
+    solved_half = solve_all(mesh_half, fs[:1], ("cavity", nbc))
+    u_h, u_half = solved_h[0][0], solved_half[0][0]
+    infos = [info for _, info in solved_h + solved_half]
 
     # refine u_0's own mesh from h/2 until its Richardson increment is
-    # subdominant; each level's error on the h mesh is its check, and the
-    # last level's is e_h.  The level that uses up the cap goes unchecked.
-    # Each level's transfer P_h onto the h mesh is built once; the final
-    # level's serves the other right-hand sides too.  A level found in
-    # u0_cache skips its solve
+    # subdominant; each level solves every rhs, its f0 error on the h mesh
+    # is its check, and the last level's is e_h.  The level that uses up
+    # the cap goes unchecked.  Each level's transfer P_h onto the h mesh is
+    # built once; the final level's serves the other right-hand sides too.
+    # A level found in u0_cache is read, never assembled or solved again
+    u0_boundary = None if homog_kind == "plain" else ("interface", nbc)
     h0, e_prev, idx = h, None, 0 if norm_key == "l2" else 2
     u0_shared = 0
     for u0_solves in range(1, config.u0_refine_cap + 3):
         h0 /= 2.0
-        u0_field = None  # frees the previous level's factorization first
         u0_mesh, counts = _u0_level(layout, homog_kind, h0)
         key = (alpha0, counts)
         if key in u0_cache:
-            u0, info = u0_cache[key]
             u0_shared += 1
         else:
-            u0_field = _solve_homogenized(u0_mesh, homog_kind, coeffs, nbc,
-                                          alpha0, f0, opts)
-            u0, info = u0_cache[key] = u0_field.values, u0_field.info
-        infos.append(info)
+            u0_cache[key] = solve_all(u0_mesh, fs, u0_boundary, alpha0)
+        solved_u0 = u0_cache[key]
+        infos += [info for _, info in solved_u0]
         P_h = meshing.interpolation_matrix(u0_mesh, mesh_h.vertices)
-        e_h = fem.norms(mesh_h, u_h - P_h @ u0)
+        e_h = fem.norms(mesh_h, u_h - P_h @ solved_u0[0][0])
         if u0_solves >= config.u0_refine_cap + 2:
             log.warning("u0 refinement at eps=%g used up u0_refine_cap=%d; "
                         "its last level is unchecked", eps, config.u0_refine_cap)
@@ -416,15 +419,9 @@ def _study_row(config, eps, kappa_val=None, u0_cache=None):
         if e_prev is not None and _increment_subdominant(e_prev, e_h, idx):
             break
         e_prev = e_h
-    if u0_field is None:
-        # the final level came from the cache: solve it again (to the same
-        # values) for a system that the other right-hand sides can run on
-        u0_field = _solve_homogenized(u0_mesh, homog_kind, coeffs, nbc,
-                                      alpha0, f0, opts)
-        u0_shared -= 1
 
     P_half = meshing.interpolation_matrix(u0_mesh, mesh_half.vertices)
-    e_half = fem.norms(mesh_half, u_half - P_half @ u0)
+    e_half = fem.norms(mesh_half, u_half - P_half @ solved_u0[0][0])
 
     guard_l2, guard_h1 = (abs(e_h[i] - e_half[i]) / e_half[i] if e_half[i] else 0.0
                           for i in (0, 2))
@@ -434,13 +431,10 @@ def _study_row(config, eps, kappa_val=None, u0_cache=None):
     bound = predicted_bound(config.theorem, eps, eta, config.dim,
                             kappa=kappa_val, f_norms=(f_omega, f_theta))
 
-    # uniformity across right-hand sides, measured on the h mesh and solved
-    # on the final ladder level's system, which already holds its setup
+    # uniformity across right-hand sides, measured on the h mesh against
+    # the final ladder level
     per_f = {name0: {"l2": e_h[0], "h1": e_h[2], "f_norm": f_omega}}
-    for (name, f), uh in zip(fs[1:], u_h_rest):
-        u0v, info = solvers.solve_assembled(u0_field.system,
-                                            fem.load_vector(u0_mesh, f), opts)
-        infos.append(info)
+    for (name, f), (uh, _), (u0v, _) in zip(fs[1:], solved_h[1:], solved_u0[1:]):
         err = fem.norms(mesh_h, uh - P_h @ u0v)
         per_f[name] = {"l2": err[0], "h1": err[2],
                        "f_norm": fem.l2_of_function(mesh_h, f)}
@@ -482,6 +476,9 @@ def _solver_record(infos):
 def run_study(config, jobs=1):
     """Full sweep -> RateReport; see the module docstring for the protocol."""
     norm_key, needs_kappa, _, _ = _THEOREMS[config.theorem]
+    # the pool forks all its workers at once, so it starts no idle ones
+    workers = min(_config_value("jobs", jobs, _int_in(1, math.inf)),
+                  len(config.eps_list))
     config.check_ellipticity()  # before any row builds a mesh
 
     kappa_map = {}
@@ -491,8 +488,8 @@ def run_study(config, jobs=1):
                                        seed=config.seed)
         kappa_map = {r["eps"]: r["kappa"] for r in kappa_rows}
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_study_row, repeat(config), config.eps_list,
                                  map(kappa_map.get, config.eps_list)))
     else:

@@ -9,7 +9,8 @@ solved by the system's cached LU or preconditioner, and every Newton
 tangent K + J_b by fem.solve_linear, which takes the boundary Jacobian J_b
 and runs a Krylov method that the same setup preconditions.  J_b lives on
 cavity or interface facets only, so with the exact LU of K a 2D step takes
-a handful of iterations.
+a handful of iterations.  The fields that solve_* return keep no system, so
+each factorization is freed with its system.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _solve(mesh, coeffs, nbc, f, opts, dirichlet, selector, weight=None):
                           boundary=(selector, nbc), weight=weight)
     u, info = _nonlinear_solve(system, fem.load_vector(mesh, f), opts)
     info["lam"] = lam
-    return fem.DiscreteField(mesh, u, info, system)
+    return fem.DiscreteField(mesh, u, info)
 
 
 def solve_assembled(system, load, opts=None):

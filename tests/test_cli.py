@@ -233,6 +233,16 @@ def test_jobs_is_a_study_option(tmp_path, capsys, command):
     assert exc.value.code == 0 and "--jobs" in capsys.readouterr().out
 
 
+def test_study_jobs_below_one_is_a_clean_error(tmp_path, capsys):
+    cfg = _write(tmp_path, {"theorem": "T1a", "eps_list": [1 / 8, 1 / 12]})
+    out = tmp_path / "o"
+    assert cli.main(["study", "--config", cfg, "--out", str(out),
+                     "--jobs", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'jobs'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("shapes", [5, [{"family": "ball"}]])
 def test_explicit_shapes_mistake_is_named(tmp_path, capsys, shapes):
     cfg = _write(tmp_path, {"theorem": "T1a", "layout_kind": "explicit",
@@ -304,14 +314,27 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     # the error lists every unknown key; corrector takes tau0 from the layout
     ("corrector", {"tau0": 1.0, "grd": 64}, "grd"),
     ("corrector", {"tau0": 1.0, "grd": 64}, "tau0"),
+    ("corrector", {"calibrate": "no"}, "calibrate"),
+    ("corrector", {"calibrate": 1}, "calibrate"),
+    # a mesh config takes only the keys its mesh_kind reads
+    ("mesh", {"mesh_kind": "box", "h": 0.25, "hh": 1, "lengths": [2]}, "hh"),
+    ("mesh", {"mesh_kind": "box", "h": 0.25, "hh": 1, "lengths": [2]}, "lengths"),
+    ("mesh", {"mesh_kind": "box", "h": 0.25, "s0": 0.0}, "s0"),
+    ("mesh", {"mesh_kind": "slab", "h": 0.1, "domain": [[0, 0], [1, 1]]}, "domain"),
+    ("mesh", {"mesh_kind": "interface", "h": 0.25, "eps": 0.125}, "eps"),
+    ("mesh", {"eps": 0.125, "eps_list": [0.125]}, "eps_list"),
+    ("mesh", {"mesh_kind": "disk", "h": 0.1}, "mesh_kind"),
 ])
 def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
                                                      extra, named):
-    cfg = _write(tmp_path, {"eps_list": [1 / 8], **extra})
+    # a mesh config reads no eps_list, so there it would be an unknown key
+    base = {} if command == "mesh" else {"eps_list": [1 / 8]}
+    cfg = _write(tmp_path, {**base, **extra})
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(named) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o" / "mesh.txt").exists()
 
 
 def test_corrector_reads_tau0_from_the_layout(tmp_path, capsys):

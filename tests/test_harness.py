@@ -357,6 +357,53 @@ def test_parallel_rows_match_serial(tiny_report):
         assert _without_sharing(a) == _without_sharing(b)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool run_study opens; the pool runs its map
+    in this process and each row is a stub, so no process is started."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    def row(config, eps, kappa_val=None, u0_cache=None):
+        return {"eps": eps, "err_l2": 0.0, "err_h1": 0.0, "accepted_l2": False,
+                "accepted_h1": False,
+                "per_f": {"trig": {"l2": 0.0, "h1": 0.0, "f_norm": 1.0}}}
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(harness, "_study_row", row)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs, n_eps, workers", [
+    (2, 3, [2]), (10 ** 6, 3, [3]), (10 ** 6, 1, []), (1, 3, [])])
+def test_jobs_start_at_most_one_worker_per_row(pool_sizes, jobs, n_eps,
+                                               workers):
+    eps_list = (1 / 8, 1 / 12, 1 / 16)[:n_eps]
+    cfg = harness.StudyConfig(theorem="T1a", eps_list=eps_list)
+    report = harness.run_study(cfg, jobs=jobs)
+    assert [r["eps"] for r in report.rows] == list(eps_list)
+    assert pool_sizes == workers
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, True, "2"])
+def test_jobs_below_one_or_not_an_integer_is_a_config_error(pool_sizes, jobs):
+    cfg = harness.StudyConfig(theorem="T1a", eps_list=(1 / 8, 1 / 12))
+    with pytest.raises(harness.ConfigError, match="'jobs'"):
+        harness.run_study(cfg, jobs=jobs)
+    assert pool_sizes == []
+
+
 def test_zero_data_study_is_degenerate():
     cfg = harness.StudyConfig(theorem="T1a", rhs_names=("zero", "zero", "zero"),
                               eps_list=(1 / 8, 1 / 12, 1 / 16), h_factor=0.75)
@@ -404,20 +451,29 @@ def _without_sharing(row):
     return {k: v for k, v in row.items() if k != "u0_shared"}
 
 
+def _spy_u0_assemblies(monkeypatch, record):
+    """Make fem.assemble call record(mesh) for each u0 ladder level it
+    assembles, i.e. each system with an interface boundary."""
+    from perfhom import fem
+
+    assemble = fem.assemble
+
+    def spy(mesh, *args, boundary=None, **kwargs):
+        if boundary is not None and boundary[0] == "interface":
+            record(mesh)
+        return assemble(mesh, *args, boundary=boundary, **kwargs)
+
+    monkeypatch.setattr(fem, "assemble", spy)
+
+
 @pytest.fixture(scope="module")
 def shared_t2():
     """One T2 sweep run twice through run_study, then row by row without a
-    cache, counting the homogenized solves of each and keeping every ladder
+    cache, counting the u0 assemblies of each and keeping every ladder
     level's mesh with its node counts."""
-    from perfhom import solvers
-
     cfg = _t2_config((1 / 8, 1 / 12, 1 / 16))
-    solves, levels = [], []
-    solve, level = solvers.solve_homogenized_delta, harness._u0_level
-
-    def spy_solve(mesh, *args, **kwargs):
-        solves.append(mesh.n_vertices)
-        return solve(mesh, *args, **kwargs)
+    assemblies, levels = [], []
+    level = harness._u0_level
 
     def spy_level(*args):
         levels.append(level(*args))
@@ -425,16 +481,16 @@ def shared_t2():
 
     counts = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "solve_homogenized_delta", spy_solve)
+        _spy_u0_assemblies(mp, lambda mesh: assemblies.append(mesh.n_vertices))
         mp.setattr(harness, "_u0_level", spy_level)
         first = harness.run_study(cfg)
-        counts.append(len(solves))
+        counts.append(len(assemblies))
         first_levels = list(levels)
         second = harness.run_study(cfg)
-        counts.append(len(solves) - sum(counts))
+        counts.append(len(assemblies) - sum(counts))
         kappa = {r["eps"]: r["kappa"] for r in first.kappa_rows}
         alone = [harness._study_row(cfg, e, kappa[e]) for e in cfg.eps_list]
-        counts.append(len(solves) - sum(counts))
+        counts.append(len(assemblies) - sum(counts))
     return first, second, alone, counts, first_levels
 
 
@@ -502,45 +558,41 @@ def test_u0_key_separates_exactly_the_distinct_grids():
 def test_perforated_systems_are_freed_before_the_u0_ladder(monkeypatch):
     import weakref
 
-    from perfhom import fem, solvers
+    from perfhom import fem
 
     refs, alive_at_ladder = [], []
-    assemble, solve = fem.assemble, solvers.solve_homogenized_delta
+    assemble = fem.assemble
 
     def spy_assemble(*args, **kwargs):
         system = assemble(*args, **kwargs)
         refs.append(weakref.ref(system))
         return system
 
-    def spy_solve(*args, **kwargs):
+    def at_u0_assembly(mesh):
         if not alive_at_ladder:
             alive_at_ladder.append([r() is not None for r in refs])
-        return solve(*args, **kwargs)
 
     monkeypatch.setattr(fem, "assemble", spy_assemble)
-    monkeypatch.setattr(solvers, "solve_homogenized_delta", spy_solve)
+    _spy_u0_assemblies(monkeypatch, at_u0_assembly)
     harness._study_row(_t2_config((1 / 8,)), 1 / 8, kappa_val=0.3)
-    # the h and h/2 systems, both gone when the first u0 solve starts
+    # the h and h/2 systems, both gone when the first u0 level is assembled
     assert alive_at_ladder == [[False, False]]
 
 
-def test_final_level_from_the_cache_is_solved_again(monkeypatch):
+def test_final_level_from_the_cache_is_read_not_solved_again(monkeypatch):
     from perfhom import solvers
 
     cfg = _t2_config((1 / 8, 1 / 32))
-    solved, u0_rhs = [], []
-    solve, assembled = solvers.solve_homogenized_delta, solvers.solve_assembled
-
-    def spy_solve(mesh, *args, **kwargs):
-        solved.append(mesh.n_vertices)
-        return solve(mesh, *args, **kwargs)
+    assembled_u0, solved_u0 = [], []
+    assembled = solvers.solve_assembled
 
     def spy_assembled(system, load, opts=None):
         if system.selector == "interface":
-            u0_rhs.append(system.mesh.n_vertices)
+            solved_u0.append(system.mesh.n_vertices)
         return assembled(system, load, opts)
 
-    monkeypatch.setattr(solvers, "solve_homogenized_delta", spy_solve)
+    _spy_u0_assemblies(monkeypatch,
+                       lambda mesh: assembled_u0.append(mesh.n_vertices))
     monkeypatch.setattr(solvers, "solve_assembled", spy_assembled)
     # the 1/8 row runs all 4 levels, h/2 .. h/16; the 1/32 row stops at its
     # second level, h/4 = 3/512, which is the 1/8 row's last
@@ -551,13 +603,15 @@ def test_final_level_from_the_cache_is_solved_again(monkeypatch):
     first, last = report.rows
     assert (first["u0_solves"], last["u0_solves"]) == (4, 2)
     assert last["n_vertices_u0"] == first["n_vertices_u0"]
-    # both of the last row's levels were hits, and its final one is solved
-    # again, so the other right-hand sides have a system to run on
-    assert last["u0_shared"] == 1
-    assert solved[4:] == [last["n_vertices_u0"]]
-    assert u0_rhs[2:] == [last["n_vertices_u0"]] * 2
+    # both of the last row's levels were hits: only the first row's four
+    # levels were assembled, each once, and each solved every rhs
+    assert last["u0_shared"] == 2
+    assert len(assembled_u0) == len(set(assembled_u0)) == 4
+    assert solved_u0 == [n for n in assembled_u0 for _ in cfg.rhs_names]
     assert set(last["per_f"]) == set(cfg.rhs_names)
-
+    # the same row without a cache assembles and solves its two levels
     script = iter([True])
-    alone = harness._study_row(cfg, 1 / 32, last["kappa"])
+    alone = harness._study_row(cfg, 1 / 32, report.kappa_rows[1]["kappa"])
+    assert assembled_u0[4:] == assembled_u0[2:4]
+    assert alone["u0_shared"] == 0
     assert _without_sharing(alone) == _without_sharing(last)

@@ -1,7 +1,7 @@
 """The benchmark's own correctness check against the current code: at the
-reference seed, the outputs of the T2 sweep and of the certificates match
-perfbench/reference.json.  perfbench/workloads.py is only imported, never
-changed."""
+reference seed, the outputs of every workload (the T2 and plain sweeps, the
+3D plain row and the certificates) match perfbench/reference.json.
+perfbench/workloads.py is only imported, never changed."""
 
 import importlib.util
 import json
@@ -19,7 +19,8 @@ sys.modules[_SPEC.name] = workloads
 _SPEC.loader.exec_module(workloads)
 
 
-@pytest.mark.parametrize("name", ["t2-sweep", "certificates"])
+@pytest.mark.parametrize("name", ["t2-sweep", "certificates", "plain-sweep",
+                                  "3d-plain"])
 def test_workload_outputs_match_the_reference(name):
     reference = json.loads((_ROOT / "reference.json").read_text())
     assert reference["seed"] == 0
