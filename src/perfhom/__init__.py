@@ -18,7 +18,6 @@ from .errors import (
     NoConvergenceError,
     NonEllipticCoefficientsError,
     NonzeroMeanError,
-    PicardDivergenceError,
     PointOffManifoldError,
 )
 from .geometry import PerforationLayout, Shape, make_layout, validate_layout
@@ -54,7 +53,7 @@ __all__ = [
     "PerfhomError", "ConfigError", "InfeasibleSpacingError", "MeshingError",
     "MissingFacetTagsError", "NoConvergenceError",
     "NonEllipticCoefficientsError", "NonzeroMeanError",
-    "PicardDivergenceError", "PointOffManifoldError",
+    "PointOffManifoldError",
     "PerforationLayout", "Shape", "make_layout", "validate_layout",
     "Mesh", "mesh_box", "mesh_interface", "mesh_perforated", "mesh_slab",
     "CoefficientSet", "DiscreteField", "NonlinearBC", "assemble",

@@ -55,10 +55,6 @@ class NoConvergenceError(PerfhomError):
     """Iterative linear solver hit its iteration cap."""
 
 
-class PicardDivergenceError(PerfhomError):
-    """The nonlinear fixed-point iteration is diverging."""
-
-
 class PointOffManifoldError(PerfhomError):
     """Evaluation point does not lie on the interface."""
 

@@ -19,7 +19,9 @@ lam = 0, K is the H1 Gram matrix (h1_gram).  A load is a separate vector
 (load_vector) that each solve takes.  The local blocks, and the cell
 quadrature of loads and L2 norms, are computed meshing.SIMPLEX_BLOCK
 simplices at a time (meshing.blockwise), so their temporaries do not grow
-with the mesh.
+with the mesh.  A system lives in its free dofs: it keeps K restricted to
+the nodes off the Dirichlet set, and boundary_residual, boundary_nonlinear
+and solve_linear take and return free-dof vectors.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import (
     MissingFacetTagsError,
     NoConvergenceError,
     NonEllipticCoefficientsError,
+    PerfhomError,
 )
 from .meshing import _facet_measures, blockwise
 
@@ -230,7 +233,7 @@ class DiscreteField:
 class FacetCache:
     """Quadrature data for a facet set, reused across nonlinear iterations."""
 
-    nodes: np.ndarray          # (F, d) vertex indices
+    nodes: np.ndarray          # (F, d) vertex (or free dof) indices
     qp: np.ndarray             # (F, q, n) global quadrature points
     w: np.ndarray              # (F, q) weights including measure and weight field
     basis: np.ndarray          # (q, d) P1 values at the quadrature points
@@ -239,15 +242,15 @@ class FacetCache:
     def total_measure(self):
         return float(self.w.sum())
 
-    def mass(self, shape, values=1.0, rows=None, columns=None):
+    def mass(self, shape, values=1.0, columns=None):
         """Sparse facet mass of the weights times values (F, q): entry (i, j)
         sums w * values * phi_a phi_b over the facet nodes a, b, with i the
-        index of a in rows and j that of b in columns (F, d), by default the
-        node itself.  An index of -1 drops the entry."""
+        index of a and j that of b in columns (F, d), by default its index
+        too.  An index of -1 drops the entry."""
         d = self.nodes.shape[1]
         pairs = np.einsum("qi,qj->qij", self.basis, self.basis)
         vals = np.einsum("fq,qij->fij", self.w * values, pairs).ravel()
-        r = np.repeat(self.nodes if rows is None else rows, d, axis=1).ravel()
+        r = np.repeat(self.nodes, d, axis=1).ravel()
         c = np.tile(self.nodes if columns is None else columns, (1, d)).ravel()
         keep = (r >= 0) & (c >= 0)
         return sp.coo_matrix((vals[keep], (r[keep], c[keep])), shape=shape).tocsr()
@@ -293,61 +296,59 @@ class BoundaryJacobian:
 
 @dataclass
 class AssembledSystem:
-    """Sparse discrete operator K with its Dirichlet bookkeeping and boundary
-    term: nbc on the facets of selector, weighted by weight.  It holds no
-    load: every solve takes its right-hand side.
+    """Sparse discrete operator K on the free dofs, with its boundary term:
+    nbc on the facets of selector, weighted by weight.  free lists the
+    nodes off the Dirichlet set in increasing order, and free_index maps a
+    node to its free dof, -1 on a Dirichlet node.  It holds no load: every
+    solve takes its right-hand side.
 
-    The system also owns the linear-solve setup of its reduced matrix, built
-    on the first solve and reused by every later one, Newton tangents
-    included.  2D meshes use a sparse LU ("splu"), whose fill stays small.
-    In 3D the fill of an LU costs far more than the solves it serves, so 3D
-    iterates: "cg" with a Jacobi preconditioner for Hermitian matrices,
-    "bicgstab" with an incomplete LU otherwise.  krylov_iters counts the
-    Krylov iterations of every solve on the system.
+    The system also owns the linear-solve setup of its matrix, built on the
+    first solve and reused by every later one, Newton tangents included.
+    2D meshes use a sparse LU ("splu"), whose fill stays small.  In 3D the
+    fill of an LU costs far more than the solves it serves, so 3D iterates:
+    "cg" with a Jacobi preconditioner for Hermitian matrices, "bicgstab"
+    with an incomplete LU otherwise.  krylov_iters counts the Krylov
+    iterations of every solve on the system.
     """
 
     mesh: object
     matrix: sp.csr_matrix
-    dirichlet_mask: np.ndarray
+    free: np.ndarray
+    free_index: np.ndarray
     selector: object = None
     nbc: NonlinearBC = field(default_factory=NonlinearBC)
     weight: object = None
     krylov_iters: int = field(default=0, init=False)
     _facets: FacetCache | None = field(default=None, repr=False)
-    _free: np.ndarray | None = field(default=None, repr=False)
-    _reduced: object = field(default=None, repr=False)
     _setup: tuple | None = field(default=None, repr=False)
     _hermitian: bool | None = field(default=None, repr=False)
 
-    @property
-    def free(self):
-        if self._free is None:
-            self._free = np.where(~self.dirichlet_mask)[0]
-        return self._free
-
-    def reduced_matrix(self):
-        if self._reduced is None:
-            f = self.free
-            self._reduced = self.matrix[f][:, f].tocsr()
-        return self._reduced
+    def nodal(self, x):
+        """The nodal vector of the free-dof values x, 0 on Dirichlet nodes."""
+        out = np.zeros(self.mesh.n_vertices, dtype=x.dtype)
+        out[self.free] = x
+        return out
 
     @property
     def facets(self):
-        """Facet quadrature of the boundary term, built on first use."""
+        """Facet quadrature of the boundary term, built on first use; its
+        nodes are free dofs, -1 on a Dirichlet node."""
         if self._facets is None:
-            self._facets = build_facet_cache(self.mesh, self.selector, self.weight)
+            cache = build_facet_cache(self.mesh, self.selector, self.weight)
+            cache.nodes = self.free_index[cache.nodes]
+            self._facets = cache
         return self._facets
 
     def is_hermitian(self):
         if self._hermitian is None:
-            self._hermitian = _is_hermitian(self.reduced_matrix())
+            self._hermitian = _is_hermitian(self.matrix)
         return self._hermitian
 
     def _solver_setup(self):
         """(backend, apply), apply mapping z to K^{-1} z (the LU) or to the
         preconditioner's approximation of it."""
         if self._setup is None:
-            K = self.reduced_matrix()
+            K = self.matrix
             if self.mesh.dim == 2:
                 # an unblocked LU factors every 2D system measured faster
                 # (0.49 against 0.63 s at 249,001 dofs); a 3D slab's is
@@ -427,9 +428,13 @@ def assemble(mesh, coeffs, dirichlet="outer", lam=0.0, boundary=None,
         which it returns True.
     boundary : None, or (selector, nbc): nbc on the facets of selector,
         weighted by weight, a constant or a callable of the facet points.
+
+    The system keeps K restricted to the free dofs, K itself when no node is
+    constrained.  A Dirichlet set that covers every node is a PerfhomError.
     """
     K = _assemble_matrix(mesh, coeffs, lam)
-    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    nv = mesh.n_vertices
+    fixed = np.zeros(nv, dtype=bool)
     if dirichlet is not None:
         outer = mesh.facet_mask("outer")
         if callable(dirichlet):
@@ -440,13 +445,16 @@ def assemble(mesh, coeffs, dirichlet="outer", lam=0.0, boundary=None,
             chosen = np.where(outer)[0]
         else:
             raise ValueError(f"unsupported dirichlet spec {dirichlet!r}")
-        mask[np.unique(mesh.facets[chosen])] = True
-
+        fixed[np.unique(mesh.facets[chosen])] = True
+    if fixed.all():
+        raise PerfhomError(f"the Dirichlet set covers all {nv} nodes: no free dof")
+    free = np.flatnonzero(~fixed)
+    free_index = np.full(nv, -1)
+    free_index[free] = np.arange(len(free))
     selector, nbc = boundary or (None, NonlinearBC())
-    return AssembledSystem(
-        mesh=mesh, matrix=K, dirichlet_mask=mask, selector=selector, nbc=nbc,
-        weight=weight,
-    )
+    return AssembledSystem(mesh=mesh, matrix=K[free][:, free] if fixed.any() else K,
+                           free=free, free_index=free_index, selector=selector,
+                           nbc=nbc, weight=weight)
 
 
 def _assemble_matrix(mesh, coeffs, lam):
@@ -527,15 +535,27 @@ def l2_of_function(mesh, f):
     return math.sqrt(float(vols @ blockwise(len(simp), squares)))
 
 
+def _free_vector(system, v, name):
+    """v as an array of one value per free dof of the system."""
+    v = np.asarray(v)
+    if v.shape != system.free.shape:
+        raise ValueError(f"{name} has shape {v.shape}, not the system's "
+                         f"{len(system.free)} free dofs")
+    return v
+
+
 def _facet_state(system, u):
-    """Facet cache, flat quadrature points and u at those points (F, q)."""
+    """Facet cache, flat quadrature points and the free-dof vector u at
+    those points (F, q); a Dirichlet node (index -1) reads 0."""
     cache = system.facets
+    u = np.append(_free_vector(system, u, "u"), 0.0)
     uq = np.einsum("qk,fk->fq", cache.basis, u[cache.nodes])
     return cache, cache.qp.reshape(-1, system.mesh.dim), uq
 
 
 def boundary_residual(system, u):
-    """Residual vector r of the system's boundary term at state u.
+    """Residual of the system's boundary term at the free-dof state u, on
+    the free dofs.
 
     Satisfies v^H r = (w * a(., u_h), v)_{L2(facets)} for discrete v, with a
     the system's nbc and w its weight on the facets.
@@ -543,28 +563,26 @@ def boundary_residual(system, u):
     cache, x, uq = _facet_state(system, u)
     a = system.nbc.value(x, uq.ravel()).reshape(uq.shape)
     contrib = np.einsum("fq,qk->fk", cache.w * a, cache.basis)
-    return _scatter(cache.nodes.ravel(), contrib.ravel(), system.mesh.n_vertices)
+    keep = cache.nodes >= 0
+    return _scatter(cache.nodes[keep], contrib[keep], len(system.free))
 
 
 def boundary_nonlinear(system, u):
-    """Jacobian of the system's boundary term at state u on the free dofs
-    (its residual is boundary_residual); only a Newton step needs it."""
+    """Jacobian of the system's boundary term at the free-dof state u (its
+    residual is boundary_residual); only a Newton step needs it."""
     cache, x, uq = _facet_state(system, u)
     Aq, Bq = (np.asarray(z).reshape(uq.shape)
               for z in system.nbc.wirtinger(x, uq.ravel()))
-    free = system.free
-    index = np.where(system.dirichlet_mask[cache.nodes], -1,
-                     np.searchsorted(free, cache.nodes))
-    A, B = (cache.mass((len(free),) * 2, z, index, index) for z in (Aq, Bq))
+    A, B = (cache.mass((len(system.free),) * 2, z) for z in (Aq, Bq))
     if any(np.iscomplexobj(z) for z in (Aq, Bq, system.matrix.data)):
         return BoundaryJacobian(A, B)
     return BoundaryJacobian(A + B)
 
 
 def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None):
-    """Solve (K + J_b) x = rhs on the free dofs to relative residual tol,
-    where K is the system's reduced matrix and J_b the optional boundary
-    Jacobian of a Newton step, J_b x = A x + B conj(x).
+    """Solve (K + J_b) x = rhs to relative residual tol, where K is the
+    system's matrix, J_b the optional boundary Jacobian of a Newton step,
+    J_b x = A x + B conj(x), and rhs and x are free-dof vectors.
 
     J_b lives on a few facets only.  There is one setup per system: without
     J_b a 2D system is solved by its cached LU; every other case runs a
@@ -578,10 +596,9 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None):
     hits maxiter or the residual exceeds tol (usually a sign that lam is too
     close to the solvability threshold or the mesh is bad).
     """
-    f = system.free
+    b = _free_vector(system, rhs, "rhs")
     backend = system.backend  # the first solve builds the setup, zero rhs too
-    K = system.reduced_matrix()
-    b = np.asarray(rhs)[f]
+    K = system.matrix
     J = C = None
     if jacobian is not None:
         J, C = jacobian.A, jacobian.B
@@ -592,10 +609,9 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None):
     dtype = np.result_type(b, *(m.dtype for m in (K, J, C) if m is not None))
     if C is not None:
         dtype = np.result_type(dtype, complex)
-    out = np.zeros(len(rhs), dtype=dtype)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return out
+        return np.zeros(len(b), dtype=dtype)
 
     def operator(x):
         y = K @ x
@@ -625,8 +641,7 @@ def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None):
     res = np.linalg.norm(operator(x) - b)
     if res > 10.0 * tol * bnorm:
         raise NoConvergenceError(f"linear residual {res:.3e} above {tol:.1e}*|rhs|")
-    out[f] = x
-    return out
+    return x
 
 
 def _krylov(system, matvec, precondition, b, dtype, hermitian, tol, maxiter):
@@ -691,17 +706,15 @@ def h1_gram(mesh):
 
 def coercivity_margin(system, n_samples=100, seed=0):
     """Sampled Rayleigh bound: min over random v of Re(v^H K v)/||v||_H1^2."""
-    G = h1_gram(system.mesh)
-    f = system.free
-    Kf = system.reduced_matrix()
-    Gf = G[f][:, f]
+    K, f = system.matrix, system.free
+    G = h1_gram(system.mesh)[f][:, f]
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(n_samples):
         v = rng.standard_normal(len(f))
-        if np.iscomplexobj(Kf.data):
+        if np.iscomplexobj(K.data):
             v = v + 1j * rng.standard_normal(len(f))
-        num = np.real(np.vdot(v, Kf @ v))
-        den = np.real(np.vdot(v, Gf @ v))
+        num = np.real(np.vdot(v, K @ v))
+        den = np.real(np.vdot(v, G @ v))
         best = min(best, num / den)
     return best

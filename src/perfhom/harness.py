@@ -209,6 +209,15 @@ class StudyConfig:
             raise ConfigError("eps_list must be strictly decreasing")
         if len(self.rhs_names) < 3:
             raise ConfigError("at least 3 right-hand sides are required")
+        # the first u0 level at the largest eps is the coarsest grid; a delta
+        # limit's normal axis is split at s0 and keeps an interior node
+        lo, hi = _config_value("domain", self.layout_params.get(
+            "domain", geometry._default_domain(self.dim)), geometry._box(self.dim))
+        h0 = self.h_factor * self.eps_list[0] / 2.0
+        n = self.dim - (_THEOREMS[self.theorem][3] == "delta")
+        if any(len(meshing._segment(a, b, h0)) < 3 for a, b in zip(lo[:n], hi[:n])):
+            raise ConfigError(f"h_factor={self.h_factor:g} leaves the first u0 grid at "
+                              f"eps={self.eps_list[0]:g} (h0={h0:g}) without a free dof")
 
     def coefficients(self):
         return fem.CoefficientSet(dim=self.dim, matrix=self.matrix,

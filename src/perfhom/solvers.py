@@ -1,16 +1,17 @@
 """Nonlinear solves for the perforated problem and its two homogenized
 limits.
 
-The boundary nonlinearity is handled by damped Picard iteration, which
-freezes a(., u) at the previous iterate and re-solves the fixed coercive
-linear system, switching to Newton once the step is small.  There is one
-factorization per system and Newton iterates on it: every Picard sweep is
-solved by the system's cached LU or preconditioner, and every Newton
-tangent K + J_b by fem.solve_linear, which takes the boundary Jacobian J_b
-and runs a Krylov method that the same setup preconditions.  J_b lives on
-cavity or interface facets only, so with the exact LU of K a 2D step takes
-a handful of iterations.  The fields that solve_* return keep no system, so
-each factorization is freed with its system.
+The boundary nonlinearity is handled by Picard iteration, which freezes
+a(., u) at the previous iterate and re-solves the fixed coercive linear
+system; Newton takes over once a step is small or fails to halve the
+residual.  There is one factorization per system and Newton iterates on
+it: every Picard sweep is solved by the system's cached LU or
+preconditioner, and every Newton tangent K + J_b by fem.solve_linear,
+which takes the boundary Jacobian J_b and runs a Krylov method that the
+same setup preconditions.  J_b lives on cavity or interface facets only,
+so with the exact LU of K a 2D step takes a handful of iterations.  Both
+iterate on the system's free dofs.  The fields that solve_* return keep
+no system, so each factorization is freed with its system.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .errors import NoConvergenceError, PicardDivergenceError
+from .errors import NoConvergenceError
 
 log = logging.getLogger(__name__)
 
 
 PICARD_MAX_ITER = 80
-DAMPING = 1.0               # initial Picard damping, adapted down
 LINEAR_TOL = 1e-11
 NEWTON_SWITCH = 1e-3        # relative step size triggering Newton
 NEWTON_MAX_ITER = 30
@@ -100,80 +100,59 @@ def solve_assembled(system, load, opts=None):
     return _nonlinear_solve(system, load, opts or SolveOptions())
 
 
-def _nonlinear_solve(system, F, opts):
-    free = system.free
-    fscale = max(float(np.linalg.norm(F[free])), 1e-300)
+def _nonlinear_solve(system, load, opts):
+    """Restricts the nodal load once and embeds the solution once."""
+    K, F = system.matrix, np.asarray(load)[system.free]
+    fscale = max(float(np.linalg.norm(F)), 1e-300)
     krylov_start = system.krylov_iters
     contraction = []
 
     def result(u, method, picard_iters, newton_iters, res):
         # read after the first solve, which builds the system's backend
-        return u, {"method": method, "backend": system.backend,
-                   "picard_iters": picard_iters, "newton_iters": newton_iters,
-                   "linear_iters": system.krylov_iters - krylov_start,
-                   "residual": res, "contraction": contraction}
+        return system.nodal(u), {
+            "method": method, "backend": system.backend,
+            "picard_iters": picard_iters, "newton_iters": newton_iters,
+            "linear_iters": system.krylov_iters - krylov_start,
+            "residual": res, "contraction": contraction}
 
     if system.nbc.is_zero:
         u = fem.solve_linear(system, F, tol=LINEAR_TOL)
-        res = float(np.linalg.norm((system.matrix @ u - F)[free])) / fscale
-        return result(u, "linear", 0, 0, res)
+        return result(u, "linear", 0, 0, float(np.linalg.norm(K @ u - F)) / fscale)
 
     def residual(u):
-        """(relative norm of G on the free dofs, G = K u + r_b - F, r_b)"""
+        """(relative norm of G, G = K u + r_b - F, r_b)"""
         r_b = fem.boundary_residual(system, u)
-        G = system.matrix @ u + r_b - F
-        return float(np.linalg.norm(G[free])) / fscale, G, r_b
+        G = K @ u + r_b - F
+        return float(np.linalg.norm(G)) / fscale, G, r_b
 
     if opts.initial is None:
         u = fem.solve_linear(system, F, tol=LINEAR_TOL)
     else:
-        u = np.array(opts.initial, copy=True)
-        u[system.dirichlet_mask] = 0.0
-    theta = DAMPING
+        u = np.asarray(opts.initial)[system.free]
     prev_step = None
     prev_res = math.inf
-    grow_count = 0
-    picard_iters = 0
-    switched = False
+    accepted = None  # (res, G, r_b) at u when evaluated already
 
-    for it in range(1, PICARD_MAX_ITER + 1):
-        picard_iters = it
-        res, _, r_b = residual(u)
+    for picard_iters in range(1, PICARD_MAX_ITER + 1):
+        res, G, r_b = residual(u)
         if res <= opts.picard_tol:
-            return result(u, "picard", it, 0, res)
-        if res > prev_res * 1.0001:
-            grow_count += 1
-            if grow_count >= 2:
-                theta *= 0.5
-                grow_count = 0
-                if theta < 1.0 / 16.0:
-                    raise PicardDivergenceError(
-                        f"Picard residual growing at damping {theta:.3g}; "
-                        "lam is likely too close to the solvability threshold"
-                    )
+            return result(u, "picard", picard_iters, 0, res)
+        if res > 0.5 * prev_res:
+            # Picard stopped contracting: Newton takes over from u, as it
+            # does after the last sweep
+            accepted = res, G, r_b
+            break
         prev_res = res
-        u_lin = fem.solve_linear(system, F - r_b, tol=LINEAR_TOL)
-        step = u_lin - u
-        snorm_ = float(np.linalg.norm(step[free]))
+        step = fem.solve_linear(system, F - r_b, tol=LINEAR_TOL) - u
+        snorm_ = float(np.linalg.norm(step))
         if prev_step is not None and prev_step > 0:
             contraction.append(snorm_ / prev_step)
         prev_step = snorm_
-        u = u + theta * step
-        if snorm_ <= NEWTON_SWITCH * max(float(np.linalg.norm(u[free])), 1.0):
-            switched = True
+        u = u + step
+        if snorm_ <= NEWTON_SWITCH * max(float(np.linalg.norm(u)), 1.0):
             break
 
-    if not switched:
-        res = residual(u)[0]
-        if res > opts.picard_tol:
-            raise NoConvergenceError(
-                f"Picard stalled at relative residual {res:.3e} "
-                f"after {PICARD_MAX_ITER} iterations"
-            )
-        return result(u, "picard", picard_iters, 0, res)
-
     newton_iters = 0
-    accepted = None  # the residual of the line-search trial that became u
     for it in range(1, NEWTON_MAX_ITER + 1):
         res, G, _ = accepted or residual(u)
         if res <= opts.picard_tol:

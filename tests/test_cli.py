@@ -221,6 +221,22 @@ def test_study_rejects_what_validate_rejects_on_ellipticity(tmp_path, capsys,
     assert not meshed
 
 
+def test_study_and_validate_refuse_a_u0_grid_without_free_dofs(tmp_path, capsys,
+                                                               monkeypatch):
+    # at h_factor 20 the first u0 grid of eps = 1/4 is the box's 4 corners
+    cfg = _write(tmp_path, {"theorem": "T1a", "eps_list": [0.25, 0.125],
+                            "h_factor": 20.0, "u0_refine_cap": 0})
+    assert cli.main(["validate", "--config", cfg]) == 1
+    refused = capsys.readouterr().err
+    assert refused.startswith("error: h_factor=20 ")
+    meshed = []
+    monkeypatch.setattr(meshing, "mesh_perforated",
+                        lambda *args, **kwargs: meshed.append(args))
+    assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == refused
+    assert not meshed
+
+
 @pytest.mark.parametrize("command", ["snorm", "corrector", "mesh", "validate"])
 def test_jobs_is_a_study_option(tmp_path, capsys, command):
     cfg = _write(tmp_path, {"eps_list": [1 / 8]})

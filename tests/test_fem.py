@@ -8,7 +8,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from perfhom import fem, geometry, meshing
-from perfhom.errors import NoConvergenceError, NonEllipticCoefficientsError
+from perfhom.errors import (
+    NoConvergenceError,
+    NonEllipticCoefficientsError,
+    PerfhomError,
+)
 
 from _oracles import (
     assembly_dense,
@@ -24,6 +28,11 @@ def _box(h):
 
 def _exact(x):
     return np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+
+
+def _nodal_solve(sysm, load, **kw):
+    """fem.solve_linear of the nodal load on the free dofs, embedded."""
+    return sysm.nodal(fem.solve_linear(sysm, load[sysm.free], **kw))
 
 
 def test_stiffness_kills_constants():
@@ -69,12 +78,13 @@ def test_assembled_matrix_matches_dense_oracle(dim, h, case, lam, dirichlet):
     m = meshing.mesh_box(np.zeros(dim), np.ones(dim), h)
     coeffs = fem.CoefficientSet(dim=dim, **_ORACLE_CASES[case])
     sysm = fem.assemble(m, coeffs, dirichlet=dirichlet, lam=lam)
-    want = assembly_dense(m, coeffs, lam, fem.cell_quadrature(dim))
+    f = sysm.free
+    want = assembly_dense(m, coeffs, lam, fem.cell_quadrature(dim))[np.ix_(f, f)]
     got = sysm.matrix.toarray()
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     outer = np.unique(m.facets[m.facet_mask("outer")])
-    assert sorted(np.where(sysm.dirichlet_mask)[0]) == (
-        sorted(outer) if dirichlet else [])
+    fixed = np.setdiff1d(np.arange(m.n_vertices), f)
+    assert fixed.tolist() == (sorted(outer) if dirichlet else [])
 
 
 def _assert_same_csr(got, want):
@@ -96,12 +106,55 @@ def test_blocked_kernels_match_unblocked_bit_for_bit(monkeypatch, dim, h):
     def f(x):
         return np.exp(x[:, 0]) * (1.0 - 0.4j) + x[:, -1] ** 2
 
-    sysm = fem.assemble(m, coeffs, lam=-0.75)
+    sysm = fem.assemble(m, coeffs, lam=-0.75, dirichlet=None)
     _assert_same_csr(sysm.matrix, matrix_unblocked(m, coeffs, -0.75))
     for load in (f, 2.5):
         np.testing.assert_array_equal(fem.load_vector(m, load),
                                       load_vector_unblocked(m, load))
     assert fem.l2_of_function(m, f) == l2_of_function_unblocked(m, f)
+
+
+def _strip_ends(mids):
+    return np.abs(mids[:, 0] - 0.5) > 0.5 - 1e-12
+
+
+@pytest.mark.parametrize("dirichlet", ["outer", _strip_ends, None])
+def test_system_matrix_is_the_free_restriction(monkeypatch, dirichlet):
+    # the system keeps K on the free dofs only, bit for bit the restriction
+    # of the full assembly, and K itself (no copy) when no node is fixed
+    m = _box(1 / 8)
+    coeffs = fem.CoefficientSet(dim=2, **_ORACLE_CASES[
+        "callable-matrix-constant-drift-complex-reaction"])
+    built, real = [], fem._assemble_matrix
+    monkeypatch.setattr(fem, "_assemble_matrix",
+                        lambda *a: built.append(real(*a)) or built[-1])
+    sysm = fem.assemble(m, coeffs, dirichlet=dirichlet, lam=-0.75)
+    f = sysm.free
+    full = matrix_unblocked(m, coeffs, -0.75)
+    _assert_same_csr(sysm.matrix, full[f][:, f])
+    assert (sysm.matrix is built[0]) == (dirichlet is None)
+    assert (len(f) < m.n_vertices) == (dirichlet is not None)
+    np.testing.assert_array_equal(sysm.free_index[f], np.arange(len(f)))
+    assert np.all(np.delete(sysm.free_index, f) == -1)
+
+
+def test_a_system_without_free_dofs_is_refused():
+    # a 2 x 2 grid has no interior node
+    m = meshing.mesh_box((0.0, 0.0), (1.0, 1.0), 1.0)
+    with pytest.raises(PerfhomError, match="no free dof"):
+        fem.assemble(m, fem.CoefficientSet(dim=2))
+    assert len(fem.assemble(m, fem.CoefficientSet(dim=2), dirichlet=None).free) == 4
+
+
+def test_free_dof_entry_points_refuse_nodal_vectors():
+    m = _box(0.25)
+    sysm = fem.assemble(m, fem.CoefficientSet(dim=2),
+                        boundary=("outer", fem.NonlinearBC("linear", sigma=1.0)))
+    nodal, n = np.ones(m.n_vertices), len(sysm.free)
+    assert n < m.n_vertices
+    for fn in (fem.solve_linear, fem.boundary_residual, fem.boundary_nonlinear):
+        with pytest.raises(ValueError, match=rf"\({m.n_vertices},\).* {n} free dofs"):
+            fn(sysm, nodal)
 
 
 def test_assembly_peak_memory_per_simplex():
@@ -163,7 +216,7 @@ def test_dirichlet_poisson_rates():
     for h in (1 / 8, 1 / 16, 1 / 32):
         m = _box(h)
         sysm = fem.assemble(m, fem.CoefficientSet(dim=2))
-        u = fem.solve_linear(
+        u = _nodal_solve(
             sysm, fem.load_vector(m, lambda x: 2 * np.pi**2 * _exact(x)))
         l2, sem, _ = fem.norms(m, u - _exact(m.vertices))
         errs.append((l2, sem))
@@ -188,7 +241,7 @@ def test_drift_reaction_rates_and_nonhermitian():
     for h in (1 / 8, 1 / 16, 1 / 32):
         m = _box(h)
         sysm = fem.assemble(m, coeffs)
-        u = fem.solve_linear(sysm, fem.load_vector(m, f))
+        u = _nodal_solve(sysm, fem.load_vector(m, f))
         errs.append(fem.norms(m, u - _exact(m.vertices))[0])
     assert not fem.assemble(_box(0.25), coeffs).is_hermitian()
     slopes = np.log2(np.asarray(errs[:-1]) / np.asarray(errs[1:]))
@@ -199,7 +252,7 @@ def test_complex_reaction_gives_complex_solution():
     m = _box(1 / 16)
     coeffs = fem.CoefficientSet(dim=2, reaction=2.0 + 1.0j)
     sysm = fem.assemble(m, coeffs)
-    u = fem.solve_linear(sysm, fem.load_vector(m, lambda x: 2 * np.pi**2 * _exact(x)))
+    u = _nodal_solve(sysm, fem.load_vector(m, lambda x: 2 * np.pi**2 * _exact(x)))
     assert np.iscomplexobj(u)
     assert np.abs(u.imag).max() > 1e-4
     # separable data: exact solution is a complex multiple of the eigenmode
@@ -216,7 +269,7 @@ def test_nodal_solution_on_membrane_strip():
     for h in (1 / 16, 1 / 32):
         m = meshing.mesh_box((0.0, 0.0), (1.0, 0.25), h)
         sysm = fem.assemble(m, fem.CoefficientSet(dim=2), dirichlet=onlyx)
-        u = fem.solve_linear(sysm, fem.load_vector(m, 1.0))
+        u = _nodal_solve(sysm, fem.load_vector(m, 1.0))
         exact = m.vertices[:, 0] * (1.0 - m.vertices[:, 0]) / 2.0
         worst.append(np.abs(u - exact).max())
         assert worst[-1] < h * h
@@ -226,7 +279,7 @@ def test_nodal_solution_on_membrane_strip():
 def test_solve_linear_zero_rhs_is_zero():
     m = _box(0.25)
     sysm = fem.assemble(m, fem.CoefficientSet(dim=2))
-    u = fem.solve_linear(sysm, np.zeros(m.n_vertices))
+    u = fem.solve_linear(sysm, np.zeros(len(sysm.free)))
     assert np.all(u == 0.0)
 
 
@@ -234,7 +287,7 @@ def test_2d_systems_factor_unblocked(monkeypatch):
     lay = geometry.make_layout("periodic", {}, 1 / 32)
     sysm = fem.assemble(meshing.mesh_perforated(lay, 0.02),
                         fem.CoefficientSet(dim=2))
-    K, b = sysm.reduced_matrix(), np.ones(len(sysm.free))
+    K, b = sysm.matrix, np.ones(len(sysm.free))
     blocked = fem.sparse_lu(K, True)
     seen, real = [], spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: seen.append(
@@ -255,18 +308,20 @@ def test_solve_linear_iteration_cap():
         sysm = fem.assemble(m, fem.CoefficientSet(dim=3, drift=drift))
         assert sysm.backend == backend
         with pytest.raises(NoConvergenceError):
-            fem.solve_linear(sysm, fem.load_vector(m, 1.0), tol=1e-14, maxiter=1)
+            _nodal_solve(sysm, fem.load_vector(m, 1.0), tol=1e-14, maxiter=1)
 
 
 def _facet_jacobian(sigma, u):
     """A 2D box system, Dirichlet on x = 0 only, the boundary Jacobian of a
     saturating nonlinearity on its outer facets at the state u(x), and the
-    load of _exact."""
+    load of _exact, both on the free dofs."""
     m = _box(1 / 16)
     sysm = fem.assemble(m, fem.CoefficientSet(dim=2),
                         dirichlet=lambda mids: mids[:, 0] < 1e-12,
                         boundary=("outer", fem.NonlinearBC("saturating", sigma=sigma)))
-    return sysm, fem.boundary_nonlinear(sysm, u(m.vertices)), fem.load_vector(m, _exact)
+    f = sysm.free
+    return (sysm, fem.boundary_nonlinear(sysm, u(m.vertices[f])),
+            fem.load_vector(m, _exact)[f])
 
 
 def test_perturbed_solve_iteration_cap():
@@ -281,12 +336,13 @@ def test_real_state_tangent_is_the_restricted_symmetric_sum():
     # masses' sum, bit for bit, and symmetric, so no solve checks for it
     sysm, jac, load = _facet_jacobian(2.0, _exact)
     assert jac.B is None
-    cache, x, uq = fem._facet_state(sysm, _exact(sysm.mesh.vertices))
+    f = sysm.free
+    _, x, uq = fem._facet_state(sysm, _exact(sysm.mesh.vertices[f]))
     Aq, Bq = (z.reshape(uq.shape) for z in sysm.nbc.wirtinger(x, uq.ravel()))
     assert np.abs(Bq).max() > 0
     full = (sysm.mesh.n_vertices,) * 2
-    f = sysm.free
-    want = (cache.mass(full, Aq) + cache.mass(full, Bq))[f][:, f]
+    nodal = fem.build_facet_cache(sysm.mesh, "outer")
+    want = (nodal.mass(full, Aq) + nodal.mass(full, Bq))[f][:, f]
     for got, ref in ((jac.A, want), (jac.A, jac.A.T.tocsr())):
         np.testing.assert_array_equal(got.indptr, ref.indptr)
         np.testing.assert_array_equal(got.indices, ref.indices)
@@ -302,13 +358,13 @@ def test_conjugate_term_matches_split_real_direct_solve():
     x = fem.solve_linear(sysm, rhs, tol=1e-12, jacobian=jac)
     assert 0 < sysm.krylov_iters <= 10
     # (K + A) x + B conj(x) = b on the free dofs, as a real 2n system
-    f = sysm.free
-    M = sysm.reduced_matrix() + jac.A
+    n = len(sysm.free)
+    M = sysm.matrix + jac.A
     B = jac.B
     big = sp.bmat([[M.real + B.real, -M.imag + B.imag],
                    [M.imag + B.imag, M.real - B.real]]).tocsc()
-    y = spla.spsolve(big, np.concatenate([rhs[f].real, rhs[f].imag]))
-    assert np.abs(x[f] - (y[:len(f)] + 1j * y[len(f):])).max() < 1e-10
+    y = spla.spsolve(big, np.concatenate([rhs.real, rhs.imag]))
+    assert np.abs(x - (y[:n] + 1j * y[n:])).max() < 1e-10
 
 
 def test_ellipticity_validation():
@@ -378,8 +434,8 @@ def test_boundary_residual_zero_and_linear():
     def system(nbc):
         return fem.assemble(m, fem.CoefficientSet(dim=2), boundary=("cavity", nbc))
 
-    u = np.ones(m.n_vertices)
     sys0 = system(fem.NonlinearBC("zero"))
+    u = np.ones(len(sys0.free))
     r0, j0 = fem.boundary_residual(sys0, u), fem.boundary_nonlinear(sys0, u)
     assert np.all(r0 == 0.0)
     assert j0.A.nnz == 0 or np.abs(j0.A.data).max() == 0.0
@@ -390,11 +446,10 @@ def test_boundary_residual_zero_and_linear():
     total = m.facet_measures(m.facet_mask("cavity")).sum()
     # v^H r = s (u, v) on the cavity walls; test with v = 1
     assert r.sum() == pytest.approx(s * total, rel=1e-12)
-    # for linear a the Jacobian applied to u reproduces the residual, which
-    # vanishes on the Dirichlet dofs the Jacobian leaves out
-    f = sysm.free
-    assert not r[sysm.dirichlet_mask].any()
-    assert np.abs(jac.apply(u[f]) - r[f]).max() < 1e-12
+    # for linear a the Jacobian applied to u reproduces the residual; both
+    # live on the free dofs
+    assert r.shape == u.shape
+    assert np.abs(jac.apply(u) - r).max() < 1e-12
 
 
 def test_boundary_jacobian_matches_finite_differences():
@@ -403,13 +458,14 @@ def test_boundary_jacobian_matches_finite_differences():
     nbc = fem.NonlinearBC("saturating", sigma=2.0)
     sysm = fem.assemble(m, fem.CoefficientSet(dim=2), boundary=("cavity", nbc))
     rng = np.random.default_rng(3)
-    u = rng.standard_normal(m.n_vertices) + 1j * rng.standard_normal(m.n_vertices)
-    du = rng.standard_normal(m.n_vertices) + 1j * rng.standard_normal(m.n_vertices)
+    n = len(sysm.free)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    du = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     r0, jac = fem.boundary_residual(sysm, u), fem.boundary_nonlinear(sysm, u)
     t = 1e-6
     r1 = fem.boundary_residual(sysm, u + t * du)
-    fd = ((r1 - r0) / t)[sysm.free]
-    lin = jac.apply(du[sysm.free])
+    fd = (r1 - r0) / t
+    lin = jac.apply(du)
     denom = np.abs(lin).max()
     assert np.abs(fd - lin).max() <= 1e-5 * max(denom, 1.0)
 

@@ -98,6 +98,44 @@ def test_config_errors_name_the_key(key, value):
         harness.StudyConfig.from_dict({"theorem": "T1a", key: value})
 
 
+_THIN = {"domain": [[0.0, -0.1], [1.0, 0.1]]}
+
+
+@pytest.mark.parametrize("theorem, h_factor, layout_params, ok", [
+    ("T1a", 20.0, {}, False),
+    ("T2", 20.0, {}, False),
+    # h0 = 0.625 leaves one interior grid line on each unit axis, h0 = 0.75
+    # none
+    ("T1a", 5.0, {}, True),
+    ("T1a", 6.0, {}, False),
+    # the thin box's normal axis has no interior line at h0 = 0.625, but a
+    # delta limit's u0 grid splits it at s0
+    ("T1a", 5.0, _THIN, False),
+    ("T2", 5.0, _THIN, True),
+])
+def test_first_u0_grid_needs_an_interior_node(theorem, h_factor, layout_params, ok):
+    doc = {"theorem": theorem, "eps_list": [0.25, 0.125], "h_factor": h_factor,
+           "layout_params": layout_params}
+    if ok:
+        assert harness.StudyConfig.from_dict(doc).h_factor == h_factor
+    else:
+        with pytest.raises(harness.ConfigError, match="h_factor"):
+            harness.StudyConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("kind, sigma", [("saturating", 8.0),
+                                         ("saturating", 100.0),
+                                         ("linear", 100.0)])
+def test_stiff_monotone_studies_complete(kind, sigma):
+    # Picard stops contracting on these and Newton takes over its iterate
+    rep = harness.run_study(harness.StudyConfig(
+        theorem="T2", nbc_kind=kind, nbc_sigma=sigma, eps_list=(1 / 4, 1 / 8)))
+    assert [r["eps"] for r in rep.rows] == [1 / 4, 1 / 8]
+    for r in rep.rows:
+        assert r["solver"]["newton_iters"] > 0
+        assert r["solver"]["residual"] <= 1e-9
+
+
 @pytest.mark.parametrize("shapes", [
     5, [{"family": "ball"}], [{"family": "ball", "params": {"radius": 0.1}}] * 2,
 ])

@@ -99,8 +99,8 @@ def test_linear_bc_agrees_with_one_shot_solve():
         system = fem.assemble(
             m, coeffs, dirichlet=_ends, lam=-1.0,
             boundary=("interface", fem.NonlinearBC("linear", sigma=sigma)), weight=a0)
-        jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices))
-        direct = _reduced_spsolve(system, system.reduced_matrix() + jac.A,
+        jac = fem.boundary_nonlinear(system, np.zeros(len(system.free)))
+        direct = _reduced_spsolve(system, system.matrix + jac.A,
                                   fem.load_vector(m, _one))
         assert np.abs(u.values - direct).max() < 1e-8
 
@@ -156,9 +156,8 @@ def test_one_factorization_per_system(monkeypatch):
     assert sum(cg) == u.info["linear_iters"]
 
 
-def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
-    lay = geometry.make_layout("periodic", {}, 1 / 8)
-    m = meshing.mesh_perforated(lay, 0.06)
+def _residual_states(monkeypatch):
+    """Record the state of every fem.boundary_residual call."""
     states, original = [], fem.boundary_residual
 
     def spy(system, u):
@@ -166,12 +165,46 @@ def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
         return original(system, u)
 
     monkeypatch.setattr(fem, "boundary_residual", spy)
+    return states
+
+
+def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    m = meshing.mesh_perforated(lay, 0.06)
+    states = _residual_states(monkeypatch)
     u = solvers.solve_perforated(
         m, IDENT, fem.NonlinearBC("saturating", sigma=2.0), _one)
     assert u.info["newton_iters"] > 0
     # the line search's accepted trial is the next state, and its residual
     # is not evaluated a second time
     assert not any(np.array_equal(a, b) for a, b in zip(states, states[1:]))
+
+
+def test_newton_takes_over_when_picard_stops_contracting(monkeypatch):
+    # at sigma = 8 the first Picard step cuts the residual by less than
+    # half: Newton goes on from that iterate, line search included
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    m = meshing.mesh_perforated(lay, 0.06)
+    states = _residual_states(monkeypatch)
+    u = solvers.solve_perforated(
+        m, IDENT, fem.NonlinearBC("saturating", sigma=8.0), _one)
+    assert u.info["method"] == "picard+newton"
+    assert u.info["picard_iters"] == 2 and u.info["contraction"] == []
+    assert u.info["newton_iters"] > 0 and u.info["residual"] <= 1e-9
+    # Newton's first residual is the one Picard handed over
+    assert not any(np.array_equal(a, b) for a, b in zip(states, states[1:]))
+
+
+@pytest.mark.parametrize("nbc", [fem.NonlinearBC("zero"),
+                                 fem.NonlinearBC("saturating", sigma=2.0)])
+def test_solve_assembled_is_exactly_zero_on_dirichlet_nodes(nbc):
+    m = _strip(1 / 16)
+    system = fem.assemble(m, IDENT, dirichlet=_ends, lam=-1.0,
+                          boundary=("interface", nbc), weight=1.0)
+    u, _ = solvers.solve_assembled(system, fem.load_vector(m, _one))
+    fixed = np.setdiff1d(np.arange(m.n_vertices), system.free)
+    assert len(u) == m.n_vertices and len(fixed) > 0
+    assert np.all(u[fixed] == 0.0) and np.all(u[system.free] != 0.0)
 
 
 def test_nonhermitian_newton_step_runs_bicgstab(monkeypatch):
@@ -188,8 +221,8 @@ def test_nonhermitian_newton_step_runs_bicgstab(monkeypatch):
     system = fem.assemble(m, coeffs, dirichlet=_ends, lam=u.info["lam"],
                           boundary=("interface", nbc), weight=1.0)
     assert not system.is_hermitian()
-    jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices))
-    direct = _reduced_spsolve(system, system.reduced_matrix() + jac.A,
+    jac = fem.boundary_nonlinear(system, np.zeros(len(system.free)))
+    direct = _reduced_spsolve(system, system.matrix + jac.A,
                               fem.load_vector(m, _one))
     assert np.abs(u.values - direct).max() < 1e-8
 
@@ -282,9 +315,8 @@ def test_complex_sigma_transmission(monkeypatch):
     system = fem.assemble(
         m, IDENT, dirichlet=_ends, lam=u.info["lam"],
         boundary=("interface", fem.NonlinearBC("linear", sigma=sigma)), weight=1.0)
-    jac = fem.boundary_nonlinear(system, np.zeros(m.n_vertices, dtype=complex))
-    direct = _reduced_spsolve(system,
-                              system.reduced_matrix().astype(complex) + jac.A,
+    jac = fem.boundary_nonlinear(system, np.zeros(len(system.free), dtype=complex))
+    direct = _reduced_spsolve(system, system.matrix.astype(complex) + jac.A,
                               fem.load_vector(m, _one))
     assert np.abs(u.values - direct).max() < 1e-7
 
