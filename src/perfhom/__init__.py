@@ -32,13 +32,12 @@ from .fem import (
 )
 from .alpha import (
     SurfaceDensity,
-    alpha0_lattice,
     alpha0_mean,
     density_count,
     surface_density,
 )
 from .snorm import build_slab, kappa, kappa_table, s_norm, slab_for_layout
-from .corrector import cell_beta, fourier_corrector, mu_table, residual_components
+from .corrector import cell_beta, fourier_corrector, mu_table
 from .solvers import (
     SolveOptions,
     solve_homogenized_delta,
@@ -58,10 +57,10 @@ __all__ = [
     "Mesh", "mesh_box", "mesh_interface", "mesh_perforated", "mesh_slab",
     "CoefficientSet", "DiscreteField", "NonlinearBC", "assemble",
     "estimate_lambda0", "norms",
-    "SurfaceDensity", "alpha0_lattice", "alpha0_mean", "density_count",
+    "SurfaceDensity", "alpha0_mean", "density_count",
     "surface_density",
     "build_slab", "kappa", "kappa_table", "s_norm", "slab_for_layout",
-    "cell_beta", "fourier_corrector", "mu_table", "residual_components",
+    "cell_beta", "fourier_corrector", "mu_table",
     "SolveOptions", "solve_homogenized_delta", "solve_homogenized_plain",
     "solve_perforated",
     "RateReport", "StudyConfig", "emit_report", "fit_rate", "run_study",

@@ -113,11 +113,14 @@ class SurfaceDensity:
         hits = self._tree.query_ball_point(cent, 2.0 * self.support)
         return max(len(h) for h in hits)
 
+    def masses(self):
+        """Exact integral of each cavity's bump: (eps*eta)^(n-1) |bd omega_k|."""
+        n = self.layout.dim
+        return self.layout.cavity_scale ** (n - 1) * self.layout.boundary_measures()
+
     def mass(self):
         """Exact integral over S of alpha_eps, assuming supports inside S."""
-        n = self.layout.dim
-        scale = self.layout.cavity_scale
-        return float((scale ** (n - 1) * self.layout.boundary_measures()).sum())
+        return float(self.masses().sum())
 
     def mean(self):
         """Average of alpha_eps over the interface S cut by the box."""
@@ -145,18 +148,9 @@ def surface_density(layout):
     return SurfaceDensity(layout, moll, coefs, layout.eps * R2)
 
 
-def alpha0_lattice(shape, eta, cell, dim=2):
-    """Homogenized constant for an eps-periodic lattice.
-
-    cell: tangential periods of the lattice in units of eps (product is the
-    tangential cell area of the rescaled period box).
-    """
-    area = float(np.prod(np.asarray(cell, dtype=float)))
-    return eta ** (dim - 1) * shape.boundary_measure(dim) / area
-
-
 def alpha0_mean(layout):
-    """Box average of alpha_eps; equals alpha0_lattice for full lattices."""
+    """Box average of alpha_eps; for a lattice that fills the box, its cell
+    mean (corrector.cell_beta)."""
     return surface_density(layout).mean()
 
 

@@ -89,7 +89,7 @@ def _finite_or_none(x):
     return None if x is None else _inside(-math.inf, math.inf)(x)
 
 
-def _kappa_rows(doc, args, out_csv=None):
+def _kappa_rows(doc, args):
     """kappa(eps) of a snorm config; corrector calibrates on the same rows."""
     seed = args.seed if args.seed is not None else \
         _value(doc, "seed", 0, geometry._count)
@@ -98,7 +98,7 @@ def _kappa_rows(doc, args, out_csv=None):
         alpha0=_value(doc, "alpha0", None, _finite_or_none),
         points_per_bump=_value(doc, "points_per_bump", 8,
                                harness._int_in(1, math.inf)),
-        out_csv=out_csv, seed=seed)
+        seed=seed)
 
 
 def cmd_study(args):
@@ -137,7 +137,8 @@ def cmd_snorm(args):
     doc = _load_config(args.config)
     _known_keys(doc, _LAYOUT_KEYS, "config")
     os.makedirs(args.out, exist_ok=True)
-    rows = _kappa_rows(doc, args, out_csv=os.path.join(args.out, "kappa.csv"))
+    rows = _kappa_rows(doc, args)
+    harness.write_csv(os.path.join(args.out, "kappa.csv"), rows, ["eps", "kappa"])
     for r in rows:
         note = "  [stalled]" if r.get("stalled") else ""
         print(f"eps={r['eps']:.6g}  kappa={r['kappa']:.6e}  "
@@ -167,8 +168,11 @@ def cmd_corrector(args):
     if calibrate:
         kappas = [r["kappa"] for r in _kappa_rows(doc, args)]
     table, calibration = corrector_mod.mu_table(
-        eps_list, beta, modes=modes, tau0=layout.constants["tau0"], kappas=kappas,
-        out_csv=os.path.join(args.out, "mu.csv"))
+        eps_list, beta, modes=modes, tau0=layout.constants["tau0"], kappas=kappas)
+    cols = ["eps", "psi_sup", "lap_sup", "outer_flux", "s_mismatch", "mu"]
+    if calibrate:
+        cols.append("kappa")
+    harness.write_csv(os.path.join(args.out, "mu.csv"), table, cols)
     for r in table:
         line = f"eps={r['eps']:.6g}  mu={r['mu']:.6e}"
         if "kappa" in r:

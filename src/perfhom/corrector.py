@@ -39,33 +39,26 @@ class BetaField:
         return self.values.ndim
 
 
-def cell_beta(shape, eta, dim=2, cell=(1.0,), constants=None, n=256):
-    """Sample the one-bump cell density minus its mean on an n-point grid.
+def cell_beta(density, cell, n=256):
+    """Sample a lattice density minus its cell mean on an n-point grid.
 
-    The sampled mean of the smooth periodic bump agrees with the analytic
-    mean to spectral accuracy; the tiny residual is subtracted so that the
+    density: the layout's SurfaceDensity; cell: its tangential periods in
+    units of eps.  The grid covers one cell around the layout's first center,
+    which sits at the cell's middle.  alpha0 is that cavity's exact mass over
+    the cell area.  The sampled mean of the smooth periodic bump agrees with
+    alpha0 to spectral accuracy; the tiny residual is subtracted so that the
     zero Fourier mode vanishes identically, and a residual above 1e-7 of
-    alpha0 raises (the grid does not resolve the bump).  Relative to
-    alpha0, the verdict is the same for every eta.
+    alpha0 raises (the grid does not resolve the bump).  Relative to alpha0,
+    the verdict is the same for every eta.
     """
-    from .geometry import DEFAULT_CONSTANTS
-
-    constants = DEFAULT_CONSTANTS if constants is None else constants
-    R2 = constants["R2"]
+    layout = density.layout
     cell = tuple(float(c) for c in cell)
-    tdim = dim - 1
-    if len(cell) != tdim:
-        raise ValueError("cell must have dim-1 periods")
-    moll = alpha_mod.make_mollifier(dim)
-    coef = eta ** (dim - 1) * shape.boundary_measure(dim) / R2 ** (dim - 1)
-    axes = [np.arange(n) * (b / n) for b in cell]
-    if tdim == 1:
-        r = np.abs(axes[0] - cell[0] / 2.0)
-    else:
-        g = np.meshgrid(*axes, indexing="ij")
-        r = np.hypot(g[0] - cell[0] / 2.0, g[1] - cell[1] / 2.0)
-    vals = coef * moll(r / R2)
-    a0 = alpha_mod.alpha0_lattice(shape, eta, cell, dim)
+    grid = np.meshgrid(*[np.arange(n) * (b / n) - b / 2.0 for b in cell],
+                       indexing="ij")
+    offsets = np.column_stack([g.ravel() for g in grid])
+    center = layout.centers_tangential()[0]
+    vals = density.tangential(center + layout.eps * offsets).reshape(grid[0].shape)
+    a0 = float(density.masses()[0] / (layout.eps ** (layout.dim - 1) * np.prod(cell)))
     beta = vals - a0
     raw = float(beta.mean())
     if abs(raw) > 1e-7 * a0:
@@ -77,24 +70,15 @@ def cell_beta(shape, eta, dim=2, cell=(1.0,), constants=None, n=256):
 
 
 def cell_beta_from_layout(layout, n=256):
-    """Cell fluctuation for a lattice layout, using its shape and constants.
+    """Cell fluctuation of a lattice layout, sampled from its own density.
 
-    Assumes a single repeated shape; the tangential period is read off the
-    center spacing (exact for layouts built with the lattice generator).
+    The period along each tangential axis is the smallest gap between
+    distinct center coordinates, in units of eps (1.0 on an axis with one
+    coordinate), exact for layouts built with the lattice generator.
     """
-    cent = layout.centers_tangential()
-    if layout.dim == 2:
-        s = np.sort(cent[:, 0])
-        period = float(np.diff(s).min()) / layout.eps if len(s) > 1 else 1.0
-        cell = (period,)
-    else:
-        sx = np.unique(np.round(cent[:, 0] / layout.eps, 9))
-        sy = np.unique(np.round(cent[:, 1] / layout.eps, 9))
-        px = float(np.diff(sx).min()) if len(sx) > 1 else 1.0
-        py = float(np.diff(sy).min()) if len(sy) > 1 else 1.0
-        cell = (px, py)
-    return cell_beta(layout.shapes[0], layout.eta, dim=layout.dim,
-                     cell=cell, constants=layout.constants, n=n)
+    gaps = [np.diff(np.unique(c)) for c in layout.centers_tangential().T]
+    cell = [float(g.min()) / layout.eps if len(g) else 1.0 for g in gaps]
+    return cell_beta(alpha_mod.surface_density(layout), cell, n=n)
 
 
 @dataclass
@@ -107,6 +91,7 @@ class Corrector:
     kabs: np.ndarray         # |k_m|
     cell: tuple
     modes: int               # tangential truncation order per axis
+    tail: float              # sqrt(sum |beta_hat_m|^2/|k_m|) over the dropped m
 
     def evaluate(self, xi_t, xi_n):
         """Psi at tangential points xi_t (m, tdim) and heights xi_n (m,)."""
@@ -137,72 +122,32 @@ class Corrector:
         np.add.at(spec, tuple((self.mvecs % m).T), self.gamma)
         return float(np.abs(np.fft.ifftn(spec, norm="forward").real).max())
 
-    def harmonic_defect(self):
-        """sup |Laplacian Psi|, which is exactly 0.0.
-
-        Each mode e^{i k.xi_t} e^{-|k| xi_n} decays at the rate |k| of its
-        own tangential frequency, so every term of the truncated series is
-        harmonic.  Kept as the lap_sup entry of the mu budget.
-        """
-        return 0.0
-
     def flux_at_height(self, xi_n):
         """Bound sum_m |gamma_m| |k_m| e^{-|k_m| xi_n} for the outer defect."""
         return float(np.sum(np.abs(self.gamma) * self.kabs * np.exp(-self.kabs * xi_n)))
 
 
-def _fourier_modes(beta):
-    """Integer modes (N, tdim) of the cell grid and the coefficients
-    fftn(values)/size (N,) that go with them, both in FFT order."""
-    v = beta.values
-    ms = np.fft.fftfreq(v.shape[0], d=1.0 / v.shape[0]).astype(int)
-    grids = np.meshgrid(*[ms] * beta.tdim, indexing="ij")
-    modes = np.column_stack([g.ravel() for g in grids])
-    return modes, (np.fft.fftn(v) / v.size).ravel()
-
-
 def fourier_corrector(beta, modes=64):
-    """Corrector from a mean-zero cell field, keeping |m_i| <= modes."""
-    if modes >= beta.values.shape[0] // 2:
+    """Corrector from a mean-zero cell field, keeping |m_i| <= modes.
+
+    One FFT of the cell grid gives both gamma and the energy-type bound on
+    the discarded modes, sqrt(sum |beta_hat|^2/|k|), kept as the tail.
+    """
+    v = beta.values
+    if modes >= v.shape[0] // 2:
         raise ValueError("modes must stay below the grid Nyquist order")
-    mm, vhat = _fourier_modes(beta)
-    keep = (np.abs(mm) <= modes).all(axis=1) & mm.any(axis=1)
+    ms = np.fft.fftfreq(v.shape[0], d=1.0 / v.shape[0]).astype(int)
+    mm = np.column_stack([g.ravel() for g in np.meshgrid(*[ms] * v.ndim, indexing="ij")])
+    vhat = (np.fft.fftn(v) / v.size).ravel()
+    cell = np.asarray(beta.cell)[None, :]
+    low = (np.abs(mm) <= modes).all(axis=1)
+    ktail = 2.0 * math.pi * np.linalg.norm(mm[~low] / cell, axis=1)
+    tail = float(math.sqrt(np.sum(np.abs(vhat[~low]) ** 2 / ktail)))
+    keep = low & mm.any(axis=1)
     mvecs = mm[keep]
-    kvecs = 2.0 * math.pi * mvecs / np.asarray(beta.cell)[None, :]
+    kvecs = 2.0 * math.pi * mvecs / cell
     kabs = np.linalg.norm(kvecs, axis=1)
-    return Corrector(vhat[keep] / kabs, mvecs, kvecs, kabs, beta.cell, modes)
-
-
-def spectral_tail(beta, modes):
-    """Energy-type bound on the discarded modes: sqrt(sum |beta_hat|^2/|k|)."""
-    mm, vhat = _fourier_modes(beta)
-    sel = (np.abs(mm) > modes).any(axis=1)
-    if not sel.any():
-        return 0.0
-    kabs = 2.0 * math.pi * np.linalg.norm(mm[sel] / np.asarray(beta.cell)[None, :], axis=1)
-    return float(math.sqrt(np.sum(np.abs(vhat[sel]) ** 2 / kabs)))
-
-
-def residual_components(corr, beta, eps, tau0=1.0):
-    """The mu budget at scale eps for a corrector built from beta."""
-    return _residual_row(corr, eps, tau0, corr.sup_boundary(),
-                         spectral_tail(beta, corr.modes))
-
-
-def _residual_row(corr, eps, tau0, sup, tail):
-    """residual_components given the eps-independent sup|Psi| and tail."""
-    psi_sup = eps * sup
-    lap_sup = corr.harmonic_defect()
-    outer = corr.flux_at_height(tau0 / (2.0 * eps))
-    mu = psi_sup + lap_sup + outer + tail
-    return {
-        "eps": float(eps),
-        "psi_sup": psi_sup,
-        "lap_sup": lap_sup,
-        "outer_flux": outer,
-        "s_mismatch": tail,
-        "mu": mu,
-    }
+    return Corrector(vhat[keep] / kabs, mvecs, kvecs, kabs, beta.cell, modes, tail)
 
 
 def kappa_bound(mu, calibration):
@@ -215,18 +160,30 @@ def calibrate(kappa_measured, mu):
     return 2.0 * kappa_measured / math.sqrt(mu)
 
 
-def mu_table(eps_values, beta, modes=64, tau0=1.0, kappas=None, out_csv=None):
+def mu_table(eps_values, beta, modes=64, tau0=1.0, kappas=None):
     """Residual budget across eps; optionally row-wise certified bounds.
 
+    Rows carry eps, psi_sup, lap_sup, outer_flux, s_mismatch and mu.
     kappas: measured interface defects aligned with eps_values.  If given,
     the calibration constant is frozen from the first (coarsest) row and
-    returned with the rows (None without kappas).  Writes
-    'eps,psi_sup,lap_sup,outer_flux,s_mismatch,mu,kappa' when out_csv is
-    set (kappa column only with kappas).
+    returned with the rows (None without kappas).
     """
     corr = fourier_corrector(beta, modes=modes)
-    sup, tail = corr.sup_boundary(), spectral_tail(beta, corr.modes)
-    rows = [_residual_row(corr, e, tau0, sup, tail) for e in eps_values]
+    sup = corr.sup_boundary()
+    rows = []
+    for eps in eps_values:
+        psi_sup = eps * sup
+        outer = corr.flux_at_height(tau0 / (2.0 * eps))
+        rows.append({
+            "eps": float(eps),
+            "psi_sup": psi_sup,
+            # every kept mode e^{i k.xi_t} e^{-|k| xi_n} is harmonic, so the
+            # truncated series leaves no interior defect
+            "lap_sup": 0.0,
+            "outer_flux": outer,
+            "s_mismatch": corr.tail,
+            "mu": psi_sup + outer + corr.tail,
+        })
     calibration = None
     if kappas is not None:
         calibration = calibrate(kappas[0], rows[0]["mu"])
@@ -234,12 +191,4 @@ def mu_table(eps_values, beta, modes=64, tau0=1.0, kappas=None, out_csv=None):
             r["kappa"] = float(k)
             r["kappa_bound"] = kappa_bound(r["mu"], calibration)
             r["certified"] = r["kappa"] <= r["kappa_bound"] + 1e-12
-    if out_csv:
-        cols = ["eps", "psi_sup", "lap_sup", "outer_flux", "s_mismatch", "mu"]
-        if kappas is not None:
-            cols.append("kappa")
-        with open(out_csv, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in rows:
-                fh.write(",".join(repr(r[c]) for c in cols) + "\n")
     return rows, calibration

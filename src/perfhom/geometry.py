@@ -383,17 +383,23 @@ def _box(dim):
     return convert
 
 
-def _shape(v):
-    """Config converter to a Shape, from a Shape or its {family, params}."""
-    return v if isinstance(v, Shape) else Shape(**dict(v))
+def _shape(dim):
+    """Config converter to a Shape in dim dimensions, from a Shape or its
+    {family, params}."""
+    def convert(v):
+        shape = v if isinstance(v, Shape) else Shape(**dict(v))
+        if dim != 2 and shape.family == "star":
+            raise ValueError("star shapes are planar")
+        return shape
+    return convert
 
 
-def _shapes(n):
+def _shapes(n, dim):
     """Config converter to n Shapes: one shape for all, or a list of n."""
     def convert(v):
         if isinstance(v, Shape):
             return [v] * n
-        shapes = [_shape(s) for s in v]
+        shapes = [_shape(dim)(s) for s in v]
         if len(shapes) != n:
             raise ValueError(f"{len(shapes)} shapes for {n} centers")
         return shapes
@@ -449,7 +455,7 @@ def make_layout(kind, params, eps, eta_rule=1.0):
         raise ManifoldOutsideDomainError(
             f"s0={s0} outside normal extent ({lo[dim-1]}, {hi[dim-1]})"
         )
-    shape = value("shape", _default_shape(), _shape)
+    shape = value("shape", _default_shape(), _shape(dim))
 
     if kind == "periodic" or kind == "perturbed-periodic":
         periods = value("periods", (1.0,) * (dim - 1), _floats(dim - 1))
@@ -486,7 +492,8 @@ def make_layout(kind, params, eps, eta_rule=1.0):
             pj = value("perimeter_jitter", 0.0, float)
             if pj > 0.0:
                 if shape.family != "ball":
-                    raise ValueError("perimeter jitter supports ball shapes only")
+                    raise ConfigError(f"bad value for 'perimeter_jitter': {pj!r} "
+                                      f"(ball shapes only, not {shape.family!r})")
                 rho = float(shape.params["radius"])
                 base = shape.boundary_measure(dim)
                 scale = 1.0 + rng.uniform(-1.0, 1.0, len(centers)) * pj / base
@@ -496,14 +503,15 @@ def make_layout(kind, params, eps, eta_rule=1.0):
                     for s in scale
                 ]
     elif kind == "clustered":
+        if dim != 2:
+            raise ConfigError(f"bad value for 'layout_kind': 'clustered' "
+                              f"(built for dim=2 only, not dim={dim})")
         beta = value("beta", 0.25, float)
         cluster_period = value("cluster_period", 0.5, float)
         extent0 = value("extent0", 0.2, float)
         spacing = value("cluster_spacing", 0.6, float) * eps
         if spacing <= 2.0 * constants["b"] * constants["R2"] * eps:
             raise InfeasibleSpacingError("in-cluster spacing violates disjointness")
-        if dim != 2:
-            raise ValueError("clustered layouts are built for dim=2")
         extent = extent0 * eps ** beta
         c_lo, c_hi = lo[0], hi[0]
         cluster_centers = np.arange(c_lo + cluster_period / 2.0, c_hi, cluster_period)
@@ -517,7 +525,7 @@ def make_layout(kind, params, eps, eta_rule=1.0):
         shapes = [shape] * len(centers)
     elif kind == "explicit":
         centers = value("centers", None, _floats(-1, dim))
-        shapes = value("shapes", shape, _shapes(len(centers)))
+        shapes = value("shapes", shape, _shapes(len(centers), dim))
     else:
         raise ValueError(f"unknown layout kind {kind!r}")
 

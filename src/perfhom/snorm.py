@@ -271,10 +271,9 @@ def kappa(slab, density, alpha0=None, **kw):
     return s_norm(slab, lambda x: density.tangential(x[:, :-1]) - alpha0, **kw)
 
 
-def kappa_table(eps_values, layout_fn, alpha0=None, points_per_bump=8,
-                out_csv=None, seed=0):
-    """kappa(eps) of the mollified surface density over a family of layouts;
-    optionally writes 'eps,kappa' CSV.  layout_fn: eps -> PerforationLayout.
+def kappa_table(eps_values, layout_fn, alpha0=None, points_per_bump=8, seed=0):
+    """kappa(eps) of the mollified surface density over a family of layouts,
+    one row per eps.  layout_fn: eps -> PerforationLayout.
     """
     from . import alpha as alpha_mod
 
@@ -294,9 +293,4 @@ def kappa_table(eps_values, layout_fn, alpha0=None, points_per_bump=8,
         })
         log.info("kappa(eps=%g) = %g", eps, val)
         del slab  # frees its factorization before the next eps builds its slab
-    if out_csv:
-        with open(out_csv, "w") as fh:
-            fh.write("eps,kappa\n")
-            for r in rows:
-                fh.write(f"{r['eps']!r},{r['kappa']!r}\n")
     return rows

@@ -36,6 +36,10 @@ NEWTON_MAX_ITER = 30
 
 @dataclass
 class SolveOptions:
+    """Options of a nonlinear solve.  lam serves only the solve_* drivers,
+    which assemble at it; solve_assembled takes a system already assembled
+    at its lam and does not read it."""
+
     lam: float | None = None        # spectral shift; None -> lam0_hat - 1
     picard_tol: float = 1e-9        # relative nonlinear residual
     initial: object = None          # optional nodal initial guess

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from perfhom import alpha, geometry
+from perfhom import alpha, corrector, geometry
 from perfhom.errors import PointOffManifoldError
 
 from _oracles import density_loop
@@ -58,9 +58,9 @@ def test_density_mass_and_mean_lattice():
     # 8 bumps, each of mass (eps*eta)^(n-1) * 2*pi*rho, over |S| = 1
     assert dens.mass() == pytest.approx(2 * math.pi * 0.15, rel=1e-12)
     assert dens.mean() == pytest.approx(alpha.alpha0_mean(lay), rel=1e-12)
-    shape = lay.shapes[0]
+    # the lattice fills the box, so the box average is the cell mean
     assert dens.mean() == pytest.approx(
-        alpha.alpha0_lattice(shape, lay.eta, (1.0,)), rel=1e-12)
+        corrector.cell_beta_from_layout(lay).alpha0, rel=1e-12)
 
 
 def test_density_mean_is_eps_independent():
@@ -70,11 +70,12 @@ def test_density_mean_is_eps_independent():
 
 
 def test_alpha0_lattice_closed_forms():
-    shape = geometry.Shape("ball", {"radius": 0.15})
-    assert alpha.alpha0_lattice(shape, 1.0, (1.2,)) == pytest.approx(
+    wide = geometry.make_layout("periodic", {"periods": [1.2]}, 1 / 8)
+    assert corrector.cell_beta_from_layout(wide).alpha0 == pytest.approx(
         2 * math.pi * 0.15 / 1.2, rel=1e-12)
     # in 3d with eta = 1/2 the factor eta^2 turns 4 pi rho^2 into pi rho^2
-    assert alpha.alpha0_lattice(shape, 0.5, (1.0, 1.0), dim=3) == pytest.approx(
+    lay3 = geometry.make_layout("periodic", {"dim": 3}, 1 / 4, eta_rule=0.5)
+    assert corrector.cell_beta_from_layout(lay3, n=128).alpha0 == pytest.approx(
         math.pi * 0.15**2, rel=1e-5)
 
 

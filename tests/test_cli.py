@@ -168,7 +168,7 @@ def test_study_without_a_primary_slope_exits_1(tmp_path, capsys):
 
 def test_degenerate_study_exits_0(tmp_path, capsys):
     # zero data gives zero errors: nothing to fit and no rhs spread to check
-    cfg = _write(tmp_path, {"theorem": "T1a", "rhs_names": ["zero"] * 3,
+    cfg = _write(tmp_path, {"theorem": "T1a", "rhs_names": ["zero", "trig", "gauss"],
                             "eps_list": [1 / 8, 1 / 12, 1 / 16]})
     assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     out = capsys.readouterr().out
@@ -273,6 +273,34 @@ def test_explicit_shapes_mistake_is_named(tmp_path, capsys, shapes):
     assert err.startswith("error: ") and "'shapes'" in err
 
 
+_STAR = {"family": "star", "params": {"r0": 0.12, "r1": 0.02}}
+_ELLIPSE = {"family": "ellipse", "params": {"semi_axes": [0.15, 0.1]}}
+
+
+@pytest.mark.parametrize("layout_kind, layout_params, named", [
+    ("clustered", {}, "layout_kind"),
+    ("perturbed-periodic", {"perimeter_jitter": 0.1, "shape": _ELLIPSE},
+     "perimeter_jitter"),
+    ("periodic", {"shape": _STAR}, "shape"),
+    ("explicit", {"centers": [[0.5, 0.5, 0.0]], "shapes": [_STAR]}, "shapes"),
+])
+def test_layout_family_rules_are_clean_errors(tmp_path, capsys, layout_kind,
+                                              layout_params, named):
+    # each is a 3D study config but perimeter_jitter's, which any dim refuses
+    dim = 2 if named == "perimeter_jitter" else 3
+    cfg = _write(tmp_path, {"theorem": "T1a", "dim": dim, "eps_list": [0.25],
+                            "layout_kind": layout_kind,
+                            "layout_params": layout_params})
+    assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(named) in err
+    assert "Traceback" not in err
+    assert cli.main(["validate", "--config", cfg]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL")]
+    assert fails and all(repr(named) in line for line in fails)
+
+
 @pytest.mark.parametrize("command", ["snorm", "corrector"])
 def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     cfg = _write(tmp_path, {"eps_list": [1 / 8, 1 / 16], "eta_rule": "x"})
@@ -340,6 +368,16 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     ("mesh", {"mesh_kind": "interface", "h": 0.25, "eps": 0.125}, "eps"),
     ("mesh", {"eps": 0.125, "eps_list": [0.125]}, "eps_list"),
     ("mesh", {"mesh_kind": "disk", "h": 0.1}, "mesh_kind"),
+    # layout family rules
+    ("snorm", {"layout_kind": "clustered", "layout_params": {"dim": 3}},
+     "layout_kind"),
+    ("snorm", {"layout_kind": "perturbed-periodic",
+               "layout_params": {"perimeter_jitter": 0.1, "shape": _ELLIPSE}},
+     "perimeter_jitter"),
+    ("snorm", {"layout_params": {"dim": 3, "shape": _STAR}}, "shape"),
+    ("snorm", {"layout_kind": "explicit",
+               "layout_params": {"dim": 3, "centers": [[0.5, 0.5, 0.0]],
+                                 "shapes": [_STAR]}}, "shapes"),
 ])
 def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
                                                      extra, named):

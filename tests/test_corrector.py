@@ -1,10 +1,11 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from perfhom import corrector, geometry
+from perfhom import alpha, cli, corrector, geometry
 from perfhom.errors import NonzeroMeanError
 
 from _oracles import fit_slope, sup_boundary_dense
@@ -24,7 +25,8 @@ def test_single_mode_closed_form():
     assert np.abs(corr.evaluate(t, h) - want).max() < 1e-14
     assert np.abs(corr.normal_flux(t, 0.0) - np.cos(2 * np.pi * t[:, 0])).max() < 1e-14
     assert corr.sup_boundary() == pytest.approx(1 / (2 * np.pi), rel=1e-12)
-    assert corr.harmonic_defect() == 0.0
+    # one mode leaves nothing but rounding to discard
+    assert corr.tail < 1e-15
 
 
 def test_corrector_is_harmonic():
@@ -77,17 +79,33 @@ def test_cell_beta_coarse_grid_rejected():
         corrector.cell_beta_from_layout(lay, n=64)
 
 
+def _lattice_3d(eta):
+    return geometry.make_layout("periodic", {"dim": 3}, 1 / 4, eta_rule=eta)
+
+
 def test_cell_mean_check_is_relative_to_alpha0():
-    # the 3D cell's sampled mean is off by 5.04e-8 of alpha0 at n = 128
+    # the 3D cell's sampled mean is off by -5.04e-8 of alpha0 at n = 128
     # whatever eta scales the bump by, so the grid gets one verdict
-    shape = geometry.Shape("ball", {"radius": 0.15})
-    betas = [corrector.cell_beta(shape, eta, dim=3, cell=(1.0, 1.0), n=128)
-             for eta in (1.0, 0.5, 0.1)]
+    layouts = [_lattice_3d(eta) for eta in (1.0, 0.5, 0.1)]
+    betas = [corrector.cell_beta_from_layout(lay, n=128) for lay in layouts]
     rel = [b.raw_mean / b.alpha0 for b in betas]
     assert max(rel) == pytest.approx(min(rel), rel=1e-6)
-    for eta in (1.0, 0.5, 0.1):
+    assert max(rel) == pytest.approx(-5.04e-8, rel=1e-2)
+    for lay in layouts:
         with pytest.raises(NonzeroMeanError):
-            corrector.cell_beta(shape, eta, dim=3, cell=(1.0, 1.0), n=64)
+            corrector.cell_beta_from_layout(lay, n=64)
+
+
+def test_cell_of_a_wider_lattice_is_its_own_cavity_over_its_area():
+    # periods 1.2 drops a cavity at the wall, so the box average of the
+    # density reads low; the cell mean does not
+    lay = geometry.make_layout("periodic", {"periods": [1.2]}, 1 / 8)
+    b = corrector.cell_beta_from_layout(lay, n=256)
+    assert b.cell == pytest.approx((1.2,), rel=1e-14)
+    assert b.alpha0 == pytest.approx(2 * math.pi * 0.15 / 1.2, rel=1e-12)
+    assert abs(b.values.mean()) < 1e-15
+    assert abs(b.raw_mean) < 1e-8 * b.alpha0
+    assert alpha.alpha0_mean(lay) < 0.95 * b.alpha0
 
 
 def test_modes_above_nyquist_rejected():
@@ -98,13 +116,9 @@ def test_modes_above_nyquist_rejected():
 def test_spectral_tail_of_smooth_density_collapses():
     lay = geometry.make_layout("periodic", {}, 1 / 8)
     b = corrector.cell_beta_from_layout(lay, n=256)
-    t16 = corrector.spectral_tail(b, 16)
-    t32 = corrector.spectral_tail(b, 32)
-    t64 = corrector.spectral_tail(b, 64)
+    t16, t32, t64 = (corrector.fourier_corrector(b, m).tail for m in (16, 32, 64))
     assert t32 < t16 / 10
     assert t64 < t32 / 10
-    # past the Nyquist order nothing is left to discard
-    assert corrector.spectral_tail(b, 128) == 0.0
 
 
 def test_mu_budget_linear_in_eps():
@@ -133,21 +147,26 @@ def test_kappa_bound_scaling_and_calibration():
     assert corrector.kappa_bound(4 * 0.04, C) == pytest.approx(1.2)
 
 
-def test_mu_table_certifies_and_writes_csv(tmp_path):
+def test_mu_table_certifies_and_writes_csv(tmp_path, capsys):
     lay = geometry.make_layout("periodic", {}, 1 / 8)
     b = corrector.cell_beta_from_layout(lay, n=256)
     eps = [1 / 8, 1 / 16, 1 / 32]
     base, _ = corrector.mu_table(eps, b, modes=64)
     kappas = [math.sqrt(r["mu"]) for r in base]
-    out = tmp_path / "mu.csv"
-    rows, cal = corrector.mu_table(eps, b, modes=64, kappas=kappas, out_csv=out)
+    rows, cal = corrector.mu_table(eps, b, modes=64, kappas=kappas)
     assert cal == pytest.approx(2.0)
     assert all(r["certified"] for r in rows)
-    lines = out.read_text().strip().splitlines()
+    # the corrector subcommand writes the same table, calibrated on kappa(eps)
+    cfg = tmp_path / "cal.json"
+    cfg.write_text(json.dumps({"eps_list": eps, "calibrate": True}))
+    assert cli.main(["corrector", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "mu.csv").read_text().strip().splitlines()
     assert lines[0] == "eps,psi_sup,lap_sup,outer_flux,s_mismatch,mu,kappa"
     assert len(lines) == 4
     vals = [float(t) for t in lines[1].split(",")]
-    assert vals[0] == 0.125 and vals[5] == pytest.approx(rows[0]["mu"])
+    assert vals[:6] == [base[0][c] for c in ("eps", "psi_sup", "lap_sup",
+                                            "outer_flux", "s_mismatch", "mu")]
 
 
 def test_mu_table_computes_the_eps_independent_terms_once(monkeypatch):
@@ -155,23 +174,32 @@ def test_mu_table_computes_the_eps_independent_terms_once(monkeypatch):
     b = corrector.cell_beta_from_layout(lay, n=256)
     eps = [1 / 8, 1 / 16, 1 / 32]
     corr = corrector.fourier_corrector(b, modes=64)
-    want = [corrector.residual_components(corr, b, e) for e in eps]
-    sup, calls = corrector.Corrector.sup_boundary, []
+    sup = corr.sup_boundary()
+    want = [{"eps": e, "psi_sup": e * sup, "lap_sup": 0.0,
+             "outer_flux": corr.flux_at_height(1 / (2 * e)),
+             "s_mismatch": corr.tail,
+             "mu": e * sup + corr.flux_at_height(1 / (2 * e)) + corr.tail}
+            for e in eps]
+    calls = []
 
-    def spy(self, *args, **kw):
-        calls.append(1)
-        return sup(self, *args, **kw)
+    def spy(name, fn):
+        def counted(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        return counted
 
-    monkeypatch.setattr(corrector.Corrector, "sup_boundary", spy)
+    monkeypatch.setattr(corrector.Corrector, "sup_boundary",
+                        spy("sup", corrector.Corrector.sup_boundary))
+    monkeypatch.setattr(np.fft, "fftn", spy("fftn", np.fft.fftn))
     rows, _ = corrector.mu_table(eps, b, modes=64)
-    assert len(calls) == 1
+    # one FFT gives gamma and the tail, one sup serves every eps
+    assert sorted(calls) == ["fftn", "sup"]
     assert rows == want
 
 
 def test_two_tangential_dimensions():
-    shape = geometry.Shape("ball", {"radius": 0.15})
-    b = corrector.cell_beta(shape, 0.5, dim=3, cell=(1.0, 1.0), n=128)
-    assert b.tdim == 2
+    b = corrector.cell_beta_from_layout(_lattice_3d(0.5), n=128)
+    assert b.tdim == 2 and b.cell == (1.0, 1.0)
     corr = corrector.fourier_corrector(b, modes=16)
     g = np.meshgrid(np.arange(128) / 128, np.arange(128) / 128, indexing="ij")
     pts = np.column_stack([g[0].ravel(), g[1].ravel()])

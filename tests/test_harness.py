@@ -92,6 +92,8 @@ def test_config_dict_roundtrip():
     ("eta_rule", 1.5), ("eta_rule", ["power", -0.5]), ("layout_kind", "bogus"),
     ("h_factor", 0.0), ("refine_floor", -1.0), ("guard_tol", "x"),
     ("seed", "3"), ("vanish_near_s", 1),
+    # a repeat would solve one right-hand side twice and keep one entry
+    ("rhs_names", ["trig", "trig", "trig"]),
 ])
 def test_config_errors_name_the_key(key, value):
     with pytest.raises(harness.ConfigError, match=key):
@@ -443,7 +445,8 @@ def test_jobs_below_one_or_not_an_integer_is_a_config_error(pool_sizes, jobs):
 
 
 def test_zero_data_study_is_degenerate():
-    cfg = harness.StudyConfig(theorem="T1a", rhs_names=("zero", "zero", "zero"),
+    # the errors are those of the first right-hand side
+    cfg = harness.StudyConfig(theorem="T1a", rhs_names=("zero", "trig", "gauss"),
                               eps_list=(1 / 8, 1 / 12, 1 / 16), h_factor=0.75)
     rep = harness.run_study(cfg)
     assert rep.degenerate

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from perfhom import alpha, fem, geometry, meshing, snorm
+from perfhom import alpha, cli, fem, geometry, meshing, snorm
 from perfhom.errors import MeshingError
 
 from _oracles import (AssembledSlab, band_matrix, csr_band, extension_energy,
@@ -332,20 +333,22 @@ def test_stall_flag_and_warning(slab, caplog):
     assert 0 < val < snorm.s_norm(slab, w)
 
 
-def test_kappa_table_csv(tmp_path):
-    out = tmp_path / "kappa.csv"
+def test_kappa_table_csv(tmp_path, capsys):
     rows = snorm.kappa_table(
         (1 / 8, 1 / 16),
-        lambda eps: geometry.make_layout("periodic", {}, eps),
-        out_csv=out)
+        lambda eps: geometry.make_layout("periodic", {}, eps))
     assert len(rows) == 2
     assert {"eps", "kappa", "n_cavities", "trace_dofs", "stalled",
             "solves"} <= rows[0].keys()
-    lines = out.read_text().strip().splitlines()
+    # the snorm subcommand writes the table as kappa.csv
+    cfg = tmp_path / "snorm.json"
+    cfg.write_text(json.dumps({"eps_list": [1 / 8, 1 / 16]}))
+    assert cli.main(["snorm", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "kappa.csv").read_text().strip().splitlines()
     assert lines[0] == "eps,kappa"
     got = [tuple(float(t) for t in ln.split(",")) for ln in lines[1:]]
-    assert got[0][0] == 0.125 and got[1][0] == 0.0625
-    assert got[0][1] == pytest.approx(rows[0]["kappa"])
+    assert got == [(r["eps"], r["kappa"]) for r in rows]
 
 
 @pytest.fixture(scope="module")
