@@ -11,11 +11,14 @@ with complex L2 products conjugating the test slot.  Cell quadrature is
 degree 2, facet quadrature degree 3; both are exact for every P1 Gram
 quantity used here.
 
-assemble forms the operator K alone, in one sparse pass of the local blocks
+assemble forms the operator K in one sparse pass of the local blocks
 |T| (G A G^T + D + (A_0 - lam) M_ref) of the simplices T, with G the
 barycentric gradients, D the drift term and M_ref the mass matrix of T over
 |T| (a callable A_0 goes through the cell rule).  With A = I, A_0 = 1 and
-lam = 0, K is the H1 Gram matrix (h1_gram).  A load is a separate vector
+lam = 0, K is the H1 Gram matrix (h1_gram).  A system with a boundary term
+a(x, u) holds K + J_b(0), J_b(0) the term's Jacobian at u = 0, so that a
+linear term is all in its matrix and one factorization serves the chord
+sweeps of a nonlinear one (AssembledSystem).  A load is a separate vector
 (load_vector) that each solve takes.  The local blocks, and the cell
 quadrature of loads and L2 norms, are computed meshing.SIMPLEX_BLOCK
 simplices at a time (meshing.blockwise), so their temporaries do not grow
@@ -159,6 +162,11 @@ class NonlinearBC:
         return self.kind == "zero"
 
     @property
+    def is_linear(self):
+        """Whether a is linear in u, so that its slope at zero is all of it."""
+        return self.kind != "saturating"
+
+    @property
     def is_monotone(self):
         """Whether Re (a(u)-a(v)) conj(u-v) >= 0 holds pointwise.
 
@@ -279,8 +287,8 @@ def facet_cache(nodes, verts, weight=None):
 
 @dataclass
 class BoundaryJacobian:
-    """R-linear boundary Jacobian on the free dofs of its system:
-    J(du) = A du + B conj(du).  The saturating nonlinearity is not
+    """R-linear boundary Jacobian on the free dofs of its system, past
+    J_b(0) (boundary_nonlinear): J(du) = A du + B conj(du).  The saturating nonlinearity is not
     holomorphic, so B is nonzero at a complex state.  At a real state of a
     real system B is None and A is the tangent A + B, which is J on real
     increments; it is a real facet mass, so symmetric by construction."""
@@ -296,11 +304,18 @@ class BoundaryJacobian:
 
 @dataclass
 class AssembledSystem:
-    """Sparse discrete operator K on the free dofs, with its boundary term:
+    """Sparse discrete operator on the free dofs, with its boundary term:
     nbc on the facets of selector, weighted by weight.  free lists the
     nodes off the Dirichlet set in increasing order, and free_index maps a
     node to its free dof, -1 on a Dirichlet node.  It holds no load: every
     solve takes its right-hand side.
+
+    matrix is K + J_b(0): the form's K plus the boundary term's Jacobian at
+    u = 0, the facet mass of the weighted slope a_u(x, 0) (slope, at the
+    facet quadrature points).  boundary_residual and boundary_nonlinear
+    return the remainder of the term past J_b(0), so matrix @ u +
+    boundary_residual(u) is K u + r_b(u) whatever the split.  A linear term
+    is all in matrix; without a boundary term matrix is K and slope None.
 
     The system also owns the linear-solve setup of its matrix, built on the
     first solve and reused by every later one, Newton tangents included.
@@ -318,6 +333,7 @@ class AssembledSystem:
     selector: object = None
     nbc: NonlinearBC = field(default_factory=NonlinearBC)
     weight: object = None
+    slope: np.ndarray | None = field(default=None, repr=False)
     krylov_iters: int = field(default=0, init=False)
     _facets: FacetCache | None = field(default=None, repr=False)
     _setup: tuple | None = field(default=None, repr=False)
@@ -430,7 +446,8 @@ def assemble(mesh, coeffs, dirichlet="outer", lam=0.0, boundary=None,
         weighted by weight, a constant or a callable of the facet points.
 
     The system keeps K restricted to the free dofs, K itself when no node is
-    constrained.  A Dirichlet set that covers every node is a PerfhomError.
+    constrained, plus the boundary term's J_b(0) (see AssembledSystem).  A
+    Dirichlet set that covers every node is a PerfhomError.
     """
     K = _assemble_matrix(mesh, coeffs, lam)
     nv = mesh.n_vertices
@@ -452,9 +469,17 @@ def assemble(mesh, coeffs, dirichlet="outer", lam=0.0, boundary=None,
     free_index = np.full(nv, -1)
     free_index[free] = np.arange(len(free))
     selector, nbc = boundary or (None, NonlinearBC())
-    return AssembledSystem(mesh=mesh, matrix=K[free][:, free] if fixed.any() else K,
-                           free=free, free_index=free_index, selector=selector,
-                           nbc=nbc, weight=weight)
+    system = AssembledSystem(mesh=mesh, matrix=K[free][:, free] if fixed.any() else K,
+                             free=free, free_index=free_index, selector=selector,
+                             nbc=nbc, weight=weight)
+    if not nbc.is_zero:
+        # a_u(x, 0) is sigma(x) for either kind, the largest slope of a
+        # saturating term
+        cache = system.facets
+        x = cache.qp.reshape(-1, mesh.dim)
+        system.slope = nbc.wirtinger(x, np.zeros(len(x)))[0].reshape(cache.w.shape)
+        system.matrix = system.matrix + cache.mass(system.matrix.shape, system.slope)
+    return system
 
 
 def _assemble_matrix(mesh, coeffs, lam):
@@ -554,25 +579,30 @@ def _facet_state(system, u):
 
 
 def boundary_residual(system, u):
-    """Residual of the system's boundary term at the free-dof state u, on
-    the free dofs.
+    """Residual of the system's boundary term past J_b(0) at the free-dof
+    state u, on the free dofs: r_b(u) - J_b(0) u.
 
-    Satisfies v^H r = (w * a(., u_h), v)_{L2(facets)} for discrete v, with a
-    the system's nbc and w its weight on the facets.
+    Satisfies v^H r = (w * (a(., u_h) - a_u(., 0) u_h), v)_{L2(facets)} for
+    discrete v, with a the system's nbc and w its weight on the facets; it
+    is 0 for a linear term, whose J_b(0) u is all of r_b(u).
     """
     cache, x, uq = _facet_state(system, u)
     a = system.nbc.value(x, uq.ravel()).reshape(uq.shape)
+    if system.slope is not None:
+        a = a - system.slope * uq
     contrib = np.einsum("fq,qk->fk", cache.w * a, cache.basis)
     keep = cache.nodes >= 0
     return _scatter(cache.nodes[keep], contrib[keep], len(system.free))
 
 
 def boundary_nonlinear(system, u):
-    """Jacobian of the system's boundary term at the free-dof state u (its
-    residual is boundary_residual); only a Newton step needs it."""
+    """Jacobian J_b(u) - J_b(0) of boundary_residual at the free-dof state
+    u; only a Newton step needs it."""
     cache, x, uq = _facet_state(system, u)
     Aq, Bq = (np.asarray(z).reshape(uq.shape)
               for z in system.nbc.wirtinger(x, uq.ravel()))
+    if system.slope is not None:
+        Aq = Aq - system.slope
     A, B = (cache.mass((len(system.free),) * 2, z) for z in (Aq, Bq))
     if any(np.iscomplexobj(z) for z in (Aq, Bq, system.matrix.data)):
         return BoundaryJacobian(A, B)
@@ -581,13 +611,15 @@ def boundary_nonlinear(system, u):
 
 def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None):
     """Solve (K + J_b) x = rhs to relative residual tol, where K is the
-    system's matrix, J_b the optional boundary Jacobian of a Newton step,
+    system's matrix (K + J_b(0) with a boundary term), J_b the optional
+    boundary Jacobian of a Newton step past J_b(0) (boundary_nonlinear),
     J_b x = A x + B conj(x), and rhs and x are free-dof vectors.
 
-    J_b lives on a few facets only.  There is one setup per system: without
-    J_b a 2D system is solved by its cached LU; every other case runs a
-    Krylov method preconditioned by the cached setup (the exact LU in 2D, so
-    a tangent converges in a few steps).  A real state has conj(x) = x, so
+    J_b lives on a few facets only.  There is one setup per system, built on
+    its matrix: without J_b a 2D system, every chord sweep included, is
+    solved by its cached LU; every other case runs a Krylov method
+    preconditioned by the cached setup (the exact LU in 2D, so a tangent
+    converges in a few steps).  A real state has conj(x) = x, so
     its tangent K + A + B, with A + B symmetric, is solved by CG when K is
     Hermitian and BiCGStab otherwise; it needs a real rhs.  A complex state
     keeps B on conj(x), which is only R-linear, and runs BiCGStab on the
@@ -705,7 +737,9 @@ def h1_gram(mesh):
 
 
 def coercivity_margin(system, n_samples=100, seed=0):
-    """Sampled Rayleigh bound: min over random v of Re(v^H K v)/||v||_H1^2."""
+    """Sampled Rayleigh bound: min over random v of Re(v^H K v)/||v||_H1^2,
+    K the system's matrix, so K + J_b(0) for a system with a boundary
+    term."""
     K, f = system.matrix, system.free
     G = h1_gram(system.mesh)[f][:, f]
     rng = np.random.default_rng(seed)

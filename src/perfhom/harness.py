@@ -474,9 +474,10 @@ def _study_row(config, eps, kappa_val=None, u0_cache=None):
 
 
 def _solver_record(infos):
-    """JSON-safe totals over a row's solve infos: backend(s), summed
-    iteration counts and the largest final relative residual."""
-    record = {"backend": ",".join(sorted({i["backend"] for i in infos}))}
+    """JSON-safe totals over a row's solve infos: backend(s), method(s),
+    summed iteration counts and the largest final relative residual."""
+    record = {key: ",".join(sorted({i[key] for i in infos}))
+              for key in ("backend", "method")}
     for key in ("picard_iters", "newton_iters", "linear_iters"):
         record[key] = int(sum(i[key] for i in infos))
     record["residual"] = float(max(i["residual"] for i in infos))
@@ -527,10 +528,12 @@ def run_study(config, jobs=1):
                 for r in acc)
 
     # a degenerate study (all its errors zero: the first right-hand side is
-    # zero) has no rhs spread to check either
+    # zero) has no rhs spread to check either, and a zero right-hand side
+    # has no ratio
     spreads = {}
     for r in [] if degenerate else rows:
-        vals = [v[norm_key] / max(v["f_norm"], 1e-300) for v in r["per_f"].values()]
+        vals = [v[norm_key] / v["f_norm"] for v in r["per_f"].values()
+                if v["f_norm"] > 0]
         if max(vals) > 0:
             spreads[r["eps"]] = max(vals) / max(min(vals), 1e-300)
     uniformity = {

@@ -1,23 +1,26 @@
 """Nonlinear solves for the perforated problem and its two homogenized
 limits.
 
-The boundary nonlinearity is handled by Picard iteration, which freezes
-a(., u) at the previous iterate and re-solves the fixed coercive linear
-system; Newton takes over once a step is small or fails to halve the
-residual.  There is one factorization per system and Newton iterates on
-it: every Picard sweep is solved by the system's cached LU or
-preconditioner, and every Newton tangent K + J_b by fem.solve_linear,
-which takes the boundary Jacobian J_b and runs a Krylov method that the
-same setup preconditions.  J_b lives on cavity or interface facets only,
-so with the exact LU of K a 2D step takes a handful of iterations.  Both
-iterate on the system's free dofs.  The fields that solve_* return keep
-no system, so each factorization is freed with its system.
+The boundary term a(x, u) is handled by a chord iteration, the L-scheme
+(I. S. Pop, F. Radu and P. Knabner, J. Comput. Appl. Math. 168, 2004).
+fem.assemble folds the term's slope at zero into the system's operator,
+K + J_b(0) with J_b(0) the facet mass of a_u(x, 0), and the system builds
+its one setup on it: the LU in 2D, a preconditioner in 3D.  Each sweep
+u <- u - (K + J_b(0))^{-1} G(u), on the residual G(u) = K u + r_b(u) - F,
+is one solve on that setup.  For the monotone terms here a_u(x, 0) = sigma
+is the largest slope, so the sweeps contract at a rate that does not
+depend on the mesh, and a linear term, which J_b(0) holds whole, takes one
+solve, as the zero term does.  Newton takes over only when a sweep fails
+to halve the residual: each step solves its tangent K + J_b(u) by
+fem.solve_linear, with a Krylov method that the same setup preconditions,
+and a line search that raises rather than take a step it did not try.
+Both iterate on the system's free dofs.  The fields that solve_* return
+keep no system, so each factorization is freed with its system.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,6 @@ log = logging.getLogger(__name__)
 
 PICARD_MAX_ITER = 80
 LINEAR_TOL = 1e-11
-NEWTON_SWITCH = 1e-3        # relative step size triggering Newton
 NEWTON_MAX_ITER = 30
 
 
@@ -119,64 +121,51 @@ def _nonlinear_solve(system, load, opts):
             "linear_iters": system.krylov_iters - krylov_start,
             "residual": res, "contraction": contraction}
 
-    if system.nbc.is_zero:
+    if system.nbc.is_linear:
         u = fem.solve_linear(system, F, tol=LINEAR_TOL)
         return result(u, "linear", 0, 0, float(np.linalg.norm(K @ u - F)) / fscale)
 
     def residual(u):
-        """(relative norm of G, G = K u + r_b - F, r_b)"""
-        r_b = fem.boundary_residual(system, u)
-        G = K @ u + r_b - F
-        return float(np.linalg.norm(G)) / fscale, G, r_b
+        """(relative norm of G, G = K u + r_b - F) with K and r_b split at
+        J_b(0) as the system holds them"""
+        G = K @ u + fem.boundary_residual(system, u) - F
+        return float(np.linalg.norm(G)) / fscale, G
 
-    if opts.initial is None:
-        u = fem.solve_linear(system, F, tol=LINEAR_TOL)
-    else:
-        u = np.asarray(opts.initial)[system.free]
-    prev_step = None
-    prev_res = math.inf
-    accepted = None  # (res, G, r_b) at u when evaluated already
-
-    for picard_iters in range(1, PICARD_MAX_ITER + 1):
-        res, G, r_b = residual(u)
-        if res <= opts.picard_tol:
-            return result(u, "picard", picard_iters, 0, res)
-        if res > 0.5 * prev_res:
-            # Picard stopped contracting: Newton takes over from u, as it
-            # does after the last sweep
-            accepted = res, G, r_b
-            break
-        prev_res = res
-        step = fem.solve_linear(system, F - r_b, tol=LINEAR_TOL) - u
+    # the chord sweeps; G(0) = -F, so the first from zero solves for F
+    u = np.zeros(len(F)) if opts.initial is None else np.asarray(opts.initial)[system.free]
+    res, G = residual(u)
+    picard_iters, prev_step = 0, None
+    while res > opts.picard_tol and picard_iters < PICARD_MAX_ITER:
+        step = fem.solve_linear(system, G, tol=LINEAR_TOL)
         snorm_ = float(np.linalg.norm(step))
-        if prev_step is not None and prev_step > 0:
+        if prev_step:
             contraction.append(snorm_ / prev_step)
         prev_step = snorm_
-        u = u + step
-        if snorm_ <= NEWTON_SWITCH * max(float(np.linalg.norm(u)), 1.0):
-            break
+        u = u - step
+        picard_iters += 1
+        prev_res = res
+        res, G = residual(u)
+        if res > 0.5 * prev_res:
+            break  # the sweep failed to halve the residual: Newton goes on
+    if res <= opts.picard_tol:
+        return result(u, "picard", picard_iters, 0, res)
 
     newton_iters = 0
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        res, G, _ = accepted or residual(u)
-        if res <= opts.picard_tol:
-            return result(u, "picard+newton", picard_iters, newton_iters,
-                          res)
-        newton_iters = it
+    while res > opts.picard_tol:
+        if newton_iters == NEWTON_MAX_ITER:
+            raise NoConvergenceError(f"Newton stalled at relative residual {res:.3e}")
+        newton_iters += 1
         jac = fem.boundary_nonlinear(system, u)
         delta = fem.solve_linear(system, -G, tol=1e-12, jacobian=jac)
-        # line search guards the global phase Newton inherited from Picard
-        scale, accepted = 1.0, None
-        for _ in range(6):
-            trial = residual(u + scale * delta)
-            if trial[0] < res:
-                accepted = trial
+        # the line search tries delta and five halvings of it, and keeps
+        # the first that lowers the residual
+        for k in range(6):
+            trial = u + 0.5 ** k * delta
+            trial_res, trial_G = residual(trial)
+            if trial_res < res:
                 break
-            scale *= 0.5
-        u = u + scale * delta
-    res = (accepted or residual(u))[0]
-    if res <= opts.picard_tol:
-        return result(u, "picard+newton", picard_iters, newton_iters, res)
-    raise NoConvergenceError(
-        f"Newton stalled at relative residual {res:.3e}"
-    )
+        else:
+            raise NoConvergenceError(
+                f"Newton line search found no descent at relative residual {res:.3e}")
+        u, res, G = trial, trial_res, trial_G
+    return result(u, "picard+newton", picard_iters, newton_iters, res)

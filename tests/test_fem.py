@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -311,10 +312,15 @@ def test_solve_linear_iteration_cap():
             _nodal_solve(sysm, fem.load_vector(m, 1.0), tol=1e-14, maxiter=1)
 
 
+def _lifted(x):
+    """_exact plus 1: 1 on the box's sides, where _exact vanishes."""
+    return 1.0 + _exact(x)
+
+
 def _facet_jacobian(sigma, u):
     """A 2D box system, Dirichlet on x = 0 only, the boundary Jacobian of a
-    saturating nonlinearity on its outer facets at the state u(x), and the
-    load of _exact, both on the free dofs."""
+    saturating nonlinearity on its outer facets at the state u(x), past its
+    slope at zero, and the load of _exact, both on the free dofs."""
     m = _box(1 / 16)
     sysm = fem.assemble(m, fem.CoefficientSet(dim=2),
                         dirichlet=lambda mids: mids[:, 0] < 1e-12,
@@ -325,24 +331,25 @@ def _facet_jacobian(sigma, u):
 
 
 def test_perturbed_solve_iteration_cap():
-    # the tangent is iterated even in 2D, where K itself is factorized
-    sysm, jac, load = _facet_jacobian(2.0, _exact)
+    # the tangent is iterated even in 2D, where K + J_b(0) is factorized
+    sysm, jac, load = _facet_jacobian(2.0, _lifted)
     with pytest.raises(NoConvergenceError):
         fem.solve_linear(sysm, load, tol=1e-14, maxiter=1, jacobian=jac)
 
 
 def test_real_state_tangent_is_the_restricted_symmetric_sum():
     # a real state folds B into A: the free-dof block of the full-size facet
-    # masses' sum, bit for bit, and symmetric, so no solve checks for it
-    sysm, jac, load = _facet_jacobian(2.0, _exact)
+    # masses' sum, A past the slope at zero, bit for bit, and symmetric, so
+    # no solve checks for it
+    sysm, jac, load = _facet_jacobian(2.0, _lifted)
     assert jac.B is None
     f = sysm.free
-    _, x, uq = fem._facet_state(sysm, _exact(sysm.mesh.vertices[f]))
+    _, x, uq = fem._facet_state(sysm, _lifted(sysm.mesh.vertices[f]))
     Aq, Bq = (z.reshape(uq.shape) for z in sysm.nbc.wirtinger(x, uq.ravel()))
-    assert np.abs(Bq).max() > 0
+    assert np.abs(Bq).max() > 0.1 and np.all(sysm.slope == 2.0)
     full = (sysm.mesh.n_vertices,) * 2
     nodal = fem.build_facet_cache(sysm.mesh, "outer")
-    want = (nodal.mass(full, Aq) + nodal.mass(full, Bq))[f][:, f]
+    want = (nodal.mass(full, Aq - sysm.slope) + nodal.mass(full, Bq))[f][:, f]
     for got, ref in ((jac.A, want), (jac.A, jac.A.T.tocsr())):
         np.testing.assert_array_equal(got.indptr, ref.indptr)
         np.testing.assert_array_equal(got.indices, ref.indices)
@@ -352,12 +359,13 @@ def test_real_state_tangent_is_the_restricted_symmetric_sum():
 
 
 def test_conjugate_term_matches_split_real_direct_solve():
-    sysm, jac, load = _facet_jacobian(2.0, lambda x: _exact(x) * (1.0 + 0.7j))
-    assert abs(jac.B.data).max() > 0
+    sysm, jac, load = _facet_jacobian(2.0, lambda x: _lifted(x) * (1.0 + 0.7j))
+    assert abs(jac.B.data).max() > 1e-3
     rhs = load * (1.0 - 0.3j)
     x = fem.solve_linear(sysm, rhs, tol=1e-12, jacobian=jac)
     assert 0 < sysm.krylov_iters <= 10
-    # (K + A) x + B conj(x) = b on the free dofs, as a real 2n system
+    # (K + A) x + B conj(x) = b on the free dofs, as a real 2n system, K
+    # the system's matrix and A the Jacobian past J_b(0)
     n = len(sysm.free)
     M = sysm.matrix + jac.A
     B = jac.B
@@ -444,12 +452,14 @@ def test_boundary_residual_zero_and_linear():
     sysm = system(fem.NonlinearBC("linear", sigma=s))
     r, jac = fem.boundary_residual(sysm, u), fem.boundary_nonlinear(sysm, u)
     total = m.facet_measures(m.facet_mask("cavity")).sum()
-    # v^H r = s (u, v) on the cavity walls; test with v = 1
-    assert r.sum() == pytest.approx(s * total, rel=1e-12)
-    # for linear a the Jacobian applied to u reproduces the residual; both
-    # live on the free dofs
+    # a linear term is all in the matrix, K + J_b(0): v^H J_b(0) u = s (u, v)
+    # on the cavity walls; test with v = 1
+    J0 = sysm.matrix - sys0.matrix
+    assert (J0 @ u).sum() == pytest.approx(s * total, rel=1e-12)
+    # what is left past J_b(0), residual and Jacobian, is zero; both live on
+    # the free dofs
     assert r.shape == u.shape
-    assert np.abs(jac.apply(u) - r).max() < 1e-12
+    assert np.all(r == 0.0) and np.all(jac.apply(u) == 0.0)
 
 
 def test_boundary_jacobian_matches_finite_differences():
@@ -481,6 +491,25 @@ def test_facet_cache_weight_scales_measure():
                         boundary=("interface", fem.NonlinearBC("linear", sigma=1.0)))
     assert sysm.facets is sysm.facets
     np.testing.assert_array_equal(sysm.facets.w, weighted.w)
+
+
+def test_assemble_folds_the_slope_at_zero_into_the_matrix():
+    # the matrix holds K + J_b(0), J_b(0) the facet mass of the weighted
+    # slope sigma, and the residual the rest: K u + r_b(u) is unchanged
+    m = meshing.mesh_interface((0.0, -1.0), (1.0, 1.0), 0.0, 0.125)
+    coeffs = fem.CoefficientSet(dim=2)
+    nbc = fem.NonlinearBC("saturating", sigma=3.0)
+    plain = fem.assemble(m, coeffs)
+    sysm = fem.assemble(m, coeffs, boundary=("interface", nbc), weight=0.5)
+    assert plain.slope is None and np.all(sysm.slope == 3.0)
+    f = sysm.free
+    J0 = fem.build_facet_cache(m, "interface", 0.5).mass((m.n_vertices,) * 2, 3.0)
+    assert abs(sysm.matrix - plain.matrix - J0[f][:, f]).max() < 1e-14
+    u = _lifted(m.vertices[f])
+    whole = dataclasses.replace(sysm, slope=None)  # r_b(u) unsplit
+    np.testing.assert_allclose(
+        sysm.matrix @ u + fem.boundary_residual(sysm, u),
+        plain.matrix @ u + fem.boundary_residual(whole, u), rtol=0, atol=1e-13)
 
 
 def test_discrete_field_csv(tmp_path):

@@ -127,15 +127,43 @@ def test_first_u0_grid_needs_an_interior_node(theorem, h_factor, layout_params, 
 
 @pytest.mark.parametrize("kind, sigma", [("saturating", 8.0),
                                          ("saturating", 100.0),
-                                         ("linear", 100.0)])
+                                         ("linear", 100.0),
+                                         ("saturating", 1e3),
+                                         ("saturating", 1e4),
+                                         ("saturating", 1e5),
+                                         ("saturating", 1e6),
+                                         ("linear", 1e6)])
 def test_stiff_monotone_studies_complete(kind, sigma):
-    # Picard stops contracting on these and Newton takes over its iterate
+    # the chord sweeps on K + J_b(0) converge at any sigma with no Newton
+    # step; a linear term is one solve
     rep = harness.run_study(harness.StudyConfig(
         theorem="T2", nbc_kind=kind, nbc_sigma=sigma, eps_list=(1 / 4, 1 / 8)))
     assert [r["eps"] for r in rep.rows] == [1 / 4, 1 / 8]
     for r in rep.rows:
-        assert r["solver"]["newton_iters"] > 0
+        assert r["solver"]["method"] == ("picard" if kind == "saturating" else "linear")
+        assert r["solver"]["newton_iters"] == 0
         assert r["solver"]["residual"] <= 1e-9
+
+
+def test_criterion_3_rows_take_a_few_chord_sweeps_per_solve(monkeypatch):
+    # criterion 3's config: every solve is a handful of chord sweeps on the
+    # system's one LU, and none falls back to Newton
+    from perfhom import solvers
+
+    infos, original = [], solvers.solve_assembled
+
+    def spy(*args, **kwargs):
+        u, info = original(*args, **kwargs)
+        infos.append(info)
+        return u, info
+
+    monkeypatch.setattr(solvers, "solve_assembled", spy)
+    rep = harness.run_study(harness.StudyConfig(
+        theorem="T2", nbc_kind="saturating", nbc_sigma=2.0, eta_rule=1.0,
+        h_factor=0.75, eps_list=(1 / 8, 1 / 16)))
+    assert all(r["solver"]["newton_iters"] == 0 for r in rep.rows)
+    assert infos and all(i["newton_iters"] == 0 for i in infos)
+    assert all(1 <= i["picard_iters"] <= 8 for i in infos)
 
 
 @pytest.mark.parametrize("shapes", [
@@ -299,9 +327,10 @@ def test_t2_row_assembles_each_mesh_once(monkeypatch):
     # one P1 geometry pass per mesh, shared by check, assembly, loads, norms
     assert sorted(geometries) == sorted(sizes)
     solver = row["solver"]
-    assert solver["backend"] == "splu"
-    assert solver["picard_iters"] > 0 and solver["newton_iters"] > 0
-    assert solver["linear_iters"] >= solver["newton_iters"]
+    assert solver["backend"] == "splu" and solver["method"] == "picard"
+    # chord sweeps on the LU alone: no Newton step, no Krylov iteration
+    assert solver["picard_iters"] > 0 and solver["newton_iters"] == 0
+    assert solver["linear_iters"] == 0
     assert 0.0 < solver["residual"] <= 1e-9
 
 
@@ -380,8 +409,9 @@ def test_run_study_tiny_sweep(tiny_report):
         # linear data: every solve is one LU solve, with no iterations
         solver = dict(r["solver"])
         assert 0.0 <= solver.pop("residual") <= 1e-10
-        assert solver == {"backend": "splu", "picard_iters": 0,
-                          "newton_iters": 0, "linear_iters": 0}
+        assert solver == {"backend": "splu", "method": "linear",
+                          "picard_iters": 0, "newton_iters": 0,
+                          "linear_iters": 0}
         json.dumps(r["solver"])
 
 
@@ -455,6 +485,21 @@ def test_zero_data_study_is_degenerate():
     assert all(r["err_l2"] == 0.0 and r["err_h1"] == 0.0 for r in rep.rows)
     # a zero increment on a zero error stops the u0 ladder at its second level
     assert all(r["u0_converged"] is True and r["u0_solves"] == 2 for r in rep.rows)
+
+
+def test_zero_rhs_is_left_out_of_the_spread():
+    # a zero right-hand side has no error-to-norm ratio: the spread is that
+    # of the other two
+    cfg = harness.StudyConfig(theorem="T1a", rhs_names=("trig", "gauss", "zero"),
+                              eps_list=(1 / 4, 1 / 8))
+    rep = harness.run_study(cfg)
+    assert not rep.degenerate
+    for r in rep.rows:
+        assert r["per_f"]["zero"] == {"l2": 0.0, "h1": 0.0, "f_norm": 0.0}
+        ratios = [r["per_f"][n]["h1"] / r["per_f"][n]["f_norm"]
+                  for n in ("trig", "gauss")]
+        assert rep.uniformity["per_eps"][r["eps"]] == max(ratios) / min(ratios)
+    assert rep.uniformity["max_spread"] < 3.0 and rep.uniformity["ok"]
 
 
 def test_emit_report_csv_rows_match_accepted(tiny_report, tmp_path):

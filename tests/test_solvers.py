@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from perfhom import fem, geometry, meshing, solvers
+from perfhom.errors import NoConvergenceError
 
 from _oracles import plain_profile, transmission_closed_form, transmission_shooting
 
@@ -93,16 +94,22 @@ def test_linear_bc_agrees_with_one_shot_solve():
             m, coeffs, a0, fem.NonlinearBC("linear", sigma=sigma), _one,
             opts=opts, dirichlet=_ends)
         assert u.info["backend"] == backend
-        assert u.info["newton_iters"] > 0
-        # for a(u) = sigma u the problem is linear: fold the boundary mass
-        # into K
-        system = fem.assemble(
-            m, coeffs, dirichlet=_ends, lam=-1.0,
-            boundary=("interface", fem.NonlinearBC("linear", sigma=sigma)), weight=a0)
-        jac = fem.boundary_nonlinear(system, np.zeros(len(system.free)))
-        direct = _reduced_spsolve(system, system.matrix + jac.A,
-                                  fem.load_vector(m, _one))
+        # for a(u) = sigma u the problem is linear, and the system's matrix
+        # holds all of it: one solve, with no sweep
+        assert u.info["method"] == "linear"
+        assert u.info["picard_iters"] == u.info["newton_iters"] == 0
+        direct = _folded_spsolve(m, coeffs, -1.0, sigma * a0, fem.load_vector(m, _one))
         assert np.abs(u.values - direct).max() < 1e-8
+
+
+def _folded_spsolve(m, coeffs, lam, sigma, load):
+    """Direct solve of the linear interface term sigma * u, its facet mass
+    added to K by hand (an oracle independent of the folding in
+    fem.assemble and of fem.solve_linear)."""
+    system = fem.assemble(m, coeffs, dirichlet=_ends, lam=lam)
+    f = system.free
+    mass = fem.build_facet_cache(m, "interface").mass((m.n_vertices,) * 2)
+    return _reduced_spsolve(system, system.matrix + sigma * mass[f][:, f], load)
 
 
 def _reduced_spsolve(system, matrix, load):
@@ -133,27 +140,39 @@ def _spy(monkeypatch, name):
     return calls
 
 
-def test_one_factorization_per_system(monkeypatch):
+def _jacobians(monkeypatch):
+    """Count the fem.boundary_nonlinear calls."""
+    calls, original = [], fem.boundary_nonlinear
+    monkeypatch.setattr(fem, "boundary_nonlinear",
+                        lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    return calls
+
+
+def _perforated():
     lay = geometry.make_layout("periodic", {}, 1 / 8)
-    m = meshing.mesh_perforated(lay, 0.06)
+    return meshing.mesh_perforated(lay, 0.06)
+
+
+def _far(m, value=100.0):
+    """Options starting from the constant initial guess value, far from the
+    solution: the chord sweeps from there stop halving the residual at a
+    stiff sigma, and Newton takes over."""
+    return solvers.SolveOptions(initial=value * np.ones(m.n_vertices))
+
+
+def test_one_factorization_per_system(monkeypatch):
+    m = _perforated()
     splu = _spy(monkeypatch, "splu")
     cg = _spy(monkeypatch, "cg")
-    jacobians = []
-    original = fem.boundary_nonlinear
-    monkeypatch.setattr(fem, "boundary_nonlinear",
-                        lambda *a, **kw: jacobians.append(1) or original(*a, **kw))
+    jacobians = _jacobians(monkeypatch)
     u = solvers.solve_perforated(
         m, IDENT, fem.NonlinearBC("saturating", sigma=2.0), _one)
-    assert u.info["backend"] == "splu"
-    assert u.info["picard_iters"] > 1 and u.info["newton_iters"] > 0
-    # Picard sweeps and residual checks need no Jacobian
-    assert len(jacobians) == u.info["newton_iters"]
-    # K once, for every Picard sweep and as every Newton step's preconditioner
+    assert u.info["backend"] == "splu" and u.info["method"] == "picard"
+    assert u.info["picard_iters"] > 1 and u.info["newton_iters"] == 0
+    # K + J_b(0) once, for every chord sweep; the sweeps and residual checks
+    # need no Jacobian and no Krylov iteration
     assert len(splu) == 1
-    # one CG solve per Newton step, each a few iterations on the exact LU
-    assert len(cg) == u.info["newton_iters"]
-    assert 0 < max(cg) <= 10
-    assert sum(cg) == u.info["linear_iters"]
+    assert not jacobians and not cg and u.info["linear_iters"] == 0
 
 
 def _residual_states(monkeypatch):
@@ -169,11 +188,10 @@ def _residual_states(monkeypatch):
 
 
 def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
-    lay = geometry.make_layout("periodic", {}, 1 / 8)
-    m = meshing.mesh_perforated(lay, 0.06)
+    m = _perforated()
     states = _residual_states(monkeypatch)
     u = solvers.solve_perforated(
-        m, IDENT, fem.NonlinearBC("saturating", sigma=2.0), _one)
+        m, IDENT, fem.NonlinearBC("saturating", sigma=8.0), _one, opts=_far(m))
     assert u.info["newton_iters"] > 0
     # the line search's accepted trial is the next state, and its residual
     # is not evaluated a second time
@@ -181,18 +199,48 @@ def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
 
 
 def test_newton_takes_over_when_picard_stops_contracting(monkeypatch):
-    # at sigma = 8 the first Picard step cuts the residual by less than
-    # half: Newton goes on from that iterate, line search included
-    lay = geometry.make_layout("periodic", {}, 1 / 8)
-    m = meshing.mesh_perforated(lay, 0.06)
+    # from the far initial guess at sigma = 8 the fourth chord sweep cuts the
+    # residual by less than half: Newton goes on from that iterate, line
+    # search included, on the same factorization
+    m = _perforated()
+    nbc = fem.NonlinearBC("saturating", sigma=8.0)
+    splu = _spy(monkeypatch, "splu")
+    cg = _spy(monkeypatch, "cg")
+    jacobians = _jacobians(monkeypatch)
     states = _residual_states(monkeypatch)
-    u = solvers.solve_perforated(
-        m, IDENT, fem.NonlinearBC("saturating", sigma=8.0), _one)
+    u = solvers.solve_perforated(m, IDENT, nbc, _one, opts=_far(m))
     assert u.info["method"] == "picard+newton"
-    assert u.info["picard_iters"] == 2 and u.info["contraction"] == []
+    assert u.info["picard_iters"] == 4 and len(u.info["contraction"]) == 3
     assert u.info["newton_iters"] > 0 and u.info["residual"] <= 1e-9
-    # Newton's first residual is the one Picard handed over
+    # Newton's first residual is the one the last sweep handed over
     assert not any(np.array_equal(a, b) for a, b in zip(states, states[1:]))
+    # one Jacobian and one CG solve per Newton step, each preconditioned by
+    # the system's one LU
+    assert len(splu) == 1
+    assert len(jacobians) == len(cg) == u.info["newton_iters"]
+    assert sum(cg) == u.info["linear_iters"]
+    chord = solvers.solve_perforated(m, IDENT, nbc, _one)
+    assert chord.info["newton_iters"] == 0
+    assert np.abs(u.values - chord.values).max() < 1e-8
+
+
+def test_newton_line_search_raises_instead_of_an_untried_step(monkeypatch):
+    # an uphill Newton direction: no trial lowers the residual, and the
+    # search stops at its last trial instead of stepping on untried
+    m = _perforated()
+    original = fem.solve_linear
+
+    def uphill(system, rhs, tol=1e-10, maxiter=None, jacobian=None):
+        x = original(system, rhs, tol=tol, maxiter=maxiter, jacobian=jacobian)
+        return x if jacobian is None else -x
+
+    monkeypatch.setattr(fem, "solve_linear", uphill)
+    states = _residual_states(monkeypatch)
+    with pytest.raises(NoConvergenceError, match="relative residual"):
+        solvers.solve_perforated(m, IDENT, fem.NonlinearBC("saturating", sigma=8.0),
+                                 _one, opts=_far(m))
+    # the start and its four chord sweeps, then six trials
+    assert len(states) == 1 + 4 + 6
 
 
 @pytest.mark.parametrize("nbc", [fem.NonlinearBC("zero"),
@@ -210,26 +258,27 @@ def test_solve_assembled_is_exactly_zero_on_dirichlet_nodes(nbc):
 def test_nonhermitian_newton_step_runs_bicgstab(monkeypatch):
     m = _strip(1 / 32)
     coeffs = fem.CoefficientSet(dim=2, drift=[1.0, 0.5])
-    nbc = fem.NonlinearBC("linear", sigma=2.0)
+    nbc = fem.NonlinearBC("saturating", sigma=8.0)
     splu = _spy(monkeypatch, "splu")
     cg = _spy(monkeypatch, "cg")
     bicgstab = _spy(monkeypatch, "bicgstab")
-    u = solvers.solve_homogenized_delta(m, coeffs, 1.0, nbc, _one, dirichlet=_ends)
+    u = solvers.solve_homogenized_delta(m, coeffs, 1.0, nbc, _one,
+                                        opts=_far(m, 10.0), dirichlet=_ends)
     assert u.info["backend"] == "splu" and u.info["newton_iters"] > 0
     assert len(splu) == 1 and not cg
     assert len(bicgstab) == u.info["newton_iters"]
     system = fem.assemble(m, coeffs, dirichlet=_ends, lam=u.info["lam"],
                           boundary=("interface", nbc), weight=1.0)
     assert not system.is_hermitian()
-    jac = fem.boundary_nonlinear(system, np.zeros(len(system.free)))
-    direct = _reduced_spsolve(system, system.matrix + jac.A,
-                              fem.load_vector(m, _one))
-    assert np.abs(u.values - direct).max() < 1e-8
+    # the chord from zero reaches the same solution without Newton
+    chord = solvers.solve_homogenized_delta(m, coeffs, 1.0, nbc, _one, dirichlet=_ends)
+    assert chord.info["method"] == "picard"
+    assert np.abs(u.values - chord.values).max() < 1e-8
 
 
 def test_linear_iters_count_every_krylov_iteration(monkeypatch):
     # a 3D system iterates every linear solve, the plain solve's and the
-    # Picard sweeps' included, not only the Newton tangents
+    # chord sweeps' included
     m = _strip3(1 / 8)
     coeffs = fem.CoefficientSet(dim=3)
     cg = _spy(monkeypatch, "cg")
@@ -241,8 +290,8 @@ def test_linear_iters_count_every_krylov_iteration(monkeypatch):
     u = solvers.solve_homogenized_delta(
         m, coeffs, 1.0, fem.NonlinearBC("saturating", sigma=2.0), _one,
         dirichlet=_ends)
-    assert u.info["picard_iters"] > 1 and u.info["newton_iters"] > 0
-    assert len(cg) > u.info["newton_iters"]
+    assert u.info["picard_iters"] > 1 and u.info["newton_iters"] == 0
+    assert len(cg) == u.info["picard_iters"]
     assert u.info["linear_iters"] == sum(cg)
 
 
@@ -312,12 +361,8 @@ def test_complex_sigma_transmission(monkeypatch):
     assert np.iscomplexobj(u.values)
     assert np.abs(u.values.imag).max() > 1e-4
     assert u.info["residual"] <= 1e-9
-    system = fem.assemble(
-        m, IDENT, dirichlet=_ends, lam=u.info["lam"],
-        boundary=("interface", fem.NonlinearBC("linear", sigma=sigma)), weight=1.0)
-    jac = fem.boundary_nonlinear(system, np.zeros(len(system.free), dtype=complex))
-    direct = _reduced_spsolve(system, system.matrix.astype(complex) + jac.A,
-                              fem.load_vector(m, _one))
+    assert u.info["method"] == "linear"
+    direct = _folded_spsolve(m, IDENT, u.info["lam"], sigma, fem.load_vector(m, _one))
     assert np.abs(u.values - direct).max() < 1e-7
 
 
