@@ -24,7 +24,11 @@ quadrature of loads and L2 norms, are computed meshing.SIMPLEX_BLOCK
 simplices at a time (meshing.blockwise), so their temporaries do not grow
 with the mesh.  A system lives in its free dofs: it keeps K restricted to
 the nodes off the Dirichlet set, and boundary_residual, boundary_nonlinear
-and solve_linear take and return free-dof vectors.
+and solve_linear take and return free-dof vectors.  solve_linear solves
+with the system's matrix and nothing else: a 2D system by its LU, a 3D one
+by its preconditioned Krylov method.  boundary_nonlinear, the term's
+tangent past J_b(0), is no solve's operator; it is checked against finite
+differences of boundary_residual.
 """
 
 from __future__ import annotations
@@ -318,7 +322,7 @@ class AssembledSystem:
     is all in matrix; without a boundary term matrix is K and slope None.
 
     The system also owns the linear-solve setup of its matrix, built on the
-    first solve and reused by every later one, Newton tangents included.
+    first solve and reused by every later one.
     2D meshes use a sparse LU ("splu"), whose fill stays small.  In 3D the
     fill of an LU costs far more than the solves it serves, so 3D iterates:
     "cg" with a Jacobi preconditioner for Hermitian matrices, "bicgstab"
@@ -431,7 +435,9 @@ def _scatter(index, values, n):
 def _cell_points(mesh, simplices):
     """Degree-2 quadrature points (ns * q, n) of the given simplices."""
     bary, _ = cell_quadrature(mesh.dim)
-    return (bary @ mesh.vertices[simplices]).reshape(-1, mesh.dim)
+    V = mesh.vertices
+    return np.stack([V[:, d][simplices] @ bary.T for d in range(mesh.dim)],
+                    axis=-1).reshape(-1, mesh.dim)
 
 
 def assemble(mesh, coeffs, dirichlet="outer", lam=0.0, boundary=None,
@@ -597,7 +603,7 @@ def boundary_residual(system, u):
 
 def boundary_nonlinear(system, u):
     """Jacobian J_b(u) - J_b(0) of boundary_residual at the free-dof state
-    u; only a Newton step needs it."""
+    u, as a BoundaryJacobian; the chord sweeps of solvers do not use it."""
     cache, x, uq = _facet_state(system, u)
     Aq, Bq = (np.asarray(z).reshape(uq.shape)
               for z in system.nbc.wirtinger(x, uq.ravel()))
@@ -609,92 +615,64 @@ def boundary_nonlinear(system, u):
     return BoundaryJacobian(A + B)
 
 
-def solve_linear(system, rhs, tol=1e-10, maxiter=None, jacobian=None):
-    """Solve (K + J_b) x = rhs to relative residual tol, where K is the
-    system's matrix (K + J_b(0) with a boundary term), J_b the optional
-    boundary Jacobian of a Newton step past J_b(0) (boundary_nonlinear),
-    J_b x = A x + B conj(x), and rhs and x are free-dof vectors.
+def solve_linear(system, rhs, tol=1e-10, maxiter=None):
+    """Solve K x = rhs to relative residual tol, where K is the system's
+    matrix (K + J_b(0) with a boundary term) and rhs and x are free-dof
+    vectors.
 
-    J_b lives on a few facets only.  There is one setup per system, built on
-    its matrix: without J_b a 2D system, every chord sweep included, is
-    solved by its cached LU; every other case runs a Krylov method
-    preconditioned by the cached setup (the exact LU in 2D, so a tangent
-    converges in a few steps).  A real state has conj(x) = x, so
-    its tangent K + A + B, with A + B symmetric, is solved by CG when K is
-    Hermitian and BiCGStab otherwise; it needs a real rhs.  A complex state
-    keeps B on conj(x), which is only R-linear, and runs BiCGStab on the
-    split real form [Re x; Im x].  The Krylov iterations are added to
-    system.krylov_iters.  Raises NoConvergenceError when the Krylov method
-    hits maxiter or the residual exceeds tol (usually a sign that lam is too
-    close to the solvability threshold or the mesh is bad).
+    There is one setup per system, built on its matrix: a 2D system, every
+    chord sweep included, is solved by its cached LU, and a 3D one by CG
+    (Hermitian K) or BiCGStab, preconditioned by the cached setup, whose
+    iterations are added to system.krylov_iters.  Raises NoConvergenceError
+    when the Krylov method hits maxiter or the residual exceeds tol (usually
+    a sign that lam is too close to the solvability threshold or the mesh
+    is bad).
     """
     b = _free_vector(system, rhs, "rhs")
     backend = system.backend  # the first solve builds the setup, zero rhs too
     K = system.matrix
-    J = C = None
-    if jacobian is not None:
-        J, C = jacobian.A, jacobian.B
-        if C is None and np.iscomplexobj(b):
-            raise ValueError("the tangent of a real state needs a real rhs")
-    if maxiter is None:
-        maxiter = max(500, 20 * int(math.sqrt(K.shape[0])))
-    dtype = np.result_type(b, *(m.dtype for m in (K, J, C) if m is not None))
-    if C is not None:
-        dtype = np.result_type(dtype, complex)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros(len(b), dtype=dtype)
-
-    def operator(x):
-        y = K @ x
-        if J is not None:
-            y = y + J @ x
-        if C is not None:
-            y = y + C @ np.conj(x)
-        return y
-
-    if J is None and backend == "splu":
+        return np.zeros(len(b), dtype=np.result_type(b, K.dtype))
+    if backend == "splu":
         x = system.precondition(b)
-    elif C is None:
-        x = _krylov(system, operator, system.precondition, b, dtype,
-                    system.is_hermitian(), tol, maxiter)
     else:
-        n = len(b)
-
-        def split(z):
-            return np.concatenate([z.real, z.imag])
-
-        def join(y):
-            return y[:n] + 1j * y[n:]
-
-        x = join(_krylov(system, lambda y: split(operator(join(y))),
-                         lambda y: split(system.precondition(join(y))),
-                         split(b), float, False, tol, maxiter))
-    res = np.linalg.norm(operator(x) - b)
+        if maxiter is None:
+            maxiter = max(500, 20 * int(math.sqrt(K.shape[0])))
+        x, steps, info = _krylov(K, system.precondition, b, backend == "cg",
+                                 tol, maxiter)
+        system.krylov_iters += steps
+        if info != 0:
+            raise NoConvergenceError(
+                f"{backend} returned info={info} after {steps} iterations")
+    res = np.linalg.norm(K @ x - b)
     if res > 10.0 * tol * bnorm:
         raise NoConvergenceError(f"linear residual {res:.3e} above {tol:.1e}*|rhs|")
     return x
 
 
-def _krylov(system, matvec, precondition, b, dtype, hermitian, tol, maxiter):
-    """CG (hermitian) or BiCGStab on matvec, preconditioned; adds its
-    iterations to system.krylov_iters and raises at the cap."""
-    name, method = ("cg", spla.cg) if hermitian else ("bicgstab", spla.bicgstab)
-    shape = (len(b), len(b))
-    steps = 0
+def _krylov(A, precondition, b, hermitian, tol, maxiter):
+    """CG (hermitian) or BiCGStab on the sparse A, preconditioned by the
+    function precondition: (x, iterations, SciPy's info).
 
-    def count(_):
-        nonlocal steps
-        steps += 1
+    The iterations are counted from the applications of A, one per CG step
+    and two per BiCGStab step: SciPy's bicgstab returns at its half-step
+    convergence test after one application, without calling a callback, and
+    that half step counts as an iteration.
+    """
+    method, per_step = (spla.cg, 1) if hermitian else (spla.bicgstab, 2)
+    dtype = np.result_type(A.dtype, b)
+    applied = 0
 
-    x, info = method(spla.LinearOperator(shape, matvec=matvec, dtype=dtype), b,
+    def matvec(x):
+        nonlocal applied
+        applied += 1
+        return A @ x
+
+    x, info = method(spla.LinearOperator(A.shape, matvec=matvec, dtype=dtype), b,
                      rtol=tol, atol=0.1 * tol * np.linalg.norm(b), maxiter=maxiter,
-                     M=spla.LinearOperator(shape, matvec=precondition, dtype=dtype),
-                     callback=count)
-    system.krylov_iters += steps
-    if info != 0:
-        raise NoConvergenceError(f"{name} returned info={info} after {steps} iterations")
-    return x
+                     M=spla.LinearOperator(A.shape, matvec=precondition, dtype=dtype))
+    return x, -(-applied // per_step), info
 
 
 def estimate_lambda0(coeffs, nbc=None):

@@ -478,7 +478,7 @@ def _solver_record(infos):
     summed iteration counts and the largest final relative residual."""
     record = {key: ",".join(sorted({i[key] for i in infos}))
               for key in ("backend", "method")}
-    for key in ("picard_iters", "newton_iters", "linear_iters"):
+    for key in ("picard_iters", "linear_iters"):
         record[key] = int(sum(i[key] for i in infos))
     record["residual"] = float(max(i["residual"] for i in infos))
     return record

@@ -7,15 +7,14 @@ fem.assemble folds the term's slope at zero into the system's operator,
 K + J_b(0) with J_b(0) the facet mass of a_u(x, 0), and the system builds
 its one setup on it: the LU in 2D, a preconditioner in 3D.  Each sweep
 u <- u - (K + J_b(0))^{-1} G(u), on the residual G(u) = K u + r_b(u) - F,
-is one solve on that setup.  For the monotone terms here a_u(x, 0) = sigma
-is the largest slope, so the sweeps contract at a rate that does not
-depend on the mesh, and a linear term, which J_b(0) holds whole, takes one
-solve, as the zero term does.  Newton takes over only when a sweep fails
-to halve the residual: each step solves its tangent K + J_b(u) by
-fem.solve_linear, with a Krylov method that the same setup preconditions,
-and a line search that raises rather than take a step it did not try.
-Both iterate on the system's free dofs.  The fields that solve_* return
-keep no system, so each factorization is freed with its system.
+is one fem.solve_linear on that setup, on the system's free dofs.  For the
+monotone terms here a_u(x, 0) = sigma is the largest slope, so the sweeps
+contract at a rate that does not depend on the mesh, and a linear term,
+which J_b(0) holds whole, takes one solve, as the zero term does.  The
+sweeps run until the relative residual is below picard_tol; a far start
+at a stiff sigma needs thousands, and PICARD_MAX_ITER of them raise.  The
+fields that solve_* return keep no system, so each factorization is freed
+with its system.
 """
 
 from __future__ import annotations
@@ -31,9 +30,10 @@ from .errors import NoConvergenceError
 log = logging.getLogger(__name__)
 
 
-PICARD_MAX_ITER = 80
+# far starts on a perforated mesh (eps = 1/8) take up to thousands of
+# sweeps: saturating sigma = 1e4 from u = 1000 takes 796, from u = 1e4 3004
+PICARD_MAX_ITER = 5000
 LINEAR_TOL = 1e-11
-NEWTON_MAX_ITER = 30
 
 
 @dataclass
@@ -52,8 +52,15 @@ class SolveOptions:
 
 
 def _resolve_lambda(coeffs, nbc, lam):
-    """lam as a float, lam0_hat - 1 for None; raises unless below lam0_hat."""
-    lam0 = fem.estimate_lambda0(coeffs, nbc)
+    """lam as a float, lam0_hat - 1 for None; raises unless below lam0_hat.
+    A callable coefficient declares no sup bound, so it has no lam0_hat: a
+    given lam is then taken as it is, and None raises ValueError."""
+    try:
+        lam0 = fem.estimate_lambda0(coeffs, nbc)
+    except ValueError:
+        if lam is None:
+            raise
+        return float(lam)
     lam = lam0 - 1.0 if lam is None else float(lam)
     if lam >= lam0:
         raise ValueError(
@@ -113,17 +120,17 @@ def _nonlinear_solve(system, load, opts):
     krylov_start = system.krylov_iters
     contraction = []
 
-    def result(u, method, picard_iters, newton_iters, res):
+    def result(u, method, picard_iters, res):
         # read after the first solve, which builds the system's backend
         return system.nodal(u), {
             "method": method, "backend": system.backend,
-            "picard_iters": picard_iters, "newton_iters": newton_iters,
+            "picard_iters": picard_iters,
             "linear_iters": system.krylov_iters - krylov_start,
             "residual": res, "contraction": contraction}
 
     if system.nbc.is_linear:
         u = fem.solve_linear(system, F, tol=LINEAR_TOL)
-        return result(u, "linear", 0, 0, float(np.linalg.norm(K @ u - F)) / fscale)
+        return result(u, "linear", 0, float(np.linalg.norm(K @ u - F)) / fscale)
 
     def residual(u):
         """(relative norm of G, G = K u + r_b - F) with K and r_b split at
@@ -131,11 +138,17 @@ def _nonlinear_solve(system, load, opts):
         G = K @ u + fem.boundary_residual(system, u) - F
         return float(np.linalg.norm(G)) / fscale, G
 
-    # the chord sweeps; G(0) = -F, so the first from zero solves for F
+    # the chord sweeps; G(0) = -F, so the first from zero solves for F.  A
+    # far start may raise the residual for a sweep and still converge, so
+    # only the cap stops them
     u = np.zeros(len(F)) if opts.initial is None else np.asarray(opts.initial)[system.free]
     res, G = residual(u)
     picard_iters, prev_step = 0, None
-    while res > opts.picard_tol and picard_iters < PICARD_MAX_ITER:
+    while res > opts.picard_tol:
+        if picard_iters == PICARD_MAX_ITER:
+            raise NoConvergenceError(
+                f"{PICARD_MAX_ITER} chord sweeps left relative residual "
+                f"{res:.3e}, last contraction {contraction[-1]:.3g}")
         step = fem.solve_linear(system, G, tol=LINEAR_TOL)
         snorm_ = float(np.linalg.norm(step))
         if prev_step:
@@ -143,29 +156,5 @@ def _nonlinear_solve(system, load, opts):
         prev_step = snorm_
         u = u - step
         picard_iters += 1
-        prev_res = res
         res, G = residual(u)
-        if res > 0.5 * prev_res:
-            break  # the sweep failed to halve the residual: Newton goes on
-    if res <= opts.picard_tol:
-        return result(u, "picard", picard_iters, 0, res)
-
-    newton_iters = 0
-    while res > opts.picard_tol:
-        if newton_iters == NEWTON_MAX_ITER:
-            raise NoConvergenceError(f"Newton stalled at relative residual {res:.3e}")
-        newton_iters += 1
-        jac = fem.boundary_nonlinear(system, u)
-        delta = fem.solve_linear(system, -G, tol=1e-12, jacobian=jac)
-        # the line search tries delta and five halvings of it, and keeps
-        # the first that lowers the residual
-        for k in range(6):
-            trial = u + 0.5 ** k * delta
-            trial_res, trial_G = residual(trial)
-            if trial_res < res:
-                break
-        else:
-            raise NoConvergenceError(
-                f"Newton line search found no descent at relative residual {res:.3e}")
-        u, res, G = trial, trial_res, trial_G
-    return result(u, "picard+newton", picard_iters, newton_iters, res)
+    return result(u, "picard", picard_iters, res)

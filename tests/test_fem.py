@@ -318,30 +318,20 @@ def _lifted(x):
 
 
 def _facet_jacobian(sigma, u):
-    """A 2D box system, Dirichlet on x = 0 only, the boundary Jacobian of a
-    saturating nonlinearity on its outer facets at the state u(x), past its
-    slope at zero, and the load of _exact, both on the free dofs."""
+    """A 2D box system, Dirichlet on x = 0 only, and the boundary Jacobian
+    of a saturating nonlinearity on its outer facets at the state u(x), past
+    its slope at zero."""
     m = _box(1 / 16)
     sysm = fem.assemble(m, fem.CoefficientSet(dim=2),
                         dirichlet=lambda mids: mids[:, 0] < 1e-12,
                         boundary=("outer", fem.NonlinearBC("saturating", sigma=sigma)))
-    f = sysm.free
-    return (sysm, fem.boundary_nonlinear(sysm, u(m.vertices[f])),
-            fem.load_vector(m, _exact)[f])
-
-
-def test_perturbed_solve_iteration_cap():
-    # the tangent is iterated even in 2D, where K + J_b(0) is factorized
-    sysm, jac, load = _facet_jacobian(2.0, _lifted)
-    with pytest.raises(NoConvergenceError):
-        fem.solve_linear(sysm, load, tol=1e-14, maxiter=1, jacobian=jac)
+    return sysm, fem.boundary_nonlinear(sysm, u(m.vertices[sysm.free]))
 
 
 def test_real_state_tangent_is_the_restricted_symmetric_sum():
     # a real state folds B into A: the free-dof block of the full-size facet
-    # masses' sum, A past the slope at zero, bit for bit, and symmetric, so
-    # no solve checks for it
-    sysm, jac, load = _facet_jacobian(2.0, _lifted)
+    # masses' sum, A past the slope at zero, bit for bit, and symmetric
+    sysm, jac = _facet_jacobian(2.0, _lifted)
     assert jac.B is None
     f = sysm.free
     _, x, uq = fem._facet_state(sysm, _lifted(sysm.mesh.vertices[f]))
@@ -354,25 +344,18 @@ def test_real_state_tangent_is_the_restricted_symmetric_sum():
         np.testing.assert_array_equal(got.indptr, ref.indptr)
         np.testing.assert_array_equal(got.indices, ref.indices)
         np.testing.assert_array_equal(got.data, ref.data)
-    with pytest.raises(ValueError, match="real rhs"):
-        fem.solve_linear(sysm, load * 1j, jacobian=jac)
 
 
-def test_conjugate_term_matches_split_real_direct_solve():
-    sysm, jac, load = _facet_jacobian(2.0, lambda x: _lifted(x) * (1.0 + 0.7j))
-    assert abs(jac.B.data).max() > 1e-3
-    rhs = load * (1.0 - 0.3j)
-    x = fem.solve_linear(sysm, rhs, tol=1e-12, jacobian=jac)
-    assert 0 < sysm.krylov_iters <= 10
-    # (K + A) x + B conj(x) = b on the free dofs, as a real 2n system, K
-    # the system's matrix and A the Jacobian past J_b(0)
-    n = len(sysm.free)
-    M = sysm.matrix + jac.A
-    B = jac.B
-    big = sp.bmat([[M.real + B.real, -M.imag + B.imag],
-                   [M.imag + B.imag, M.real - B.real]]).tocsc()
-    y = spla.spsolve(big, np.concatenate([rhs.real, rhs.imag]))
-    assert np.abs(x - (y[:n] + 1j * y[n:])).max() < 1e-10
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_krylov_counts_a_half_step_return(hermitian):
+    # on the identity, with the identity as preconditioner, CG converges in
+    # one step and BiCGStab at its half-step test, where SciPy calls no
+    # callback: both report one iteration
+    b = np.linspace(1.0, 2.0, 8)
+    x, steps, info = fem._krylov(sp.identity(8, format="csr"), lambda z: z, b,
+                                 hermitian, 1e-10, 10)
+    assert info == 0 and steps == 1
+    np.testing.assert_allclose(x, b, rtol=1e-14)
 
 
 def test_ellipticity_validation():

@@ -94,6 +94,8 @@ def test_config_dict_roundtrip():
     ("seed", "3"), ("vanish_near_s", 1),
     # a repeat would solve one right-hand side twice and keep one entry
     ("rhs_names", ["trig", "trig", "trig"]),
+    # a lam at the threshold lam0_hat = -0.25 of the identity config
+    ("lam", -0.25),
 ])
 def test_config_errors_name_the_key(key, value):
     with pytest.raises(harness.ConfigError, match=key):
@@ -134,20 +136,19 @@ def test_first_u0_grid_needs_an_interior_node(theorem, h_factor, layout_params, 
                                          ("saturating", 1e6),
                                          ("linear", 1e6)])
 def test_stiff_monotone_studies_complete(kind, sigma):
-    # the chord sweeps on K + J_b(0) converge at any sigma with no Newton
-    # step; a linear term is one solve
+    # the chord sweeps on K + J_b(0) converge at any sigma; a linear term is
+    # one solve
     rep = harness.run_study(harness.StudyConfig(
         theorem="T2", nbc_kind=kind, nbc_sigma=sigma, eps_list=(1 / 4, 1 / 8)))
     assert [r["eps"] for r in rep.rows] == [1 / 4, 1 / 8]
     for r in rep.rows:
         assert r["solver"]["method"] == ("picard" if kind == "saturating" else "linear")
-        assert r["solver"]["newton_iters"] == 0
         assert r["solver"]["residual"] <= 1e-9
 
 
 def test_criterion_3_rows_take_a_few_chord_sweeps_per_solve(monkeypatch):
     # criterion 3's config: every solve is a handful of chord sweeps on the
-    # system's one LU, and none falls back to Newton
+    # system's one LU
     from perfhom import solvers
 
     infos, original = [], solvers.solve_assembled
@@ -161,9 +162,8 @@ def test_criterion_3_rows_take_a_few_chord_sweeps_per_solve(monkeypatch):
     rep = harness.run_study(harness.StudyConfig(
         theorem="T2", nbc_kind="saturating", nbc_sigma=2.0, eta_rule=1.0,
         h_factor=0.75, eps_list=(1 / 8, 1 / 16)))
-    assert all(r["solver"]["newton_iters"] == 0 for r in rep.rows)
-    assert infos and all(i["newton_iters"] == 0 for i in infos)
-    assert all(1 <= i["picard_iters"] <= 8 for i in infos)
+    assert all(r["solver"]["method"] == "picard" for r in rep.rows)
+    assert infos and all(1 <= i["picard_iters"] <= 8 for i in infos)
 
 
 @pytest.mark.parametrize("shapes", [
@@ -328,8 +328,8 @@ def test_t2_row_assembles_each_mesh_once(monkeypatch):
     assert sorted(geometries) == sorted(sizes)
     solver = row["solver"]
     assert solver["backend"] == "splu" and solver["method"] == "picard"
-    # chord sweeps on the LU alone: no Newton step, no Krylov iteration
-    assert solver["picard_iters"] > 0 and solver["newton_iters"] == 0
+    # chord sweeps on the LU alone: no Krylov iteration
+    assert solver["picard_iters"] > 0
     assert solver["linear_iters"] == 0
     assert 0.0 < solver["residual"] <= 1e-9
 
@@ -410,8 +410,7 @@ def test_run_study_tiny_sweep(tiny_report):
         solver = dict(r["solver"])
         assert 0.0 <= solver.pop("residual") <= 1e-10
         assert solver == {"backend": "splu", "method": "linear",
-                          "picard_iters": 0, "newton_iters": 0,
-                          "linear_iters": 0}
+                          "picard_iters": 0, "linear_iters": 0}
         json.dumps(r["solver"])
 
 

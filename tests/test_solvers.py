@@ -97,7 +97,7 @@ def test_linear_bc_agrees_with_one_shot_solve():
         # for a(u) = sigma u the problem is linear, and the system's matrix
         # holds all of it: one solve, with no sweep
         assert u.info["method"] == "linear"
-        assert u.info["picard_iters"] == u.info["newton_iters"] == 0
+        assert u.info["picard_iters"] == 0
         direct = _folded_spsolve(m, coeffs, -1.0, sigma * a0, fem.load_vector(m, _one))
         assert np.abs(u.values - direct).max() < 1e-8
 
@@ -155,8 +155,8 @@ def _perforated():
 
 def _far(m, value=100.0):
     """Options starting from the constant initial guess value, far from the
-    solution: the chord sweeps from there stop halving the residual at a
-    stiff sigma, and Newton takes over."""
+    solution: at a stiff sigma the chord sweeps from there contract slowly,
+    and some fail to halve the residual."""
     return solvers.SolveOptions(initial=value * np.ones(m.n_vertices))
 
 
@@ -168,7 +168,7 @@ def test_one_factorization_per_system(monkeypatch):
     u = solvers.solve_perforated(
         m, IDENT, fem.NonlinearBC("saturating", sigma=2.0), _one)
     assert u.info["backend"] == "splu" and u.info["method"] == "picard"
-    assert u.info["picard_iters"] > 1 and u.info["newton_iters"] == 0
+    assert u.info["picard_iters"] > 1
     # K + J_b(0) once, for every chord sweep; the sweeps and residual checks
     # need no Jacobian and no Krylov iteration
     assert len(splu) == 1
@@ -187,60 +187,69 @@ def _residual_states(monkeypatch):
     return states
 
 
-def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
+def _sweep_residuals(monkeypatch):
+    """Record the norm of every right-hand side fem.solve_linear gets: in a
+    chord sweep, the residual G of the state it starts from."""
+    norms, original = [], fem.solve_linear
+
+    def spy(system, rhs, **kw):
+        norms.append(float(np.linalg.norm(rhs)))
+        return original(system, rhs, **kw)
+
+    monkeypatch.setattr(fem, "solve_linear", spy)
+    return norms
+
+
+def test_stiff_far_starts_converge_on_the_chord_alone(monkeypatch):
+    # at sigma = 1e5 and 1e6 from u = 100 the residual rises for a sweep and
+    # the sweeps still converge, to the solution of the sweeps from zero
     m = _perforated()
-    states = _residual_states(monkeypatch)
-    u = solvers.solve_perforated(
-        m, IDENT, fem.NonlinearBC("saturating", sigma=8.0), _one, opts=_far(m))
-    assert u.info["newton_iters"] > 0
-    # the line search's accepted trial is the next state, and its residual
-    # is not evaluated a second time
-    assert not any(np.array_equal(a, b) for a, b in zip(states, states[1:]))
+    for sigma in (1e5, 1e6):
+        nbc = fem.NonlinearBC("saturating", sigma=sigma)
+        residuals = _sweep_residuals(monkeypatch)
+        states = _residual_states(monkeypatch)
+        u = solvers.solve_perforated(m, IDENT, nbc, _one, opts=_far(m))
+        monkeypatch.undo()
+        assert u.info["method"] == "picard" and u.info["residual"] <= 1e-9
+        assert len(residuals) == u.info["picard_iters"]
+        assert any(b > a for a, b in zip(residuals, residuals[1:]))
+        # one residual per state: the start and one per sweep
+        assert len(states) == 1 + u.info["picard_iters"]
+        chord = solvers.solve_perforated(m, IDENT, nbc, _one)
+        assert np.abs(u.values - chord.values).max() < 1e-8
 
 
-def test_newton_takes_over_when_picard_stops_contracting(monkeypatch):
-    # from the far initial guess at sigma = 8 the fourth chord sweep cuts the
-    # residual by less than half: Newton goes on from that iterate, line
-    # search included, on the same factorization
+def test_chord_converges_from_far_starts(monkeypatch):
+    # from u = 100 and u = 100i at sigma = 8 the sweeps go on where one
+    # fails to halve the residual, all on the system's one LU
     m = _perforated()
     nbc = fem.NonlinearBC("saturating", sigma=8.0)
-    splu = _spy(monkeypatch, "splu")
-    cg = _spy(monkeypatch, "cg")
-    jacobians = _jacobians(monkeypatch)
-    states = _residual_states(monkeypatch)
-    u = solvers.solve_perforated(m, IDENT, nbc, _one, opts=_far(m))
-    assert u.info["method"] == "picard+newton"
-    assert u.info["picard_iters"] == 4 and len(u.info["contraction"]) == 3
-    assert u.info["newton_iters"] > 0 and u.info["residual"] <= 1e-9
-    # Newton's first residual is the one the last sweep handed over
-    assert not any(np.array_equal(a, b) for a, b in zip(states, states[1:]))
-    # one Jacobian and one CG solve per Newton step, each preconditioned by
-    # the system's one LU
-    assert len(splu) == 1
-    assert len(jacobians) == len(cg) == u.info["newton_iters"]
-    assert sum(cg) == u.info["linear_iters"]
     chord = solvers.solve_perforated(m, IDENT, nbc, _one)
-    assert chord.info["newton_iters"] == 0
-    assert np.abs(u.values - chord.values).max() < 1e-8
+    for start in (100.0, 100j):
+        splu = _spy(monkeypatch, "splu")
+        cg = _spy(monkeypatch, "cg")
+        jacobians = _jacobians(monkeypatch)
+        residuals = _sweep_residuals(monkeypatch)
+        u = solvers.solve_perforated(m, IDENT, nbc, _one, opts=_far(m, start))
+        monkeypatch.undo()
+        assert u.info["method"] == "picard" and u.info["residual"] <= 1e-9
+        assert any(b > 0.5 * a for a, b in zip(residuals, residuals[1:]))
+        assert len(splu) == 1 and not cg and not jacobians
+        assert u.info["linear_iters"] == 0
+        assert np.abs(u.values - chord.values).max() < 1e-8
 
 
-def test_newton_line_search_raises_instead_of_an_untried_step(monkeypatch):
-    # an uphill Newton direction: no trial lowers the residual, and the
-    # search stops at its last trial instead of stepping on untried
+def test_sweep_cap_raises_naming_residual_and_contraction(monkeypatch):
     m = _perforated()
-    original = fem.solve_linear
-
-    def uphill(system, rhs, tol=1e-10, maxiter=None, jacobian=None):
-        x = original(system, rhs, tol=tol, maxiter=maxiter, jacobian=jacobian)
-        return x if jacobian is None else -x
-
-    monkeypatch.setattr(fem, "solve_linear", uphill)
+    monkeypatch.setattr(solvers, "PICARD_MAX_ITER", 3)
     states = _residual_states(monkeypatch)
-    with pytest.raises(NoConvergenceError, match="relative residual"):
+    with pytest.raises(NoConvergenceError,
+                       match=r"3 chord sweeps left relative residual \S+, "
+                             r"last contraction \d"):
         solvers.solve_perforated(m, IDENT, fem.NonlinearBC("saturating", sigma=8.0),
                                  _one, opts=_far(m))
-    # the start and its four chord sweeps, then six trials
-    assert len(states) == 1 + 4 + 6
+    # the start and its three sweeps
+    assert len(states) == 1 + 3
 
 
 @pytest.mark.parametrize("nbc", [fem.NonlinearBC("zero"),
@@ -255,7 +264,7 @@ def test_solve_assembled_is_exactly_zero_on_dirichlet_nodes(nbc):
     assert np.all(u[fixed] == 0.0) and np.all(u[system.free] != 0.0)
 
 
-def test_nonhermitian_newton_step_runs_bicgstab(monkeypatch):
+def test_nonhermitian_strip_converges_from_a_far_start(monkeypatch):
     m = _strip(1 / 32)
     coeffs = fem.CoefficientSet(dim=2, drift=[1.0, 0.5])
     nbc = fem.NonlinearBC("saturating", sigma=8.0)
@@ -264,15 +273,13 @@ def test_nonhermitian_newton_step_runs_bicgstab(monkeypatch):
     bicgstab = _spy(monkeypatch, "bicgstab")
     u = solvers.solve_homogenized_delta(m, coeffs, 1.0, nbc, _one,
                                         opts=_far(m, 10.0), dirichlet=_ends)
-    assert u.info["backend"] == "splu" and u.info["newton_iters"] > 0
-    assert len(splu) == 1 and not cg
-    assert len(bicgstab) == u.info["newton_iters"]
+    assert u.info["backend"] == "splu" and u.info["method"] == "picard"
+    # every sweep on the one LU of the drift system, with no Krylov solve
+    assert len(splu) == 1 and not cg and not bicgstab
     system = fem.assemble(m, coeffs, dirichlet=_ends, lam=u.info["lam"],
                           boundary=("interface", nbc), weight=1.0)
     assert not system.is_hermitian()
-    # the chord from zero reaches the same solution without Newton
     chord = solvers.solve_homogenized_delta(m, coeffs, 1.0, nbc, _one, dirichlet=_ends)
-    assert chord.info["method"] == "picard"
     assert np.abs(u.values - chord.values).max() < 1e-8
 
 
@@ -290,7 +297,7 @@ def test_linear_iters_count_every_krylov_iteration(monkeypatch):
     u = solvers.solve_homogenized_delta(
         m, coeffs, 1.0, fem.NonlinearBC("saturating", sigma=2.0), _one,
         dirichlet=_ends)
-    assert u.info["picard_iters"] > 1 and u.info["newton_iters"] == 0
+    assert u.info["picard_iters"] > 1
     assert len(cg) == u.info["picard_iters"]
     assert u.info["linear_iters"] == sum(cg)
 
@@ -408,3 +415,24 @@ def test_threshold_and_option_validation():
             m, IDENT, _one, opts=solvers.SolveOptions(lam=5.0), dirichlet=_ends)
     with pytest.raises(ValueError):
         solvers.SolveOptions(picard_tol=-1.0)
+
+
+def test_explicit_lam_needs_no_threshold_estimate():
+    # a callable sigma declares no sup bound, so lam0_hat has no estimate:
+    # the chord needs only a_u(x, 0), and a given lam is solved at; a
+    # constant sigma keeps its threshold check
+    m = _perforated()
+    opts = solvers.SolveOptions(lam=-10.0)
+    varying = fem.NonlinearBC("saturating", sigma=lambda x: 2.0 + x[:, 0])
+    u = solvers.solve_perforated(m, IDENT, varying, _one, opts=opts)
+    assert u.info["lam"] == -10.0 and u.info["residual"] <= 1e-9
+    flat = fem.NonlinearBC("saturating", sigma=lambda x: np.full(len(x), 2.0))
+    u = solvers.solve_perforated(m, IDENT, flat, _one, opts=opts)
+    const = solvers.solve_perforated(
+        m, IDENT, fem.NonlinearBC("saturating", sigma=2.0), _one, opts=opts)
+    assert np.abs(u.values - const.values).max() < 1e-12
+    with pytest.raises(ValueError, match="no sup bound"):
+        solvers.solve_perforated(m, IDENT, varying, _one)
+    with pytest.raises(ValueError, match="coercivity threshold"):
+        solvers.solve_perforated(m, IDENT, fem.NonlinearBC("saturating", sigma=2.0),
+                                 _one, opts=solvers.SolveOptions(lam=-0.25))

@@ -59,7 +59,7 @@ def test_traced_t2_row_records_the_nonlinear_spans():
     (row,) = report.rows
     assert m["solvers.solve_assembled.calls"] == 3 * (1 + row["u0_solves"]) + 1
     assert m["fem.assemble.calls"] == 2 + row["u0_solves"]
-    # no sweep falls back to Newton, so no Jacobian is built
+    # the chord sweeps build no Jacobian, and no solve reports Newton steps
     assert m["fem.boundary_nonlinear.calls"] == m["solvers.newton_iters"] == 0
     assert m["solvers.picard_iters"] == m["fem.solve_linear.calls"] >= 1
     # each system factors K inside its first solve; the fallback hook counts
