@@ -17,6 +17,8 @@ All subcommands accept --config FILE (JSON), --out DIR, --seed N and
 --log-level LEVEL, which sets the level of the perfhom loggers and prints
 their records to stderr; study also takes --jobs K, the number of worker
 processes for its eps sweep.  The JSON schemas are documented in the README.
+Each subcommand reads all its keys before it computes anything; an unread key
+or a bad value is an ``error: ...`` naming it, with exit code 1.
 """
 
 import argparse
@@ -25,19 +27,14 @@ import logging
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import corrector as corrector_mod
 from . import snorm as snorm_mod
 from . import fem, geometry, harness, meshing
-from .errors import PerfhomError, _config_value, _known_keys
-
-
-# the keys of a snorm, corrector or layout-only validate config; one file
-# serves all three
-_LAYOUT_KEYS = ("eps_list", "layout_kind", "layout_params", "eta_rule", "seed",
-                "alpha0", "points_per_bump", "grid", "modes", "calibrate")
+from .errors import ConfigError, ConfigReader, PerfhomError, _config_value
 
 
 def _load_config(path):
@@ -50,23 +47,19 @@ def _load_config(path):
     return doc
 
 
-def _value(doc, key, default, convert):
-    return _config_value(key, doc.get(key, default), convert)
+def _layout_keys(read):
+    """layout_kind, layout_params and eta_rule; make_layout reads the params."""
+    return (read("layout_kind", "periodic", harness._layout_kind),
+            read("layout_params", {}, dict),
+            read("eta_rule", 1.0, harness._eta_rule))
 
 
-def _layout_fn(doc):
-    kind = _value(doc, "layout_kind", "periodic", harness._layout_kind)
-    params = _value(doc, "layout_params", {}, dict)
-    rule = _value(doc, "eta_rule", 1.0, harness._eta_rule)
-    return lambda eps: geometry.make_layout(kind, params, eps, rule)
-
-
-def _eps_list(doc):
-    eps = doc.get("eps_list")
-    if not eps:
-        raise SystemExit("config must supply a non-empty eps_list")
-    return _config_value("eps_list", eps,
-                         lambda v: [geometry._positive(e) for e in v])
+def _sweep(v):
+    """Config converter to a non-empty, strictly decreasing list of eps > 0."""
+    eps = [geometry._positive(e) for e in v or ()]
+    if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError("must be a non-empty, strictly decreasing list")
+    return eps
 
 
 def _inside(lo, hi):
@@ -89,16 +82,24 @@ def _finite_or_none(x):
     return None if x is None else _inside(-math.inf, math.inf)(x)
 
 
-def _kappa_rows(doc, args):
-    """kappa(eps) of a snorm config; corrector calibrates on the same rows."""
-    seed = args.seed if args.seed is not None else \
-        _value(doc, "seed", 0, geometry._count)
-    return snorm_mod.kappa_table(
-        _eps_list(doc), _layout_fn(doc),
-        alpha0=_value(doc, "alpha0", None, _finite_or_none),
-        points_per_bump=_value(doc, "points_per_bump", 8,
-                               harness._int_in(1, math.inf)),
-        seed=seed)
+def _table_config(doc, seed):
+    """Every key of a snorm, corrector or layout-only validate config, read
+    before any table is computed; a seed that is not None overrides doc's."""
+    read = ConfigReader(doc if seed is None else dict(doc, seed=seed), "config")
+    t = SimpleNamespace(eps_list=read("eps_list", None, _sweep))
+    t.kind, params, t.eta_rule = _layout_keys(read)
+    t.layout = lambda eps: geometry.make_layout(t.kind, params, eps, t.eta_rule)
+    kappa = dict(alpha0=read("alpha0", None, _finite_or_none),
+                 points_per_bump=read("points_per_bump", 8,
+                                      harness._int_in(1, math.inf)),
+                 seed=read("seed", 0, geometry._count))
+    t.kappa_rows = lambda: snorm_mod.kappa_table(t.eps_list, t.layout, **kappa)
+    t.grid = read("grid", 256, harness._int_in(1, math.inf))
+    # fourier_corrector keeps modes below the grid's Nyquist order
+    t.modes = read("modes", 64, harness._int_in(1, t.grid // 2))
+    t.calibrate = read("calibrate", False, harness._bool)
+    read.done()
+    return t
 
 
 def cmd_study(args):
@@ -134,10 +135,9 @@ def cmd_study(args):
 
 
 def cmd_snorm(args):
-    doc = _load_config(args.config)
-    _known_keys(doc, _LAYOUT_KEYS, "config")
+    table = _table_config(_load_config(args.config), args.seed)
     os.makedirs(args.out, exist_ok=True)
-    rows = _kappa_rows(doc, args)
+    rows = table.kappa_rows()
     harness.write_csv(os.path.join(args.out, "kappa.csv"), rows, ["eps", "kappa"])
     for r in rows:
         note = "  [stalled]" if r.get("stalled") else ""
@@ -148,32 +148,24 @@ def cmd_snorm(args):
 
 
 def cmd_corrector(args):
-    doc = _load_config(args.config)
-    _known_keys(doc, _LAYOUT_KEYS, "config")
-    # the cell is read off the center gaps of a lattice: a periodic layout
-    _value(doc, "layout_kind", "periodic", harness._one_of(("periodic",)))
+    table = _table_config(_load_config(args.config), args.seed)
+    # the cell is read off the center gaps of a lattice
+    _config_value("layout_kind", table.kind, harness._one_of(("periodic",)))
+    if not isinstance(table.eta_rule, float):
+        raise ConfigError("corrector tables assume a fixed cell: 'eta_rule' "
+                          "must be a constant")
     os.makedirs(args.out, exist_ok=True)
-    rule = _value(doc, "eta_rule", 1.0, harness._eta_rule)
-    if not isinstance(rule, float):
-        raise SystemExit("corrector tables assume a fixed cell: eta_rule "
-                         "must be a constant")
-    eps_list = _eps_list(doc)
-    grid = _value(doc, "grid", 256, harness._int_in(1, math.inf))
-    # fourier_corrector keeps modes below the grid's Nyquist order
-    modes = _value(doc, "modes", 64, harness._int_in(1, grid // 2))
-    calibrate = _value(doc, "calibrate", False, harness._bool)
-    layout = _layout_fn(doc)(eps_list[0])
-    beta = corrector_mod.cell_beta_from_layout(layout, n=grid)
-    kappas = None
-    if calibrate:
-        kappas = [r["kappa"] for r in _kappa_rows(doc, args)]
-    table, calibration = corrector_mod.mu_table(
-        eps_list, beta, modes=modes, tau0=layout.constants["tau0"], kappas=kappas)
+    layout = table.layout(table.eps_list[0])
+    beta = corrector_mod.cell_beta_from_layout(layout, n=table.grid)
+    kappas = [r["kappa"] for r in table.kappa_rows()] if table.calibrate else None
+    rows, calibration = corrector_mod.mu_table(
+        table.eps_list, beta, modes=table.modes, tau0=layout.constants["tau0"],
+        kappas=kappas)
     cols = ["eps", "psi_sup", "lap_sup", "outer_flux", "s_mismatch", "mu"]
-    if calibrate:
+    if table.calibrate:
         cols.append("kappa")
-    harness.write_csv(os.path.join(args.out, "mu.csv"), table, cols)
-    for r in table:
+    harness.write_csv(os.path.join(args.out, "mu.csv"), rows, cols)
+    for r in rows:
         line = f"eps={r['eps']:.6g}  mu={r['mu']:.6e}"
         if "kappa" in r:
             ok = "yes" if r["certified"] else "NO"
@@ -184,46 +176,40 @@ def cmd_corrector(args):
     return 0
 
 
-# the keys each mesh_kind reads
-_MESH_KEYS = {
-    "perforated": ("eps", "h", "refine", "layout_kind", "layout_params",
-                   "eta_rule"),
-    "box": ("h", "domain", "dim"),
-    "interface": ("h", "domain", "dim", "s0"),
-    "slab": ("h", "lengths", "height"),
-}
-
-
 def cmd_mesh(args):
-    doc = _load_config(args.config)
-    kind = _value(doc, "mesh_kind", "perforated", harness._one_of(_MESH_KEYS))
-    _known_keys(doc, ("mesh_kind",) + _MESH_KEYS[kind], f"{kind} mesh config")
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "mesh.txt")
+    read = ConfigReader(_load_config(args.config), "mesh config")
+    kind = read("mesh_kind", "perforated",
+                harness._one_of(("perforated", "box", "interface", "slab")))
 
     def positive(key, default=None):
-        return _value(doc, key, default, geometry._positive)
+        return read(key, default, geometry._positive)
 
     if kind == "perforated":
         eps = positive("eps")
-        layout = _layout_fn(doc)(eps)
-        h = positive("h", 0.75 * eps)
-        mesh = meshing.mesh_perforated(layout, h, positive("refine", 4.0))
-        layout.to_json(os.path.join(args.out, "layout.json"))
+        layout_kind, params, rule = _layout_keys(read)
+        h, refine = positive("h", 0.75 * eps), positive("refine", 4.0)
     elif kind in ("box", "interface"):
-        dim = _value(doc, "dim", 2, geometry._dimension)
-        lo, hi = _value(doc, "domain", geometry._default_domain(dim),
-                        geometry._box(dim))
+        dim = read("dim", 2, geometry._dimension)
+        lo, hi = read("domain", geometry._default_domain(dim), geometry._box(dim))
         h = positive("h")
-        if kind == "box":
-            mesh = meshing.mesh_box(lo, hi, h)
-        else:
-            s0 = _value(doc, "s0", 0.0, _inside(lo[-1], hi[-1]))
-            mesh = meshing.mesh_interface(lo, hi, s0, h)
+        if kind == "interface":
+            s0 = read("s0", 0.0, _inside(lo[-1], hi[-1]))
     else:
-        lengths = _value(doc, "lengths", [1.0], _lengths)
-        mesh = meshing.mesh_slab(np.zeros_like(lengths), lengths,
-                                 positive("height", 0.5), positive("h"))
+        lengths = read("lengths", [1.0], _lengths)
+        height, h = positive("height", 0.5), positive("h")
+    read.done()
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "mesh.txt")
+    if kind == "perforated":
+        layout = geometry.make_layout(layout_kind, params, eps, rule)
+        mesh = meshing.mesh_perforated(layout, h, refine)
+        layout.to_json(os.path.join(args.out, "layout.json"))
+    elif kind == "box":
+        mesh = meshing.mesh_box(lo, hi, h)
+    elif kind == "interface":
+        mesh = meshing.mesh_interface(lo, hi, s0, h)
+    else:
+        mesh = meshing.mesh_slab(np.zeros_like(lengths), lengths, height, h)
     mesh.check()
     mesh.to_text(path)
     vols = mesh.simplex_volumes()
@@ -260,11 +246,10 @@ def cmd_validate(args):
             check(f"layout at eps={eps:.6g}",
                   lambda e=eps: f"{config.layout(e).n_cavities} cavities")
     else:
-        _known_keys(doc, _LAYOUT_KEYS, "config")
-        layout_fn = _layout_fn(doc)
-        for eps in _eps_list(doc):
+        table = _table_config(doc, args.seed)
+        for eps in table.eps_list:
             check(f"layout at eps={eps:.6g}",
-                  lambda e=eps: f"{layout_fn(e).n_cavities} cavities")
+                  lambda e=eps: f"{table.layout(e).n_cavities} cavities")
     print("validation " + ("FAILED" if failures else "passed"))
     return 1 if failures else 0
 

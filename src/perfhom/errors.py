@@ -23,6 +23,21 @@ def _known_keys(doc, keys, what):
         raise ConfigError(f"unknown {what} key(s): " + ", ".join(map(repr, unknown)))
 
 
+class ConfigReader:
+    """``read(key, default, convert)`` converts and records one key of doc;
+    ``read.done()`` raises a ConfigError naming every key no read asked for."""
+
+    def __init__(self, doc, what):
+        self.doc, self.what, self.keys = doc, what, set()
+
+    def __call__(self, key, default, convert):
+        self.keys.add(key)
+        return _config_value(key, self.doc.get(key, default), convert)
+
+    def done(self):
+        _known_keys(self.doc, self.keys, self.what)
+
+
 class InfeasibleSpacingError(PerfhomError):
     """Requested layout violates the cavity disjointness condition."""
 

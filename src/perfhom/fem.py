@@ -80,7 +80,7 @@ def facet_quadrature(dim):
     return pts, w
 
 
-def _eval_field(spec, x, dim, shape):
+def _eval_field(spec, x, shape):
     """Evaluate a coefficient given as None, scalar, array, or callable."""
     m = len(x)
     if spec is None:
@@ -130,7 +130,7 @@ class CoefficientSet:
     def validate_ellipticity(self, sample_points):
         """Check min eigenvalue of the matrix >= c0 on sample points."""
         x = np.atleast_2d(sample_points)
-        A = _eval_field(self.matrix, x, self.dim, (self.dim, self.dim))
+        A = _eval_field(self.matrix, x, (self.dim, self.dim))
         if A is None:
             lam_min = 1.0
         else:
@@ -508,7 +508,7 @@ def _assemble_matrix(mesh, coeffs, lam):
             """Coefficient values (nb, nq, *shape) at the quadrature points."""
             if callable(spec):
                 x = _cell_points(mesh, simp[blk])
-                return _eval_field(spec, x, dim, shape).reshape((nb, nq) + shape)
+                return _eval_field(spec, x, shape).reshape((nb, nq) + shape)
             return np.broadcast_to(np.asarray(spec), (nb, nq) + shape)
 
         # gradients are constant on a simplex, so A enters through its mean

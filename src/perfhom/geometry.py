@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (ConfigError, InfeasibleSpacingError,
+from .errors import (ConfigError, ConfigReader, InfeasibleSpacingError,
                      ManifoldOutsideDomainError, _config_value)
 
 log = logging.getLogger(__name__)
@@ -424,8 +424,9 @@ def make_layout(kind, params, eps, eta_rule=1.0):
     ----------
     kind : {"periodic", "perturbed-periodic", "clustered", "explicit"}
     params : dict
-        Family parameters; see the layout builders below.  Common keys:
-        "dim", "domain" ((lo, hi) tuples), "s0", "shape", "constants".
+        Family parameters; every kind reads "dim", "domain" ((lo, hi) tuples),
+        "s0", "shape" and "constants", then its own in its branch below.  An
+        unread key, or a constant not in DEFAULT_CONSTANTS, is a ConfigError.
     eps : float
         Small parameter; lattice pitch is proportional to eps.
     eta_rule : float | ("power", gamma) | callable
@@ -436,21 +437,18 @@ def make_layout(kind, params, eps, eta_rule=1.0):
     PerforationLayout
         Satisfies the placement invariants (validated before return).
     """
-    params = dict(params or {})
-
-    def value(key, default, convert):
-        return _config_value(key, params.get(key, default), convert)
-
+    value = ConfigReader(dict(params or {}), "layout param")
     dim = value("dim", 2, _dimension)
     eps = float(eps)
     eta = eval_eta(eta_rule, eps)
     lo, hi = (tuple(b.tolist()) for b in value("domain", _default_domain(dim),
                                                _box(dim)))
     s0 = value("s0", 0.0, float)
-    constants = dict(DEFAULT_CONSTANTS)
-    for key, v in value("constants", {}, dict).items():
-        # tau0 sets the slab height of every kappa and mu table
-        constants[key] = _config_value(key, v, _positive if key == "tau0" else float)
+    given = ConfigReader(value("constants", {}, dict), "layout constant")
+    # tau0 sets the slab height of every kappa and mu table
+    constants = {key: given(key, v, _positive if key == "tau0" else float)
+                 for key, v in DEFAULT_CONSTANTS.items()}
+    given.done()
     if not lo[dim - 1] < s0 < hi[dim - 1]:
         raise ManifoldOutsideDomainError(
             f"s0={s0} outside normal extent ({lo[dim-1]}, {hi[dim-1]})"
@@ -528,6 +526,7 @@ def make_layout(kind, params, eps, eta_rule=1.0):
         shapes = value("shapes", shape, _shapes(len(centers), dim))
     else:
         raise ValueError(f"unknown layout kind {kind!r}")
+    value.done()
 
     # drop cavities too close to the outer boundary; lattice points whose
     # center is not even inside the box are silent overshoot

@@ -217,7 +217,7 @@ def matrix_unblocked(mesh, coeffs, lam):
     def at_points(spec, shape):
         if callable(spec):
             x = _cell_points(mesh, simp)
-            return _eval_field(spec, x, dim, shape).reshape((ns, nq) + shape)
+            return _eval_field(spec, x, shape).reshape((ns, nq) + shape)
         return np.broadcast_to(np.asarray(spec), (ns, nq) + shape)
 
     A = coeffs.matrix

@@ -134,10 +134,13 @@ def test_corrector_on_a_3d_layout(tmp_path, capsys):
     assert "grid too coarse" in capsys.readouterr().err
 
 
-def test_corrector_requires_constant_eta(tmp_path):
+def test_corrector_requires_constant_eta(tmp_path, capsys):
     cfg = _write(tmp_path, {"eps_list": [1 / 8], "eta_rule": ["power", 0.5]})
-    with pytest.raises(SystemExit):
-        cli.main(["corrector", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert cli.main(["corrector", "--config", cfg,
+                     "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'eta_rule'" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_study_subcommand_end_to_end(tmp_path, capsys):
@@ -309,7 +312,7 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     assert err.startswith("error: ") and "eta_rule" in err
 
 
-@pytest.mark.parametrize("command, extra, named", [
+_CONFIG_MISTAKES = [
     ("snorm", {"points_per_bump": 0}, "points_per_bump"),
     ("snorm", {"alpha0": "x"}, "alpha0"),
     ("snorm", {"layout_kind": "bogus"}, "layout_kind"),
@@ -378,7 +381,15 @@ def test_bad_eta_rule_is_a_clean_error(tmp_path, capsys, command):
     ("snorm", {"layout_kind": "explicit",
                "layout_params": {"dim": 3, "centers": [[0.5, 0.5, 0.0]],
                                  "shapes": [_STAR]}}, "shapes"),
-])
+    # the corrector builds its cell and freezes its calibration at eps_list[0]
+    ("snorm", {"eps_list": []}, "eps_list"),
+    ("corrector", {"eps_list": [1 / 16, 1 / 8]}, "eps_list"),
+    ("snorm", {"eps_list": [1 / 8, 1 / 8]}, "eps_list"),
+    ("corrector", {"eps_list": [float("inf")]}, "eps_list"),
+]
+
+
+@pytest.mark.parametrize("command, extra, named", _CONFIG_MISTAKES)
 def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
                                                      extra, named):
     # a mesh config reads no eps_list, so there it would be an unknown key
@@ -389,6 +400,63 @@ def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
     assert err.startswith("error: ") and repr(named) in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "mesh.txt").exists()
+
+
+def _refused(named, out, err):
+    """named is on the error: line, or on every FAIL line of validate."""
+    if err:
+        return err.startswith("error: ") and repr(named) in err \
+            and "Traceback" not in err
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    return bool(fails) and all(repr(named) in line for line in fails)
+
+
+@pytest.mark.parametrize("extra, named", [
+    (extra, named) for command, extra, named in _CONFIG_MISTAKES
+    # the corrector alone reads its cell off a lattice
+    if command in ("snorm", "corrector") and not (
+        command == "corrector" and named == "layout_kind")])
+def test_validate_refuses_what_snorm_and_corrector_refuse(tmp_path, capsys,
+                                                          extra, named):
+    cfg = _write(tmp_path, {"eps_list": [1 / 8], **extra})
+    assert cli.main(["validate", "--config", cfg]) == 1
+    assert _refused(named, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", ["snorm", "corrector", "validate"])
+def test_table_config_needs_an_eps_list(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", _write(tmp_path, {}),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'eps_list'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layout_kind, layout_params, named", [
+    ("periodic", {"preiods": [2.0]}, "preiods"),
+    ("periodic", {"mu": 0.3}, "mu"),
+    ("clustered", {"centers": [[0.5, 0.0]]}, "centers"),
+    ("periodic", {"constants": {"R3": 5}}, "R3"),
+])
+def test_every_command_refuses_an_unread_layout_param(tmp_path, capsys,
+                                                      layout_kind, layout_params,
+                                                      named):
+    layout = {"layout_kind": layout_kind, "layout_params": layout_params}
+    out = tmp_path / "o"
+    for command, doc in (("snorm", {"eps_list": [1 / 8]}),
+                         ("mesh", {"mesh_kind": "perforated", "eps": 1 / 8}),
+                         ("validate", {"eps_list": [1 / 8]}),
+                         ("validate", {"theorem": "T1a", "eps_list": [1 / 8]})):
+        cfg = _write(tmp_path, {**doc, **layout})
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        printed, err = capsys.readouterr()
+        if command == "validate":
+            assert not err and _refused(named, printed, err)
+        else:
+            assert err.startswith("error: ") and repr(named) in err
+    assert not (out / "mesh.txt").exists()
+    assert not (out / "kappa.csv").exists()
 
 
 def test_corrector_reads_tau0_from_the_layout(tmp_path, capsys):

@@ -49,6 +49,19 @@ def test_shape_params_are_checked_and_named():
         geometry.make_layout("periodic", {"constants": {"R2": "x"}}, 1 / 8)
 
 
+@pytest.mark.parametrize("kind, params, key", [
+    ("periodic", {"preiods": [2.0]}, "preiods"),
+    # each kind reads only its own params
+    ("periodic", {"mu": 0.3}, "mu"),
+    ("clustered", {"centers": [[0.5, 0.0]]}, "centers"),
+    ("explicit", {"centers": [[0.5, 0.0]], "periods": [2.0]}, "periods"),
+    ("periodic", {"constants": {"R3": 5}}, "R3"),
+])
+def test_make_layout_refuses_a_param_it_does_not_read(kind, params, key):
+    with pytest.raises(ConfigError, match=repr(key)):
+        geometry.make_layout(kind, params, 1 / 8)
+
+
 def test_periodic_lattice_count_and_positions():
     # unit period, eps = 1/8, interface length 1: 8 centers at eps*(k+1/2)
     lay = geometry.make_layout("periodic", {}, 1 / 8)

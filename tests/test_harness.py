@@ -102,6 +102,19 @@ def test_config_errors_name_the_key(key, value):
         harness.StudyConfig.from_dict({"theorem": "T1a", key: value})
 
 
+@pytest.mark.parametrize("theorem", ["T1a", "T2"])
+def test_misspelled_layout_param_is_refused_before_any_mesh(theorem, monkeypatch):
+    from perfhom import meshing, snorm
+    built = []
+    monkeypatch.setattr(meshing, "mesh_perforated", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(snorm, "build_slab", lambda *a, **k: built.append(a))
+    config = harness.StudyConfig(theorem=theorem, eps_list=(0.25, 0.125),
+                                 layout_params={"preiods": [1.0]})
+    with pytest.raises(harness.ConfigError, match="'preiods'"):
+        harness.run_study(config)
+    assert not built
+
+
 _THIN = {"domain": [[0.0, -0.1], [1.0, 0.1]]}
 
 
