@@ -127,7 +127,7 @@ def cmd_study(args):
     if no_slope:
         print(f"{norm}: no slope, {len(report.accepted(norm))} of "
               f"{len(report.rows)} rows accepted at guard_tol "
-              f"{report.config['guard_tol']:g} (a fit needs 3)")
+              f"{harness.GUARD_TOL:g} (a fit needs 3)")
     print("wrote " + ", ".join(paths))
     bad = no_slope or report.dominance_ok is False \
         or report.uniformity["ok"] is False

@@ -44,9 +44,10 @@ def _positive(x):
     return float(x)
 
 
-# converters of the shape params that are not a number
-_SHAPE_PARAMS = {"semi_axes": lambda v: tuple(float(a) for a in v), "wings": _count}
-# the params each shape family cannot do without
+# each shape family's params with their converters, and the ones it needs
+_SHAPE_PARAMS = {"ball": {"radius": float},
+                 "ellipse": {"semi_axes": lambda v: tuple(float(a) for a in v)},
+                 "star": {"r0": float, "r1": float, "wings": _count, "phase": float}}
 _REQUIRED_PARAMS = {"ball": ("radius",), "ellipse": ("semi_axes",), "star": ("r0", "r1")}
 
 
@@ -66,13 +67,15 @@ class Shape:
     params: dict
 
     def __post_init__(self):
-        if self.family not in _REQUIRED_PARAMS:
+        if self.family not in _SHAPE_PARAMS:
             raise ConfigError(f"unknown shape family {self.family!r}")
         for key in _REQUIRED_PARAMS[self.family]:
             if key not in self.params:
                 raise ConfigError(f"a {self.family} shape needs the param {key!r}")
-        self.params = {key: _config_value(key, v, _SHAPE_PARAMS.get(key, float))
-                       for key, v in dict(self.params).items()}
+        read = ConfigReader(dict(self.params), f"{self.family} shape param")
+        self.params = {key: read(key, None, convert) for key, convert in
+                       _SHAPE_PARAMS[self.family].items() if key in read.doc}
+        read.done()
 
     # -- radial description (2D families) ---------------------------------
 

@@ -28,6 +28,12 @@ log = logging.getLogger(__name__)
 DEFAULT_SWEEP = (1 / 8, 1 / 12, 1 / 16, 1 / 24, 1 / 32, 1 / 48, 1 / 64)
 DEFAULT_SWEEP_3D = (1 / 4, 1 / 6, 1 / 8)
 
+# the study protocol, the same for every config: the tolerance of a row's
+# h vs h/2 guard, the least refinement of the meshes near the cavities, and
+# vanish_near_s's cutoff, 0 within CUTOFF_RADII[0] of S and 1 beyond [1]
+GUARD_TOL, REFINE_FLOOR = 0.1, 4.0
+CUTOFF_RADII = (0.15, 0.3)
+
 # theorem tag -> (asserted norm, needs kappa, side condition, homogenized kind)
 _THEOREMS = {
     "T1a": ("h1", False, "a_zero", "plain"),
@@ -103,8 +109,7 @@ _RHS_BY_NAME = {
 }
 
 
-def standard_rhs(names=("trig", "gauss", "poly"), vanish_near_s=False,
-                 s0=0.0, inner=0.15, outer=0.3):
+def standard_rhs(names=("trig", "gauss", "poly"), vanish_near_s=False, s0=0.0):
     """Named smooth right-hand sides, optionally cut off around the interface.
 
     The cutoff is exactly 0 for |x_n - s0| < inner and 1 beyond outer, so the
@@ -112,6 +117,7 @@ def standard_rhs(names=("trig", "gauss", "poly"), vanish_near_s=False,
     """
     if not vanish_near_s:
         return [(name, _RHS_BY_NAME[name]) for name in names]
+    inner, outer = CUTOFF_RADII
 
     def cut(x):
         return smoothstep((np.abs(x[:, -1] - s0) - inner) / (outer - inner))
@@ -151,8 +157,6 @@ class StudyConfig:
     vanish_near_s: bool = False
     eps_list: tuple = ()
     h_factor: float = 0.75
-    refine_floor: float = 4.0
-    guard_tol: float = 0.1
     lam: float | None = None
     u0_refine_cap: int = 2
     seed: int = 0
@@ -172,7 +176,7 @@ class StudyConfig:
         self.rhs_names = _config_value("rhs_names", self.rhs_names, _rhs_names)
         self.u0_refine_cap = _config_value("u0_refine_cap", self.u0_refine_cap,
                                             geometry._count)
-        for key in ("c0", "h_factor", "refine_floor", "guard_tol"):
+        for key in ("c0", "h_factor"):
             setattr(self, key, _config_value(key, getattr(self, key), _positive))
         self.seed = _config_value("seed", self.seed, geometry._count)
         self.vanish_near_s = _config_value("vanish_near_s", self.vanish_near_s,
@@ -380,7 +384,7 @@ def _study_row(config, eps, kappa_val=None, u0_cache=None):
     name0, f0 = fs[0]
 
     h = config.h_factor * eps
-    refine = max(config.refine_floor, 2.5 * h / (eps * eta))
+    refine = max(REFINE_FLOOR, 2.5 * h / (eps * eta))
     alpha0 = alpha_mod.alpha0_mean(layout) if homog_kind == "delta" else None
 
     def solve_all(mesh, rhs, boundary, weight=None):
@@ -457,8 +461,8 @@ def _study_row(config, eps, kappa_val=None, u0_cache=None):
         "bound": bound,
         "guard_l2": guard_l2,
         "guard_h1": guard_h1,
-        "accepted_l2": guard_l2 < config.guard_tol,
-        "accepted_h1": guard_h1 < config.guard_tol,
+        "accepted_l2": guard_l2 < GUARD_TOL,
+        "accepted_h1": guard_h1 < GUARD_TOL,
         "kappa": kappa_val,
         "f_norm_omega": f_omega,
         "f_norm_theta": f_theta,

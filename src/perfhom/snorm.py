@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,6 +46,8 @@ import scipy.linalg as la
 from . import fem, meshing
 
 log = logging.getLogger(__name__)
+
+LANCZOS_TOL, LANCZOS_MAX_ITER = 1e-9, 300
 
 
 @dataclass
@@ -186,7 +187,7 @@ def slab_for_layout(layout, points_per_bump=8):
     return build_slab(lo, hi, h, tau0=layout.constants.get("tau0", 1.0))
 
 
-def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
+def s_norm(slab, weight, seed=0, return_info=False):
     """max |mu| over the pencil M_w v = mu K v on the whole slab.
 
     M_w = E_b B E_b^T lives on the bottom nodes (B the bottom block of the
@@ -197,23 +198,17 @@ def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
     Q and P = R Q, and each step's one slab solve is p = R w (Parlett, The
     Symmetric Eigenvalue Problem, SIAM 1998, ch. 13).  The start vector is
     seeded by seed.  The run stops when the largest-|theta| Ritz pair of
-    the tridiagonal has residual beta |s_k| <= tol |theta|, or when the
-    Krylov space is invariant; the value is that |theta|, so both ends +-mu
-    of a sign-changing weight are resolved.
+    the tridiagonal has residual beta |s_k| <= LANCZOS_TOL |theta|, or when
+    the Krylov space is invariant; the value is that |theta|, so both ends
+    +-mu of a sign-changing weight are resolved.
 
-    maxiter caps the slab solves; info["iterations"] (one entry) records
-    their count.  A run that hits the cap sets info["stalled"], logs a
-    warning and returns the largest |Ritz value| so far, a lower bound since
-    Ritz values lie inside the spectrum.  A weight whose M_w has no nonzero
-    entry gives exactly 0.  ValueError names a maxiter that is not an
-    integer >= 1, a tol that is not finite and > 0, and a weight that is
+    LANCZOS_MAX_ITER caps the slab solves; info["iterations"] (one entry)
+    records their count.  A run that hits the cap sets info["stalled"], logs
+    a warning and returns the largest |Ritz value| so far, a lower bound
+    since Ritz values lie inside the spectrum.  A weight whose M_w has no
+    nonzero entry gives exactly 0.  ValueError names a weight that is
     complex or not finite.
     """
-    if isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral) \
-            or maxiter < 1:
-        raise ValueError(f"s_norm needs an integer maxiter >= 1, got {maxiter!r}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"s_norm needs a finite tol > 0, got {tol!r}")
     B = slab.trace_matrix(weight)
     if np.iscomplexobj(B.data):
         raise ValueError("s_norm needs a real weight")
@@ -231,7 +226,7 @@ def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
         rhs[bottom] = x
         return slab.solve(rhs)[bottom]
 
-    size = min(maxiter, n_trace)
+    size = min(LANCZOS_MAX_ITER, n_trace)
     Q, P = np.empty((size, n_trace)), np.empty((size, n_trace))
     alpha, beta = np.empty(size), np.zeros(size)
     q = np.random.default_rng(seed).standard_normal(n_trace)
@@ -256,7 +251,7 @@ def s_norm(slab, weight, seed=0, tol=1e-9, maxiter=300, return_info=False):
             break
         p = apply_r(w)
         b = math.sqrt(max(w @ p, 0.0))
-        if b * abs(s_k) <= tol * abs(theta):
+        if b * abs(s_k) <= LANCZOS_TOL * abs(theta):
             break  # converged, or b = 0: the Krylov space is invariant
         beta[j + 1] = b
         Q[j + 1], P[j + 1] = w / b, p / b

@@ -11,7 +11,7 @@ is one fem.solve_linear on that setup, on the system's free dofs.  For the
 monotone terms here a_u(x, 0) = sigma is the largest slope, so the sweeps
 contract at a rate that does not depend on the mesh, and a linear term,
 which J_b(0) holds whole, takes one solve, as the zero term does.  The
-sweeps run until the relative residual is below picard_tol; a far start
+sweeps run until the relative residual is below PICARD_TOL; a far start
 at a stiff sigma needs thousands, and PICARD_MAX_ITER of them raise.  The
 fields that solve_* return keep no system, so each factorization is freed
 with its system.
@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 # far starts on a perforated mesh (eps = 1/8) take up to thousands of
 # sweeps: saturating sigma = 1e4 from u = 1000 takes 796, from u = 1e4 3004
 PICARD_MAX_ITER = 5000
+PICARD_TOL = 1e-9  # relative nonlinear residual
 LINEAR_TOL = 1e-11
 
 
@@ -43,12 +44,7 @@ class SolveOptions:
     at its lam and does not read it."""
 
     lam: float | None = None        # spectral shift; None -> lam0_hat - 1
-    picard_tol: float = 1e-9        # relative nonlinear residual
     initial: object = None          # optional nodal initial guess
-
-    def __post_init__(self):
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
 
 
 def _resolve_lambda(coeffs, nbc, lam):
@@ -144,7 +140,7 @@ def _nonlinear_solve(system, load, opts):
     u = np.zeros(len(F)) if opts.initial is None else np.asarray(opts.initial)[system.free]
     res, G = residual(u)
     picard_iters, prev_step = 0, None
-    while res > opts.picard_tol:
+    while res > PICARD_TOL:
         if picard_iters == PICARD_MAX_ITER:
             raise NoConvergenceError(
                 f"{PICARD_MAX_ITER} chord sweeps left relative residual "

@@ -67,7 +67,7 @@ def test_criterion_2_slab_norm_constant():
     t0 = time.time()
     slab = snorm.build_slab((0.0,), (1.0,), 0.01)
     c = 2.5
-    val = snorm.s_norm(slab, lambda x: np.full(len(x), c), maxiter=500)
+    val = snorm.s_norm(slab, lambda x: np.full(len(x), c))
     want = c / math.tanh(0.5)
     rel = abs(val - want) / want
     zero = snorm.s_norm(slab, lambda x: np.zeros(len(x)))
@@ -166,7 +166,7 @@ def test_criterion_7_kappa_decay_and_clustered_bound():
              time.time() - t0, 600)
 
 
-def test_criterion_8_property_battery():
+def test_criterion_8_property_battery(monkeypatch):
     t0 = time.time()
     failures = []
 
@@ -187,13 +187,12 @@ def test_criterion_8_property_battery():
 
     # Picard contraction < 1 and double-start uniqueness within 10*tol
     tol = 1e-10
-    u1 = solvers.solve_perforated(m, coeffs, nbc, one,
-                                  opts=solvers.SolveOptions(picard_tol=tol))
+    monkeypatch.setattr(solvers, "PICARD_TOL", tol)
+    u1 = solvers.solve_perforated(m, coeffs, nbc, one)
     check("contraction", max(u1.info["contraction"]) < 1.0)
     u2 = solvers.solve_perforated(
         m, coeffs, nbc, one,
-        opts=solvers.SolveOptions(picard_tol=tol,
-                                  initial=0.3 * np.ones(m.n_vertices)))
+        opts=solvers.SolveOptions(initial=0.3 * np.ones(m.n_vertices)))
     diff = fem.norms(m, u1.values - u2.values)[2]
     check("double-start", diff <= 10 * tol * fem.norms(m, u1.values)[2])
 

@@ -200,6 +200,9 @@ def test_degenerate_study_exits_0(tmp_path, capsys):
     # every eps must be > 0, as for snorm and corrector
     ({"theorem": "T1a", "eps_list": [0.25, 0.125, -0.125]}, "eps_list"),
     ({"theorem": "T1a", "eps_list": [0.25, 0.125, 0]}, "eps_list"),
+    # the guard's tolerance and the near-cavity refinement are the protocol's
+    ({"theorem": "T1a", "guard_tol": 0.1}, "'guard_tol'"),
+    ({"theorem": "T1a", "refine_floor": 4.0}, "'refine_floor'"),
 ])
 def test_config_mistake_is_a_clean_error(tmp_path, capsys, command, doc, named):
     cfg = _write(tmp_path, doc)
@@ -386,6 +389,11 @@ _CONFIG_MISTAKES = [
     ("corrector", {"eps_list": [1 / 16, 1 / 8]}, "eps_list"),
     ("snorm", {"eps_list": [1 / 8, 1 / 8]}, "eps_list"),
     ("corrector", {"eps_list": [float("inf")]}, "eps_list"),
+    # a shape takes only its family's params
+    ("snorm", {"layout_params": {"shape": {"family": "ball", "params": {
+        "radius": 0.15, "radus": 0.3}}}}, "radus"),
+    ("snorm", {"layout_params": {"shape": {"family": "ball", "params": {
+        "radius": 0.15, "semi_axes": [0.1, 0.2]}}}}, "semi_axes"),
 ]
 
 

@@ -42,11 +42,20 @@ def test_shape_params_are_checked_and_named():
                                 ("ball", {}, "radius"),
                                 ("ellipse", {"radius": 0.1}, "semi_axes"),
                                 ("star", {"r0": 0.15}, "r1"),
-                                ("blob", {}, "blob")):
+                                ("blob", {}, "blob"),
+                                # a family takes only its own params
+                                ("ball", {"radius": 0.15, "radus": 0.3}, "radus"),
+                                ("ball", {"radius": 0.15, "semi_axes": (0.1, 0.2)},
+                                 "semi_axes"),
+                                ("ellipse", {"semi_axes": (0.1, 0.2), "wings": 3},
+                                 "wings")):
         with pytest.raises(ConfigError, match=repr(key)):
             geometry.Shape(family, params)
     with pytest.raises(ConfigError, match="'R2'"):
         geometry.make_layout("periodic", {"constants": {"R2": "x"}}, 1 / 8)
+    with pytest.raises(ConfigError, match="'radus'"):
+        geometry.make_layout("periodic", {"shape": {"family": "ball", "params": {
+            "radius": 0.15, "radus": 0.3}}}, 1 / 8)
 
 
 @pytest.mark.parametrize("kind, params, key", [

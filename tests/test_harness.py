@@ -1,5 +1,8 @@
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +99,8 @@ def test_config_dict_roundtrip():
     ("rhs_names", ["trig", "trig", "trig"]),
     # a lam at the threshold lam0_hat = -0.25 of the identity config
     ("lam", -0.25),
+    # the guard's tolerance and the near-cavity refinement are the protocol's
+    ("guard_tol", 0.1), ("refine_floor", 4.0),
 ])
 def test_config_errors_name_the_key(key, value):
     with pytest.raises(harness.ConfigError, match=key):
@@ -190,10 +195,19 @@ def test_explicit_layout_shapes_errors_name_the_key(shapes):
         cfg.layout(1 / 8)
 
 
+def test_readme_study_table_lists_every_config_field():
+    # the rows of the README's "Study config" table, up to the next heading
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Study config", 1)[1].split("\n#", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    assert keys == [f.name for f in fields(harness.StudyConfig)]
+
+
 def test_mesh_and_guard_numbers_become_floats():
-    # the study's arithmetic on h_factor and guard_tol needs numbers
-    cfg = harness.StudyConfig(theorem="T1a", h_factor="0.5", guard_tol=1)
-    assert cfg.h_factor == 0.5 and type(cfg.guard_tol) is float
+    # the study's arithmetic on h_factor, which sizes the guard's two
+    # meshes, and on c0 needs numbers
+    cfg = harness.StudyConfig(theorem="T1a", h_factor="0.5", c0=1)
+    assert cfg.h_factor == 0.5 and type(cfg.c0) is float
 
 
 def test_coefficient_configs_keep_plain_data():

@@ -302,17 +302,16 @@ def test_linear_iters_count_every_krylov_iteration(monkeypatch):
     assert u.info["linear_iters"] == sum(cg)
 
 
-def test_solution_independent_of_initial_guess():
+def test_solution_independent_of_initial_guess(monkeypatch):
     lay = geometry.make_layout("periodic", {}, 1 / 8)
     m = meshing.mesh_perforated(lay, 0.06)
     nbc = fem.NonlinearBC("saturating", sigma=2.0)
     tol = 1e-10
-    u1 = solvers.solve_perforated(
-        m, IDENT, nbc, _one, opts=solvers.SolveOptions(picard_tol=tol))
+    monkeypatch.setattr(solvers, "PICARD_TOL", tol)
+    u1 = solvers.solve_perforated(m, IDENT, nbc, _one)
     u2 = solvers.solve_perforated(
         m, IDENT, nbc, _one,
-        opts=solvers.SolveOptions(picard_tol=tol,
-                                  initial=0.3 * np.ones(m.n_vertices)))
+        opts=solvers.SolveOptions(initial=0.3 * np.ones(m.n_vertices)))
     _, _, h1 = fem.norms(m, u1.values - u2.values)
     assert h1 <= 10 * tol * fem.norms(m, u1.values)[2]
 
@@ -413,8 +412,6 @@ def test_threshold_and_option_validation():
     with pytest.raises(ValueError):
         solvers.solve_homogenized_plain(
             m, IDENT, _one, opts=solvers.SolveOptions(lam=5.0), dirichlet=_ends)
-    with pytest.raises(ValueError):
-        solvers.SolveOptions(picard_tol=-1.0)
 
 
 def test_explicit_lam_needs_no_threshold_estimate():
