@@ -393,6 +393,8 @@ def _shape(dim):
         shape = v if isinstance(v, Shape) else Shape(**dict(v))
         if dim != 2 and shape.family == "star":
             raise ValueError("star shapes are planar")
+        if shape.family == "ellipse" and len(shape.params["semi_axes"]) < dim:
+            raise ValueError(f"'semi_axes' needs {dim} numbers in {dim}D")
         return shape
     return convert
 

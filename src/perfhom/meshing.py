@@ -7,8 +7,8 @@ arithmetic alone (_grid_mesh), and so does point location on them (locate).
 Perforated meshes go through qhull (scipy.spatial.Delaunay): cavity
 boundaries are approximated by inscribed polygons/point shells whose
 vertices lie exactly on the analytic boundary, so boundary quantities
-converge at O(h^2), and every boundary facet is checked to belong to either
-the outer box or a cavity.
+converge at O(h^2).  The carve, the boundary facets and their tags follow
+from qhull's neighbours and from the cavity each point was placed on.
 """
 
 from __future__ import annotations
@@ -230,34 +230,15 @@ def _p1_geometry(vertices, simplices):
     return blockwise(len(simplices), kernel)
 
 
-def _orient(simplices, det):
-    """Simplices reordered to positive orientation, given their edge
-    determinants det, and the determinants after the reordering (the swap of
-    two vertices negates det exactly, so that is |det|)."""
+def _orient(rows, det):
+    """Rows of per-vertex values of simplices, such as their vertex indices,
+    reordered to positive orientation given the simplices' edge determinants
+    det: a row with det < 0 swaps its last two entries."""
     flip = det < 0
     if flip.any():
-        simplices = simplices.copy()
-        simplices[flip, -1], simplices[flip, -2] = (
-            simplices[flip, -2].copy(),
-            simplices[flip, -1].copy(),
-        )
-    return simplices, np.abs(det)
-
-
-def _boundary_faces(simplices, dim):
-    """Faces belonging to exactly one simplex, in lexicographic order of
-    their sorted vertex indices.
-
-    One stable lexsort over the sorted face columns puts equal faces next to
-    each other; a face with no equal neighbour is single.
-    """
-    faces = np.concatenate([np.delete(simplices, i, axis=1) for i in range(dim + 1)])
-    key = np.sort(faces, axis=1).T.copy()                 # (dim, nf) columns
-    order = np.lexsort(key[::-1])
-    key = key[:, order]
-    differs = np.any(key[:, 1:] != key[:, :-1], axis=0)
-    single = np.r_[True, differs] & np.r_[differs, True]
-    return faces[order[single]]
+        rows = rows.copy()
+        rows[flip, -1], rows[flip, -2] = rows[flip, -2].copy(), rows[flip, -1].copy()
+    return rows
 
 
 def _on_box_side(pts, lo, hi, tol):
@@ -454,7 +435,8 @@ def mesh_slab(tangential_lo, tangential_hi, height, h_bottom):
 
 
 def _cavity_cloud(layout, k, h_near, h_band, gap_k, wall_k):
-    """Boundary polygon/shell plus graded offset rings for cavity k."""
+    """Boundary polygon/shell, then graded offset rings, for cavity k; also
+    the boundary block's length and the background drop radius."""
     shape = layout.shapes[k]
     center = layout.centers[k]
     cs = layout.cavity_scale
@@ -487,7 +469,13 @@ def _cavity_cloud(layout, k, h_near, h_band, gap_k, wall_k):
         if s > h_band:
             break
     protect = cs * rmax + d + 0.55 * h_band
-    return np.concatenate(blocks, axis=0), protect
+    return np.concatenate(blocks, axis=0), len(blocks[0]), protect
+
+
+def _one_cavity(owner, rows):
+    """Per row of point indices, the cavity owning all of them, or -1."""
+    k = owner[rows]
+    return np.where((k == k[:, :1]).all(axis=1), k[:, 0], -1)
 
 
 def _graded_rows(lo, hi, s0, h_band, w_band, h):
@@ -544,19 +532,20 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
 
     if n_cav:
         tree_c = cKDTree(centers)  # nearest-cavity queries
-        rmaxs = np.array([s.rmax(dim) for s in layout.shapes])
         # distances used to cap the graded rings; a lone cavity's second
         # neighbour is at inf
         dnn = tree_c.query(centers, k=2)[0][:, 1]
         wall = np.minimum((centers - lo[None, :]).min(axis=1),
                           (hi[None, :] - centers).min(axis=1))
 
-    clouds = []
+    # a point's owner is the cavity on whose boundary it lies, or -1
+    clouds, owners = [], []
     protect = np.zeros(n_cav)
     for k in range(n_cav):
-        cloud, prot = _cavity_cloud(layout, k, h_near, h_band, dnn[k], wall[k])
+        cloud, n_boundary, protect[k] = _cavity_cloud(layout, k, h_near, h_band,
+                                                      dnn[k], wall[k])
         clouds.append(cloud)
-        protect[k] = prot
+        owners.append(np.repeat([k, -1], [n_boundary, len(cloud) - n_boundary]))
 
     # background rows: normal positions with graded spacing, each row a
     # uniform tangential grid matched to the local row gap
@@ -602,62 +591,67 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
         drop = (d_near < protect[k_near]) & ~on_wall
         bg = bg[~drop]
 
-    pts = np.concatenate(clouds + [bg], axis=0) if n_cav else bg
+    pts = np.concatenate(clouds + [bg], axis=0)
+    owner = np.concatenate(owners + [np.full(len(bg), -1)])
+    # the carve keeps every simplex with a vertex off cavity k's boundary, so
+    # no such point may lie in cavity k: ring points of a nearly touching
+    # neighbour and background points there are dropped, and a boundary
+    # point there means the cavities overlap
+    reach = cs * np.array([s.rmax(dim) for s in layout.shapes])
+    inside = np.zeros(len(pts), dtype=bool)
+    for k, idx in enumerate(cKDTree(pts).query_ball_point(centers, reach)):
+        y = (pts[idx] - centers[k]) / cs
+        inside[idx] |= layout.shapes[k].contains(y) & (owner[idx] != k)
+    if (owner[inside] >= 0).any():
+        raise MeshingError("cavities overlap")
+    pts, owner = pts[~inside], owner[~inside]
 
     tri = Delaunay(pts)
-    simplices = tri.simplices
-    centroids = pts[simplices].mean(axis=1)
-
-    keep = np.ones(len(simplices), dtype=bool)
-    if n_cav:
-        d_c, k_c = tree_c.query(centroids)
-        cand = d_c <= cs * rmaxs[k_c] + 1e-12
-        for k in np.unique(k_c[cand]):
-            rows_k = np.where(cand & (k_c == k))[0]
-            y = (centroids[rows_k] - centers[k]) / cs
-            inside = layout.shapes[k].contains(y)
-            keep[rows_k[inside]] = False
-
-    simplices = simplices[keep]
+    live = np.ones(len(tri.simplices), dtype=bool)
+    k_s = _one_cavity(owner, tri.simplices)
+    for k in np.unique(k_s[k_s >= 0]):
+        rows_k = np.nonzero(k_s == k)[0]
+        y = (pts[tri.simplices[rows_k]].mean(axis=1) - centers[k]) / cs
+        live[rows_k[layout.shapes[k].contains(y)]] = False
+    kept = np.nonzero(live)[0]
 
     # qhull can emit flat simplices whose vertices are all cocircular points
     # of one box face; they carry no volume and are safe to drop
-    det = blockwise(len(simplices),
-                    lambda blk: _edge_cofactors(pts, simplices[blk])[0])
+    det = blockwise(len(kept),
+                    lambda blk: _edge_cofactors(pts, tri.simplices[kept[blk]])[0])
     vols = np.abs(det)
     flat = vols <= 1e-10 * np.median(vols)
     if flat.any():
         wall_tol = 1e-9 * float((hi - lo).max())
-        if not _on_box_side(pts[simplices[flat]], lo, hi, wall_tol).all():
+        if not _on_box_side(pts[tri.simplices[kept[flat]]], lo, hi, wall_tol).all():
             raise MeshingError("degenerate simplex away from the box walls")
-        simplices, det = simplices[~flat], det[~flat]
+        live[kept[flat]] = False
+        kept, det = kept[~flat], det[~flat]
 
-    used = np.unique(simplices)
-    remap = -np.ones(len(pts), dtype=np.int64)
-    remap[used] = np.arange(len(used))
+    # face i of a kept simplex, opposite vertex i, is a boundary facet when
+    # qhull's neighbour across it is carved, flat or none (-1: the False)
+    open_face = ~np.append(live, False)[tri.neighbors[kept]]
+    used, renumbered = np.unique(tri.simplices[kept], return_inverse=True)
     verts = pts[used]
-    # renumbering keeps each simplex's coordinates, and so its determinant
-    simplices, det = _orient(remap[simplices], det)
-    if not np.all(det > 0):
-        raise MeshingError("degenerate simplex after carving")
+    # renumbering keeps each simplex's coordinates, and so its determinant;
+    # reordering a simplex's vertices reorders its faces alike
+    open_face = _orient(open_face, det)
+    simplices = _orient(renumbered.reshape(len(kept), dim + 1), det)
 
-    bfaces = _boundary_faces(simplices, dim)
-    vpos = verts[bfaces]
-    on_box = _on_box_side(vpos, lo, hi, 1e-9 * float((hi - lo).max()))
-    tags = np.full(len(bfaces), OUTER_TAG, dtype=np.int64)
-    inner = ~on_box
-    if inner.any():
-        if not n_cav:
-            raise MeshingError("boundary facets not on the box in a solid mesh")
-        d_m, k_m = tree_c.query(vpos[inner].mean(axis=1))
-        bad = d_m > cs * rmaxs[k_m] + 3.0 * h_near
-        if bad.any():
-            raise MeshingError(
-                f"{int(bad.sum())} boundary facets not attributable to a cavity"
-            )
-        tags[inner] = k_m
-    present = set(np.unique(tags[tags >= 0]).tolist())
-    if n_cav and present != set(range(n_cav)):
+    bfaces = np.concatenate([np.delete(simplices, i, axis=1)[open_face[:, i]]
+                             for i in range(dim + 1)])
+    # rows in lexicographic order of their sorted vertex indices: a vertex's
+    # facet sums, of three or more terms in 3D, round in row order
+    bfaces = bfaces[np.lexsort(np.sort(bfaces, axis=1).T[::-1])]
+    on_box = _on_box_side(verts[bfaces], lo, hi, 1e-9 * float((hi - lo).max()))
+    k_f = _one_cavity(owner[used], bfaces)
+    bad = ~on_box & (k_f < 0)
+    if bad.any():
+        raise MeshingError(
+            f"{int(bad.sum())} boundary facets not attributable to a cavity"
+        )
+    tags = np.where(on_box, OUTER_TAG, k_f)
+    if len(np.unique(tags[tags >= 0])) != n_cav:
         raise MeshingError("some cavities have no boundary facets")
 
     mesh = Mesh(verts, simplices, bfaces, tags, h=h)

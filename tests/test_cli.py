@@ -394,6 +394,8 @@ _CONFIG_MISTAKES = [
         "radius": 0.15, "radus": 0.3}}}}, "radus"),
     ("snorm", {"layout_params": {"shape": {"family": "ball", "params": {
         "radius": 0.15, "semi_axes": [0.1, 0.2]}}}}, "semi_axes"),
+    ("snorm", {"layout_params": {"shape": {"family": "ellipse", "params": {
+        "semi_axes": [0.1]}}}}, "semi_axes"),
 ]
 
 

@@ -56,6 +56,11 @@ def test_shape_params_are_checked_and_named():
     with pytest.raises(ConfigError, match="'radus'"):
         geometry.make_layout("periodic", {"shape": {"family": "ball", "params": {
             "radius": 0.15, "radus": 0.3}}}, 1 / 8)
+    # an ellipse needs a semi-axis per dimension of its layout
+    for dim, axes in ((2, [0.1]), (3, [0.1, 0.2])):
+        with pytest.raises(ConfigError, match=f"'semi_axes' needs {dim} numbers"):
+            geometry.make_layout("periodic", {"dim": dim, "shape": {
+                "family": "ellipse", "params": {"semi_axes": axes}}}, 1 / 4)
 
 
 @pytest.mark.parametrize("kind, params, key", [

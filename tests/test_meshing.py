@@ -318,7 +318,8 @@ def test_structured_grid_matches_cell_loop(build, reference, shape):
 
 
 def _boundary_faces_unique(simplices, dim):
-    """np.unique reference for meshing._boundary_faces."""
+    """Faces of exactly one simplex, ordered by their sorted vertex indices:
+    an np.unique reference for the facets of every mesh."""
     faces = np.concatenate([simplices[:, [j for j in range(dim + 1) if j != i]]
                             for i in range(dim + 1)], axis=0)
     _, first, counts = np.unique(np.sort(faces, axis=1), axis=0,
@@ -326,19 +327,95 @@ def _boundary_faces_unique(simplices, dim):
     return faces[first[counts == 1]]
 
 
-@pytest.mark.parametrize("build", [
-    lambda: meshing.mesh_box((0.0, 0.0), (1.0, 1.0), 0.1),
-    lambda: meshing.mesh_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.25),
-    lambda: meshing.mesh_interface((0.0, -1.0), (1.0, 1.0), 0.2, 0.1),
-    lambda: meshing.mesh_slab((0.0, 0.0), (1.0, 1.0), 0.5, 0.1),
-    lambda: meshing.mesh_perforated(geometry.make_layout("periodic", {}, 1 / 8), 0.06),
-], ids=["box2", "box3", "interface2", "slab3", "perforated2"])
-def test_boundary_faces_match_unique_reference(build):
-    m = build()
-    got = meshing._boundary_faces(m.simplices, m.dim)
+def _on_cavity_boundary(layout, k, pts):
+    """True for points on cavity k's analytic boundary: each unit shape is
+    star-shaped about its center, so a boundary point pulled in radially is
+    in the shape, and pushed out is not."""
+    y = (pts - layout.centers[k]) / layout.cavity_scale
+    shape = layout.shapes[k]
+    return shape.contains(y * (1 - 1e-9)) & ~shape.contains(y * (1 + 1e-9))
+
+
+_ELLIPSE = {"family": "ellipse", "params": {"semi_axes": [0.18, 0.11]}}
+_STAR = {"family": "star", "params": {"r0": 0.15, "r1": 0.04, "wings": 5}}
+
+
+@pytest.mark.parametrize("kind, params, eps, h", [
+    ("periodic", {}, 1 / 8, 0.06),
+    ("periodic", {"shape": _ELLIPSE}, 1 / 12, 0.05),
+    ("periodic", {"shape": _STAR}, 1 / 8, 0.04),
+    ("clustered", {"beta": 0.25}, 1 / 12, 0.0625),
+    ("perturbed-periodic", {"mu": 0.1, "seed": 3, "perimeter_jitter": 0.2}, 1 / 8, 0.06),
+    ("periodic", {"dim": 3, "domain": ((0.0, 0.0, -0.5), (0.5, 0.5, 0.5))}, 1 / 4, 0.2),
+], ids=["perforated2", "ellipse2", "star2", "clustered2", "perturbed2",
+        "perforated3"])
+def test_boundary_faces_match_unique_reference(kind, params, eps, h):
+    lay = geometry.make_layout(kind, params, eps)
+    m = meshing.mesh_perforated(lay, h)
     want = _boundary_faces_unique(m.simplices, m.dim)
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
+    assert m.facets.dtype == want.dtype
+    np.testing.assert_array_equal(m.facets, want)
+    # a facet lies on a box side, or is a face of cavity k's inscribed
+    # polygon or shell: its vertices on k's boundary, the center of k the
+    # nearest to its midpoint
+    lo, hi = np.asarray(lay.domain_lo), np.asarray(lay.domain_hi)
+    v = m.vertices[m.facets]
+    on_box = np.zeros(len(v), dtype=bool)
+    for a in range(m.dim):
+        on_box |= (v[:, :, a] == lo[a]).all(axis=1) | (v[:, :, a] == hi[a]).all(axis=1)
+    np.testing.assert_array_equal(m.facet_tags == meshing.OUTER_TAG, on_box)
+    mid = v[~on_box].mean(axis=1)
+    nearest = np.linalg.norm(mid[:, None] - lay.centers[None], axis=2).argmin(axis=1)
+    np.testing.assert_array_equal(m.facet_tags[~on_box], nearest)
+    for k in range(lay.n_cavities):
+        assert _on_cavity_boundary(lay, k, m.vertices[m.facet_vertices(k)]).all()
+
+
+def _cloud_with(point):
+    """A _cavity_cloud that appends point(layout) to cavity 0's rings."""
+    real = meshing._cavity_cloud
+
+    def cloud(layout, k, *args):
+        pts, n_boundary, protect = real(layout, k, *args)
+        if k == 0:
+            pts = np.vstack([pts, point(layout)])
+        return pts, n_boundary, protect
+    return cloud
+
+
+def test_facets_neither_on_the_box_nor_on_a_cavity_are_refused(monkeypatch):
+    # a point beyond the box puts hull faces off the box and off every cavity
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    monkeypatch.setattr(meshing, "_cavity_cloud", _cloud_with(lambda lay: [[0.5, 0.7]]))
+    with pytest.raises(MeshingError, match="2 boundary facets not attributable"):
+        meshing.mesh_perforated(lay, 0.08)
+
+
+def test_points_inside_a_cavity_are_dropped_or_refused(monkeypatch):
+    # the carve keeps every simplex around a point inside a cavity, so a
+    # ring point there is dropped: the mesh is the one without it
+    lay = geometry.make_layout("periodic", {}, 1 / 8)
+    plain = meshing.mesh_perforated(lay, 0.08)
+    monkeypatch.setattr(meshing, "_cavity_cloud", _cloud_with(lambda lay: lay.centers[:1]))
+    m = meshing.mesh_perforated(lay, 0.08)
+    monkeypatch.undo()
+    for name in ("vertices", "simplices", "facets", "facet_tags"):
+        np.testing.assert_array_equal(getattr(m, name), getattr(plain, name))
+    # at the closest spacing validate_layout allows, each cavity's rings
+    # reach into the other; its facets still lie on its own boundary
+    lay = geometry.make_layout("explicit", {"centers": [[0.5, 0.0], [0.56, 0.0]],
+                                            "shape": {"family": "ball",
+                                                      "params": {"radius": 0.2}}}, 1 / 8)
+    m = meshing.mesh_perforated(lay, 0.03)
+    for k in range(2):
+        assert _on_cavity_boundary(lay, k, m.vertices[m.facet_vertices(k)]).all()
+    # a boundary point inside another cavity means the two overlap
+    ball = geometry.Shape("ball", {"radius": 0.15})
+    lay = geometry.PerforationLayout(2, (0.0, -0.5), (1.0, 0.5), 0.0, 1 / 8, 1.0,
+                                     [[0.5, 0.0], [0.52, 0.0]], [ball])
+    assert not geometry.validate_layout(lay).passed
+    with pytest.raises(MeshingError, match="cavities overlap"):
+        meshing.mesh_perforated(lay, 0.04)
 
 
 def _faces_on_plane(m, c):
@@ -359,10 +436,9 @@ def _faces_on_plane(m, c):
 ], ids=["box2", "box3", "interface2", "interface3", "slab2", "slab3"])
 def test_grid_meshes_come_from_arithmetic_alone(build, plane, monkeypatch):
     def forbidden(*args):
-        raise AssertionError("a grid mesh needs no orientation or facet search")
+        raise AssertionError("a grid mesh needs no orientation search")
 
     monkeypatch.setattr(meshing, "_orient", forbidden)
-    monkeypatch.setattr(meshing, "_boundary_faces", forbidden)
     m = build()
     monkeypatch.undo()
     det = meshing._edge_cofactors(m.vertices, m.simplices)[0]
@@ -370,7 +446,7 @@ def test_grid_meshes_come_from_arithmetic_alone(build, plane, monkeypatch):
     rows = list(map(tuple, np.sort(m.facets, axis=1).tolist()))
     assert len(set(rows)) == len(rows)
     boundary = set(map(tuple, np.sort(
-        meshing._boundary_faces(m.simplices, m.dim), axis=1).tolist()))
+        _boundary_faces_unique(m.simplices, m.dim), axis=1).tolist()))
     layer = set() if plane is None else _faces_on_plane(m, plane)
     assert set(rows) == boundary | layer
     tagged = {r for r, t in zip(rows, m.facet_tags) if t == meshing.INTERFACE_TAG}
@@ -475,10 +551,6 @@ def test_p1_geometry_matches_lapack(dim):
     np.testing.assert_allclose(vols, np.abs(det) / math.factorial(dim), rtol=1e-13, atol=0)
     scale = np.abs(want).max(axis=(1, 2))
     assert (np.abs(grads - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
-    flipped, det_oriented = meshing._orient(
-        simp, meshing._edge_cofactors(verts, simp)[0])
+    flipped = meshing._orient(simp, meshing._edge_cofactors(verts, simp)[0])
     assert (np.linalg.det(verts[flipped][:, 1:] - verts[flipped][:, :1]) > 0).all()
-    # the returned determinants are bit-identical to recomputing them
-    np.testing.assert_array_equal(
-        det_oriented, meshing._edge_cofactors(verts, flipped)[0])
     np.testing.assert_array_equal(flipped[det > 0], simp[det > 0])

@@ -68,3 +68,9 @@ def test_traced_t2_row_records_the_nonlinear_spans():
     assert lus and all(tracer.spans[s.parent].name == "fem.solve_linear"
                        for s in lus)
     assert m["kernel.newton_splu_fallbacks"] == 0
+    # qhull runs once in each perforated mesh, h and h/2, so kernel.delaunay
+    # times qhull alone
+    meshes = [i for i, s in enumerate(tracer.spans)
+              if s.name == "meshing.mesh_perforated"]
+    qhull = [s.parent for s in tracer.spans if s.name == "kernel.delaunay"]
+    assert len(meshes) == 2 and sorted(qhull) == meshes
