@@ -340,29 +340,49 @@ _ELLIPSE = {"family": "ellipse", "params": {"semi_axes": [0.18, 0.11]}}
 _STAR = {"family": "star", "params": {"r0": 0.15, "r1": 0.04, "wings": 5}}
 
 
-@pytest.mark.parametrize("kind, params, eps, h", [
-    ("periodic", {}, 1 / 8, 0.06),
-    ("periodic", {"shape": _ELLIPSE}, 1 / 12, 0.05),
-    ("periodic", {"shape": _STAR}, 1 / 8, 0.04),
-    ("clustered", {"beta": 0.25}, 1 / 12, 0.0625),
-    ("perturbed-periodic", {"mu": 0.1, "seed": 3, "perimeter_jitter": 0.2}, 1 / 8, 0.06),
-    ("periodic", {"dim": 3, "domain": ((0.0, 0.0, -0.5), (0.5, 0.5, 0.5))}, 1 / 4, 0.2),
-], ids=["perforated2", "ellipse2", "star2", "clustered2", "perturbed2",
-        "perforated3"])
-def test_boundary_faces_match_unique_reference(kind, params, eps, h):
+def _perforated(kind, params, eps, h):
     lay = geometry.make_layout(kind, params, eps)
-    m = meshing.mesh_perforated(lay, h)
+    return meshing.mesh_perforated(lay, h), lay
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (meshing.mesh_box((0.0, 0.0), (1.0, 1.0), 0.1), None),
+    lambda: (meshing.mesh_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.25), None),
+    lambda: (meshing.mesh_interface((0.0, -1.0), (1.0, 1.0), 0.2, 0.1), None),
+    lambda: (meshing.mesh_slab((0.0, 0.0), (1.0, 1.0), 0.5, 0.1), None),
+    lambda: _perforated("periodic", {}, 1 / 8, 0.06),
+    lambda: _perforated("periodic", {"shape": _ELLIPSE}, 1 / 12, 0.05),
+    lambda: _perforated("periodic", {"shape": _STAR}, 1 / 8, 0.04),
+    lambda: _perforated("clustered", {"beta": 0.25}, 1 / 12, 0.0625),
+    lambda: _perforated("perturbed-periodic",
+                        {"mu": 0.1, "seed": 3, "perimeter_jitter": 0.2}, 1 / 8, 0.06),
+    lambda: _perforated("periodic", {"dim": 3, "domain": ((0.0, 0.0, -0.5), (0.5, 0.5, 0.5))},
+                        1 / 4, 0.2),
+], ids=["box2", "box3", "interface2", "slab3", "perforated2", "ellipse2", "star2",
+        "clustered2", "perturbed2", "perforated3"])
+def test_boundary_faces_match_unique_reference(build):
+    m, lay = build()
     want = _boundary_faces_unique(m.simplices, m.dim)
     assert m.facets.dtype == want.dtype
-    np.testing.assert_array_equal(m.facets, want)
-    # a facet lies on a box side, or is a face of cavity k's inscribed
-    # polygon or shell: its vertices on k's boundary, the center of k the
-    # nearest to its midpoint
-    lo, hi = np.asarray(lay.domain_lo), np.asarray(lay.domain_hi)
+    lo, hi = m.vertices.min(axis=0), m.vertices.max(axis=0)
     v = m.vertices[m.facets]
     on_box = np.zeros(len(v), dtype=bool)
     for a in range(m.dim):
         on_box |= (v[:, :, a] == lo[a]).all(axis=1) | (v[:, :, a] == hi[a]).all(axis=1)
+    if lay is None:
+        # a grid mesh's facets are its boundary faces, each once, on a box
+        # side, and besides them only the interior layer's INTERFACE_TAG facets
+        boundary = set(map(tuple, np.sort(want, axis=1).tolist()))
+        rows = list(map(tuple, np.sort(m.facets, axis=1).tolist()))
+        once = np.array([r in boundary for r in rows])
+        assert once.sum() == len(boundary) == len(want)
+        np.testing.assert_array_equal(once, on_box)
+        assert (m.facet_tags[~once] == meshing.INTERFACE_TAG).all()
+        return
+    np.testing.assert_array_equal(m.facets, want)
+    # a facet lies on a box side, or is a face of cavity k's inscribed
+    # polygon or shell: its vertices on k's boundary, the center of k the
+    # nearest to its midpoint
     np.testing.assert_array_equal(m.facet_tags == meshing.OUTER_TAG, on_box)
     mid = v[~on_box].mean(axis=1)
     nearest = np.linalg.norm(mid[:, None] - lay.centers[None], axis=2).argmin(axis=1)
