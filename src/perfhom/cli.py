@@ -11,14 +11,19 @@ corrector : tabulate the boundary-layer residual mu(eps) for the unit cell
             kappa <= C*sqrt(mu) certificate against the empirical kappa.
 mesh      : build one mesh (perforated, box, interface or slab) and write
             it in the plain-text mesh format.
-validate  : check a study or layout config without solving anything.
+validate  : read a config with the reader of the command that runs it
+            (study, or snorm and corrector); print lam0_hat for a study
+            and the cavity count of every eps.
 
 All subcommands accept --config FILE (JSON), --out DIR, --seed N and
 --log-level LEVEL, which sets the level of the perfhom loggers and prints
 their records to stderr; study also takes --jobs K, the number of worker
-processes for its eps sweep.  The JSON schemas are documented in the README.
-Each subcommand reads all its keys before it computes anything; an unread key
-or a bad value is an ``error: ...`` naming it, with exit code 1.
+processes for its eps sweep.  --seed N replaces the config's "seed" (a mesh
+config reads none, and refuses it).  The JSON schemas are in the README.
+Each subcommand reads all its keys and builds the layout of every eps
+before it computes or writes anything; an unread key, a bad value or an
+invalid layout is an ``error: ...`` naming it, with exit code 1, and
+validate prints that same line.
 """
 
 import argparse
@@ -37,13 +42,16 @@ from . import fem, geometry, harness, meshing
 from .errors import ConfigError, ConfigReader, PerfhomError, _config_value
 
 
-def _load_config(path):
-    if not path:
+def _load_config(args):
+    """The --config document, with --seed, when given, as its seed."""
+    if not args.config:
         raise SystemExit("a --config file is required for this subcommand")
-    with open(path) as fh:
+    with open(args.config) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise PerfhomError(f"{path}: a config must be a JSON object")
+        raise PerfhomError(f"{args.config}: a config must be a JSON object")
+    if args.seed is not None:
+        doc["seed"] = args.seed
     return doc
 
 
@@ -82,13 +90,12 @@ def _finite_or_none(x):
     return None if x is None else _inside(-math.inf, math.inf)(x)
 
 
-def _table_config(doc, seed):
-    """Every key of a snorm, corrector or layout-only validate config, read
-    before any table is computed; a seed that is not None overrides doc's."""
-    read = ConfigReader(doc if seed is None else dict(doc, seed=seed), "config")
+def _table_config(doc):
+    """Every key of a snorm, corrector or layout-only validate config, and
+    the layout of every eps, read and built before any table is computed."""
+    read = ConfigReader(doc, "config")
     t = SimpleNamespace(eps_list=read("eps_list", None, _sweep))
     t.kind, params, t.eta_rule = _layout_keys(read)
-    t.layout = lambda eps: geometry.make_layout(t.kind, params, eps, t.eta_rule)
     kappa = dict(alpha0=read("alpha0", None, _finite_or_none),
                  points_per_bump=read("points_per_bump", 8,
                                       harness._int_in(1, math.inf)),
@@ -99,14 +106,13 @@ def _table_config(doc, seed):
     t.modes = read("modes", 64, harness._int_in(1, t.grid // 2))
     t.calibrate = read("calibrate", False, harness._bool)
     read.done()
+    t.layout = {eps: geometry.make_layout(t.kind, params, eps, t.eta_rule)
+                for eps in t.eps_list}.__getitem__
     return t
 
 
 def cmd_study(args):
-    doc = _load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    config = harness.StudyConfig.from_dict(doc)
+    config = harness.StudyConfig.from_dict(_load_config(args))
     report = harness.run_study(config, jobs=args.jobs)
     paths = harness.emit_report(report, args.out)
     if report.degenerate:
@@ -135,7 +141,7 @@ def cmd_study(args):
 
 
 def cmd_snorm(args):
-    table = _table_config(_load_config(args.config), args.seed)
+    table = _table_config(_load_config(args))
     os.makedirs(args.out, exist_ok=True)
     rows = table.kappa_rows()
     harness.write_csv(os.path.join(args.out, "kappa.csv"), rows, ["eps", "kappa"])
@@ -148,7 +154,7 @@ def cmd_snorm(args):
 
 
 def cmd_corrector(args):
-    table = _table_config(_load_config(args.config), args.seed)
+    table = _table_config(_load_config(args))
     # the cell is read off the center gaps of a lattice
     _config_value("layout_kind", table.kind, harness._one_of(("periodic",)))
     if not isinstance(table.eta_rule, float):
@@ -177,7 +183,7 @@ def cmd_corrector(args):
 
 
 def cmd_mesh(args):
-    read = ConfigReader(_load_config(args.config), "mesh config")
+    read = ConfigReader(_load_config(args), "mesh config")
     kind = read("mesh_kind", "perforated",
                 harness._one_of(("perforated", "box", "interface", "slab")))
 
@@ -198,10 +204,11 @@ def cmd_mesh(args):
         lengths = read("lengths", [1.0], _lengths)
         height, h = positive("height", 0.5), positive("h")
     read.done()
+    if kind == "perforated":
+        layout = geometry.make_layout(layout_kind, params, eps, rule)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "mesh.txt")
     if kind == "perforated":
-        layout = geometry.make_layout(layout_kind, params, eps, rule)
         mesh = meshing.mesh_perforated(layout, h, refine)
         layout.to_json(os.path.join(args.out, "layout.json"))
     elif kind == "box":
@@ -220,38 +227,17 @@ def cmd_mesh(args):
 
 
 def cmd_validate(args):
-    doc = _load_config(args.config)
-    failures = 0
-
-    def check(name, fn):
-        nonlocal failures
-        try:
-            extra = fn()
-        except (PerfhomError, ValueError, TypeError, KeyError) as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"  ok {name}" + (f": {extra}" if extra else ""))
-
+    doc = _load_config(args)
     if "theorem" in doc:
         config = harness.StudyConfig.from_dict(doc)
-        check("study config", config.validate)
-
-        check("coefficients", lambda: "c0 ok (min eig %.4g)" %
-              config.check_ellipticity())
-        check("solvability threshold", lambda: "lam0_hat = %.4g" %
-              fem.estimate_lambda0(config.coefficients(),
-                                   config.nonlinearity()))
-        for eps in config.eps_list:
-            check(f"layout at eps={eps:.6g}",
-                  lambda e=eps: f"{config.layout(e).n_cavities} cavities")
+        lam0 = fem.estimate_lambda0(config.coefficients(), config.nonlinearity())
+        print(f"lam0_hat = {lam0:.4g}")
     else:
-        table = _table_config(doc, args.seed)
-        for eps in table.eps_list:
-            check(f"layout at eps={eps:.6g}",
-                  lambda e=eps: f"{table.layout(e).n_cavities} cavities")
-    print("validation " + ("FAILED" if failures else "passed"))
-    return 1 if failures else 0
+        config = _table_config(doc)
+    for eps in config.eps_list:
+        print(f"eps={eps:.6g}  cavities={config.layout(eps).n_cavities}")
+    print("validation passed")
+    return 0
 
 
 def _configure_logging(level):

@@ -483,7 +483,7 @@ def assemble(mesh, coeffs, dirichlet="outer", lam=0.0, boundary=None,
         # saturating term
         cache = system.facets
         x = cache.qp.reshape(-1, mesh.dim)
-        system.slope = nbc.wirtinger(x, np.zeros(len(x)))[0].reshape(cache.w.shape)
+        system.slope = nbc.sigma_at(x).reshape(cache.w.shape)
         system.matrix = system.matrix + cache.mass(system.matrix.shape, system.slope)
     return system
 

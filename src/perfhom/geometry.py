@@ -557,7 +557,8 @@ def make_layout(kind, params, eps, eta_rule=1.0):
     report = validate_layout(layout)
     if not report.passed:
         bad = ", ".join(n for n, c in report.checks.items() if not c.passed)
-        raise InfeasibleSpacingError(f"layout invalid: {bad}\n{report.summary()}")
+        raise InfeasibleSpacingError(f"layout at eps={eps:g} invalid: {bad}\n"
+                                     f"{report.summary()}")
     return layout
 
 

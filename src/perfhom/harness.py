@@ -142,6 +142,12 @@ def f_norm_cavities(layout, f):
 
 @dataclass
 class StudyConfig:
+    """One convergence study; the README's "Study config" table lists the
+    fields.  A config that constructs can run: construction converts every
+    field, checks the theorem's side condition and c0 against the principal
+    part, builds the layout of every eps and checks that the first u0 grid
+    has a free dof, and raises a PerfhomError naming the first refusal."""
+
     theorem: str
     dim: int = 2
     layout_kind: str = "periodic"
@@ -198,9 +204,6 @@ class StudyConfig:
         if self.layout_params.get("dim", n) != n:
             raise ConfigError(f"layout_params dim {self.layout_params['dim']!r} "
                               f"conflicts with dim {n}")
-        self.validate()
-
-    def validate(self):
         if self.theorem not in _THEOREMS:
             raise ConfigError(f"unknown theorem tag {self.theorem!r}")
         side = _THEOREMS[self.theorem][2]
@@ -213,13 +216,17 @@ class StudyConfig:
             raise ConfigError("eps_list must be strictly decreasing")
         if len(self.rhs_names) < 3:
             raise ConfigError("at least 3 right-hand sides are required")
-        # the first u0 level at the largest eps is the coarsest grid; a delta
-        # limit's normal axis is split at s0 and keeps an interior node
-        lo, hi = _config_value("domain", self.layout_params.get(
-            "domain", geometry._default_domain(self.dim)), geometry._box(self.dim))
+        # the principal part is constant, so one point gives its ellipticity
+        self.coefficients().validate_ellipticity(np.zeros((1, n)))
+        # every row's layout, so that one no row could build is refused before
+        # the first mesh; the first u0 level at the largest eps is the
+        # coarsest grid, and a delta limit's normal axis is split at s0 and
+        # keeps an interior node
+        first = [self.layout(e) for e in self.eps_list][0]
         h0 = self.h_factor * self.eps_list[0] / 2.0
-        n = self.dim - (_THEOREMS[self.theorem][3] == "delta")
-        if any(len(meshing._segment(a, b, h0)) < 3 for a, b in zip(lo[:n], hi[:n])):
+        m = n - (_THEOREMS[self.theorem][3] == "delta")
+        if any(len(meshing._segment(a, b, h0)) < 3
+               for a, b in zip(first.domain_lo[:m], first.domain_hi[:m])):
             raise ConfigError(f"h_factor={self.h_factor:g} leaves the first u0 grid at "
                               f"eps={self.eps_list[0]:g} (h0={h0:g}) without a free dof")
 
@@ -235,12 +242,6 @@ class StudyConfig:
         return geometry.make_layout(self.layout_kind,
                                     dict(self.layout_params, dim=self.dim),
                                     eps, eta_rule=self.eta_rule)
-
-    def check_ellipticity(self):
-        """Lowest eigenvalue of the principal part; raises
-        NonEllipticCoefficientsError below c0.  A config's matrix is
-        constant, so one point gives it."""
-        return self.coefficients().validate_ellipticity(np.zeros((1, self.dim)))
 
     def to_dict(self):
         return {key: v.tolist() if isinstance(v, np.ndarray) else
@@ -494,7 +495,6 @@ def run_study(config, jobs=1):
     # the pool forks all its workers at once, so it starts no idle ones
     workers = min(_config_value("jobs", jobs, _int_in(1, math.inf)),
                   len(config.eps_list))
-    config.check_ellipticity()  # before any row builds a mesh
 
     kappa_map = {}
     kappa_rows = []

@@ -434,9 +434,10 @@ def mesh_slab(tangential_lo, tangential_hi, height, h_bottom):
 # perforated meshes
 
 
-def _cavity_cloud(layout, k, h_near, h_band, gap_k, wall_k):
-    """Boundary polygon/shell, then graded offset rings, for cavity k; also
-    the boundary block's length and the background drop radius."""
+def _cavity_cloud(layout, k, h_near, h_band, cap):
+    """Boundary polygon/shell, then graded offset rings no further than cap
+    from it, for cavity k; also the boundary block's length and the
+    background drop radius."""
     shape = layout.shapes[k]
     center = layout.centers[k]
     cs = layout.cavity_scale
@@ -451,7 +452,6 @@ def _cavity_cloud(layout, k, h_near, h_band, gap_k, wall_k):
         A = cs * cs * shape.boundary_measure(3)
         m = max(64, int(math.ceil(2.2 * A / (h_near * h_near))))
         blocks.append(center + cs * shape.boundary_points(3, m))
-    cap = min(0.45 * gap_k, 0.8 * (wall_k - cs * rmax), 4.0 * h_band + 2.0 * h_near)
     d, s = 0.0, h_near
     while True:
         d += s
@@ -530,20 +530,25 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
     centers = layout.centers
     n_cav = layout.n_cavities
 
+    reach = cs * np.array([s.rmax(dim) for s in layout.shapes])
     if n_cav:
         tree_c = cKDTree(centers)  # nearest-cavity queries
-        # distances used to cap the graded rings; a lone cavity's second
+        # the graded rings stay clear of the walls and of every neighbour,
+        # whose reach is at most reach.max(); a lone cavity's second
         # neighbour is at inf
         dnn = tree_c.query(centers, k=2)[0][:, 1]
         wall = np.minimum((centers - lo[None, :]).min(axis=1),
                           (hi[None, :] - centers).min(axis=1))
+        caps = np.minimum(np.min([0.45 * dnn, dnn - reach - reach.max(),
+                                  0.8 * (wall - reach)], axis=0),
+                          4.0 * h_band + 2.0 * h_near)
 
     # a point's owner is the cavity on whose boundary it lies, or -1
     clouds, owners = [], []
     protect = np.zeros(n_cav)
     for k in range(n_cav):
         cloud, n_boundary, protect[k] = _cavity_cloud(layout, k, h_near, h_band,
-                                                      dnn[k], wall[k])
+                                                      caps[k])
         clouds.append(cloud)
         owners.append(np.repeat([k, -1], [n_boundary, len(cloud) - n_boundary]))
 
@@ -594,10 +599,9 @@ def mesh_perforated(layout, h, refine_factor_near_cavities=4.0):
     pts = np.concatenate(clouds + [bg], axis=0)
     owner = np.concatenate(owners + [np.full(len(bg), -1)])
     # the carve keeps every simplex with a vertex off cavity k's boundary, so
-    # no such point may lie in cavity k: ring points of a nearly touching
-    # neighbour and background points there are dropped, and a boundary
-    # point there means the cavities overlap
-    reach = cs * np.array([s.rmax(dim) for s in layout.shapes])
+    # no such point may lie in cavity k: background points there, and ring
+    # points of a hand-built layout's nearly touching neighbour, are
+    # dropped, and a boundary point there means the cavities overlap
     inside = np.zeros(len(pts), dtype=bool)
     for k, idx in enumerate(cKDTree(pts).query_ball_point(centers, reach)):
         y = (pts[idx] - centers[k]) / cs

@@ -12,10 +12,24 @@ numpy import; pytest loads this file before any test module.
 
 import os
 
+import pytest
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 VERDICTS = []
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """A list that every mesh_perforated, build_slab and kappa_table call
+    appends its arguments to, in place of its work."""
+    from perfhom import meshing, snorm
+    calls = []
+    for module, name in ((meshing, "mesh_perforated"), (snorm, "build_slab"),
+                         (snorm, "kappa_table")):
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+    return calls
 
 
 def record_verdict(line):

@@ -46,16 +46,16 @@ def test_validate_good_and_bad_config(tmp_path, capsys):
     good = _write(tmp_path, {
         "theorem": "T1a", "eps_list": [1 / 8, 1 / 12, 1 / 16]})
     assert cli.main(["validate", "--config", good]) == 0
-    out = capsys.readouterr().out
-    assert "validation passed" in out
-    assert "lam0_hat" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "lam0_hat = -0.25", "eps=0.125  cavities=8", "eps=0.0833333  cavities=12",
+        "eps=0.0625  cavities=16", "validation passed"]
 
     bad = _write(tmp_path, {
         "theorem": "T1a", "eps_list": [1 / 8, 1 / 12, 1 / 16],
         "layout_params": {"periods": [0.4]}}, name="bad.json")
     assert cli.main(["validate", "--config", bad]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out and "validation FAILED" in out
+    out, err = capsys.readouterr()
+    assert not out and err == "error: period 0.4 <= 2*b*R2 = 0.48\n"
 
 
 def test_validate_layout_only_config(tmp_path, capsys):
@@ -179,8 +179,7 @@ def test_degenerate_study_exits_0(tmp_path, capsys):
     assert "uniformity" not in out and "no slope" not in out
 
 
-@pytest.mark.parametrize("command", ["validate", "study"])
-@pytest.mark.parametrize("doc, named", [
+_STUDY_MISTAKES = [
     ({"theorem": "T1a", "eps_lst": [0.125]}, "eps_lst"),
     ([1, 2], "JSON object"),
     ({"theorem": "T1a", "matrix": "bogus",
@@ -203,7 +202,11 @@ def test_degenerate_study_exits_0(tmp_path, capsys):
     # the guard's tolerance and the near-cavity refinement are the protocol's
     ({"theorem": "T1a", "guard_tol": 0.1}, "'guard_tol'"),
     ({"theorem": "T1a", "refine_floor": 4.0}, "'refine_floor'"),
-])
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "study"])
+@pytest.mark.parametrize("doc, named", _STUDY_MISTAKES)
 def test_config_mistake_is_a_clean_error(tmp_path, capsys, command, doc, named):
     cfg = _write(tmp_path, doc)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -211,19 +214,79 @@ def test_config_mistake_is_a_clean_error(tmp_path, capsys, command, doc, named):
     assert err.startswith("error: ") and named in err
 
 
+# criterion 4's config on a perturbed lattice whose centers at eps = 1/64 are
+# closer than the layout's disjointness allows
+_CLOSE_AT_1_64 = {"layout_kind": "perturbed-periodic",
+                  "layout_params": {"mu": 0.5, "seed": 0}, "eps_list": [1 / 8, 1 / 64]}
+
+
+@pytest.mark.parametrize("doc, named", _STUDY_MISTAKES + [
+    ({"theorem": "T1a", "matrix": [[0.5, 0], [0, 0.5]]}, "c0=1.0"),
+    ({"theorem": "T1a", "eps_list": [0.25, 0.125], "h_factor": 20.0}, "h_factor"),
+    ({"theorem": "T1a", "eta_rule": ["power", 0.5], "h_factor": 0.4,
+      **_CLOSE_AT_1_64}, "eps=0.015625 invalid: disjointness"),
+    # the center leaves the R0*eps band around S at eps = 1/48
+    ({"theorem": "T1a", "layout_kind": "explicit",
+      "layout_params": {"centers": [[0.5, 0.012]]}},
+     "eps=0.0208333 invalid: near-interface"),
+])
+def test_validate_and_study_print_one_refusal(tmp_path, capsys, built, doc, named):
+    cfg, out = _write(tmp_path, doc), tmp_path / "o"
+    assert cli.main(["validate", "--config", cfg]) == 1
+    printed, refused = capsys.readouterr()
+    assert not printed and refused.startswith("error: ") and named in refused
+    assert cli.main(["study", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", refused)
+    assert not built and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["snorm", "corrector", "mesh"])
+def test_a_layout_that_cannot_be_built_writes_nothing(tmp_path, capsys, built,
+                                                      command):
+    doc = dict(_CLOSE_AT_1_64)
+    if command == "mesh":
+        doc["eps"] = doc.pop("eps_list")[-1]
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, doc)
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: layout at eps=0.015625 invalid: disjointness")
+    assert not built and not out.exists()
+
+
+def test_seed_flag_is_applied_once_for_every_command(tmp_path, capsys):
+    # validate checks the seed that study, snorm and corrector would use
+    study = _write(tmp_path, {"theorem": "T1a", "eps_list": [0.25, 0.125]})
+    table = _write(tmp_path, {"eps_list": [0.125]}, name="table.json")
+    for cfg, command in ((study, "study"), (table, "snorm"), (table, "corrector")):
+        runs = [cli.main([cmd, "--config", cfg, "--seed", "-1",
+                          "--out", str(tmp_path / "o")])
+                for cmd in ("validate", command)]
+        first, second = capsys.readouterr().err.splitlines()
+        assert runs == [1, 1] and first == second
+        assert first == "error: bad value for 'seed': -1"
+    assert cli.main(["validate", "--config", study, "--seed", "3"]) == 0
+    capsys.readouterr()
+    # a mesh config reads no seed, so the flag is refused, not ignored
+    mesh = _write(tmp_path, {"mesh_kind": "box", "h": 0.25}, name="mesh.json")
+    assert cli.main(["mesh", "--config", mesh, "--seed", "5",
+                     "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err == "error: unknown mesh config key(s): 'seed'\n"
+    assert not (tmp_path / "m").exists()
+
+
 def test_study_rejects_what_validate_rejects_on_ellipticity(tmp_path, capsys,
                                                             monkeypatch):
     cfg = _write(tmp_path, {"theorem": "T1a", "matrix": [[0.5, 0], [0, 0.5]],
                             "eps_list": [0.25, 0.125, 0.0625]})
-    reason = "sampled ellipticity 0.5 below declared c0=1.0"
+    refused = "error: sampled ellipticity 0.5 below declared c0=1.0\n"
     assert cli.main(["validate", "--config", cfg]) == 1
-    assert f"FAIL coefficients: {reason}" in capsys.readouterr().out
+    assert capsys.readouterr().err == refused
     meshed = []
     monkeypatch.setattr(meshing, "mesh_perforated",
                         lambda *args, **kwargs: meshed.append(args))
     assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and reason in err
+    assert capsys.readouterr().err == refused
     assert not meshed
 
 
@@ -271,12 +334,10 @@ def test_explicit_shapes_mistake_is_named(tmp_path, capsys, shapes):
                             "layout_params": {"centers": [[0.5, 0.0]],
                                               "shapes": shapes}})
     assert cli.main(["validate", "--config", cfg]) == 1
-    fails = [line for line in capsys.readouterr().out.splitlines()
-             if line.startswith("FAIL")]
-    assert fails and all("'shapes'" in line for line in fails)
+    refused = capsys.readouterr().err
+    assert refused.startswith("error: ") and "'shapes'" in refused
     assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "'shapes'" in err
+    assert capsys.readouterr().err == refused
 
 
 _STAR = {"family": "star", "params": {"r0": 0.12, "r1": 0.02}}
@@ -302,9 +363,7 @@ def test_layout_family_rules_are_clean_errors(tmp_path, capsys, layout_kind,
     assert err.startswith("error: ") and repr(named) in err
     assert "Traceback" not in err
     assert cli.main(["validate", "--config", cfg]) == 1
-    fails = [line for line in capsys.readouterr().out.splitlines()
-             if line.startswith("FAIL")]
-    assert fails and all(repr(named) in line for line in fails)
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("command", ["snorm", "corrector"])
@@ -412,15 +471,6 @@ def test_subcommand_config_mistakes_are_clean_errors(tmp_path, capsys, command,
     assert not (tmp_path / "o" / "mesh.txt").exists()
 
 
-def _refused(named, out, err):
-    """named is on the error: line, or on every FAIL line of validate."""
-    if err:
-        return err.startswith("error: ") and repr(named) in err \
-            and "Traceback" not in err
-    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-    return bool(fails) and all(repr(named) in line for line in fails)
-
-
 @pytest.mark.parametrize("extra, named", [
     (extra, named) for command, extra, named in _CONFIG_MISTAKES
     # the corrector alone reads its cell off a lattice
@@ -430,7 +480,9 @@ def test_validate_refuses_what_snorm_and_corrector_refuse(tmp_path, capsys,
                                                           extra, named):
     cfg = _write(tmp_path, {"eps_list": [1 / 8], **extra})
     assert cli.main(["validate", "--config", cfg]) == 1
-    assert _refused(named, *capsys.readouterr())
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: ") and repr(named) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["snorm", "corrector", "validate"])
@@ -460,11 +512,8 @@ def test_every_command_refuses_an_unread_layout_param(tmp_path, capsys,
                          ("validate", {"theorem": "T1a", "eps_list": [1 / 8]})):
         cfg = _write(tmp_path, {**doc, **layout})
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
-        printed, err = capsys.readouterr()
-        if command == "validate":
-            assert not err and _refused(named, printed, err)
-        else:
-            assert err.startswith("error: ") and repr(named) in err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(named) in err
     assert not (out / "mesh.txt").exists()
     assert not (out / "kappa.csv").exists()
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from perfhom import harness
+from perfhom.errors import InfeasibleSpacingError
 
 
 def test_predicted_bound_examples():
@@ -108,15 +109,22 @@ def test_config_errors_name_the_key(key, value):
 
 
 @pytest.mark.parametrize("theorem", ["T1a", "T2"])
-def test_misspelled_layout_param_is_refused_before_any_mesh(theorem, monkeypatch):
-    from perfhom import meshing, snorm
-    built = []
-    monkeypatch.setattr(meshing, "mesh_perforated", lambda *a, **k: built.append(a))
-    monkeypatch.setattr(snorm, "build_slab", lambda *a, **k: built.append(a))
-    config = harness.StudyConfig(theorem=theorem, eps_list=(0.25, 0.125),
-                                 layout_params={"preiods": [1.0]})
+def test_misspelled_layout_param_is_refused_before_any_mesh(theorem, built):
     with pytest.raises(harness.ConfigError, match="'preiods'"):
-        harness.run_study(config)
+        harness.StudyConfig(theorem=theorem, eps_list=(0.25, 0.125),
+                            layout_params={"preiods": [1.0]})
+    assert not built
+
+
+def test_a_layout_no_row_could_build_is_refused_at_construction(built):
+    # criterion 4's config on a perturbed lattice: at eps = 1/64 two centers
+    # are 0.007222 apart, closer than the 2*b*R2*eps = 0.0075 it needs
+    with pytest.raises(InfeasibleSpacingError,
+                       match=r"eps=0.015625 invalid: disjointness"):
+        harness.StudyConfig(theorem="T1a", eta_rule=("power", 0.5), h_factor=0.4,
+                            layout_kind="perturbed-periodic",
+                            layout_params={"mu": 0.5, "seed": 0},
+                            eps_list=(1 / 8, 1 / 64))
     assert not built
 
 
@@ -188,11 +196,10 @@ def test_criterion_3_rows_take_a_few_chord_sweeps_per_solve(monkeypatch):
     5, [{"family": "ball"}], [{"family": "ball", "params": {"radius": 0.1}}] * 2,
 ])
 def test_explicit_layout_shapes_errors_name_the_key(shapes):
-    cfg = harness.StudyConfig(theorem="T1a", layout_kind="explicit",
-                              layout_params={"centers": [[0.5, 0.0]],
-                                             "shapes": shapes})
     with pytest.raises(harness.ConfigError, match="'shapes'"):
-        cfg.layout(1 / 8)
+        harness.StudyConfig(theorem="T1a", layout_kind="explicit",
+                            layout_params={"centers": [[0.5, 0.0]],
+                                           "shapes": shapes})
 
 
 def test_readme_study_table_lists_every_config_field():
@@ -273,8 +280,8 @@ def test_eps_list_may_be_an_array():
 def test_layout_params_become_json_data(tmp_path):
     cfg = harness.StudyConfig(theorem="T1a", layout_kind="explicit",
                               layout_params={"centers": np.array([[0.5, 0.0]]),
-                                             "R2": np.float64(0.4)})
-    assert cfg.layout_params == {"centers": [[0.5, 0.0]], "R2": 0.4}
+                                             "s0": np.float64(0.0)})
+    assert cfg.layout_params == {"centers": [[0.5, 0.0]], "s0": 0.0}
     doc = cfg.to_dict()
     report = harness.RateReport(doc, [], {}, None, None, {})
     _, json_path, _ = harness.emit_report(report, tmp_path)

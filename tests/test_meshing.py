@@ -411,6 +411,29 @@ def test_facets_neither_on_the_box_nor_on_a_cavity_are_refused(monkeypatch):
         meshing.mesh_perforated(lay, 0.08)
 
 
+# two balls of radius R2 = 0.2 whose centers are 2*b*R2*eps apart, the
+# closest spacing validate_layout allows
+_CLOSEST_PAIR = geometry.make_layout(
+    "explicit", {"centers": [[0.5, 0.0], [0.56, 0.0]],
+                 "shape": {"family": "ball", "params": {"radius": 0.2}}}, 1 / 8)
+
+
+@pytest.mark.parametrize("h", [0.03, 0.015])
+def test_rings_stay_out_of_the_neighbouring_cavity(monkeypatch, h):
+    lay, clouds, real = _CLOSEST_PAIR, {}, meshing._cavity_cloud
+
+    def spy(layout, k, *args):
+        clouds[k] = real(layout, k, *args)
+        return clouds[k]
+    monkeypatch.setattr(meshing, "_cavity_cloud", spy)
+    meshing.mesh_perforated(lay, h)
+    for k, (pts, n_boundary, _) in clouds.items():
+        rings = pts[n_boundary:]
+        assert len(rings)
+        y = (rings - lay.centers[1 - k]) / lay.cavity_scale
+        assert not lay.shapes[1 - k].contains(y).any()
+
+
 def test_points_inside_a_cavity_are_dropped_or_refused(monkeypatch):
     # the carve keeps every simplex around a point inside a cavity, so a
     # ring point there is dropped: the mesh is the one without it
@@ -421,11 +444,9 @@ def test_points_inside_a_cavity_are_dropped_or_refused(monkeypatch):
     monkeypatch.undo()
     for name in ("vertices", "simplices", "facets", "facet_tags"):
         np.testing.assert_array_equal(getattr(m, name), getattr(plain, name))
-    # at the closest spacing validate_layout allows, each cavity's rings
-    # reach into the other; its facets still lie on its own boundary
-    lay = geometry.make_layout("explicit", {"centers": [[0.5, 0.0], [0.56, 0.0]],
-                                            "shape": {"family": "ball",
-                                                      "params": {"radius": 0.2}}}, 1 / 8)
+    # at the closest spacing validate_layout allows, each cavity's facets
+    # lie on its own boundary
+    lay = _CLOSEST_PAIR
     m = meshing.mesh_perforated(lay, 0.03)
     for k in range(2):
         assert _on_cavity_boundary(lay, k, m.vertices[m.facet_vertices(k)]).all()
